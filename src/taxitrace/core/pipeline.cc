@@ -9,6 +9,7 @@
 #include "taxitrace/clean/cleaning_pipeline.h"
 #include "taxitrace/common/executor.h"
 #include "taxitrace/common/random.h"
+#include "taxitrace/common/reorder_buffer.h"
 #include "taxitrace/common/strings.h"
 #include "taxitrace/core/segment_match.h"
 #include "taxitrace/fault/fault_injector.h"
@@ -46,80 +47,131 @@ Result<StudyResults> Pipeline::Run() const {
   // inline execution; either way the merged outputs are byte-identical.
   const Executor executor(Executor::ResolveThreadCount(config_.num_threads));
 
-  // 1. Substrates: city map and weather.
+  // 1. Substrates: city map and weather. The results own them from here
+  // on: the simulator and the matching machinery hold pointers into them.
   obs::StageSpan map_span(&trace, "map_generation");
   TAXITRACE_ASSIGN_OR_RETURN(synth::CityMap map,
                              synth::GenerateCityMap(config_.map));
   synth::WeatherModel weather(config_.weather_seed, config_.fleet.num_days);
   map_span.AddItems(static_cast<int64_t>(map.network.num_edges()));
   map_span.Finish();
+  synth::PedestrianModel pedestrians(config_.fleet.seed + 17, map.hotspots,
+                                     config_.fleet.num_days);
+  StudyResults results(std::move(map), std::move(weather),
+                       std::move(pedestrians));
+
+  // OD gates, transition extraction and matching machinery — built
+  // before the simulation because the streamed and online-ingestion
+  // paths run the fused clean + match unit (CleanAndMatchTrip) on their
+  // workers. Everything here is shared read-only state for MatchSegment.
+  std::vector<odselect::OdGate> gates;
+  for (const synth::GateRoad& g : results.map.gates) {
+    gates.emplace_back(g.name, g.geometry, config_.gate);
+  }
+  const geo::LocalProjection& proj = results.map.network.projection();
+  const odselect::TransitionExtractor extractor(gates, proj);
+  const geo::Bbox region =
+      results.map.network.Bounds().Inflated(300.0);
+  const roadnet::SpatialIndex index(&results.map.network);
+  const mapmatch::IncrementalMatcher matcher(&results.map.network, &index,
+                                             config_.matcher);
+  const mapattr::AttributeFetcher fetcher(&results.map.network,
+                                          config_.attributes);
+  // Gate lookup by name, built once (the per-transition linear scan over
+  // gates was O(gates x transitions)).
+  std::unordered_map<std::string, const odselect::OdGate*> gate_by_name;
+  for (const odselect::OdGate& g : gates) gate_by_name.emplace(g.name(), &g);
+  SegmentMatchContext match_context;
+  match_context.extractor = &extractor;
+  match_context.gate_by_name = &gate_by_name;
+  match_context.matcher = &matcher;
+  match_context.fetcher = &fetcher;
+  match_context.network = &results.map.network;
+  match_context.central_area = &results.map.central_area;
+  match_context.projection = &proj;
+  match_context.region = region;
+  match_context.transition_filter = &config_.transition_filter;
+  match_context.speed = &config_.speed;
+  match_context.route_cache_capacity =
+      config_.matcher.gap.route_cache_capacity;
+
+  // Cleaned segments and their match outputs in canonical (cleaned)
+  // order. The batch path fills them stage by stage; the streamed and
+  // online-ingestion paths clean and match each raw trip on a worker
+  // and fold the finished unit here, in raw-trip order, so every counter
+  // folds in the batch order and the results are byte-identical.
+  std::vector<trace::Trip> cleaned;
+  std::vector<SegmentMatchOutput> match_outputs;
+  const auto fold_matched = [&](TripMatchOutput& trip) {
+    clean::FoldTripCleanOutput(trip.clean, &results.cleaning_report);
+    for (size_t k = 0; k < trip.clean.segments.size(); ++k) {
+      cleaned.push_back(std::move(trip.clean.segments[k]));
+      match_outputs.push_back(std::move(trip.matches[k]));
+    }
+  };
 
   // 2. Raw traces. Two shapes of the same computation: the in-memory
-  // path materialises every raw trip in a store and cleans the store as
-  // its own stage; the streaming path chains cleaning onto each trip as
-  // it leaves the simulator's ordered merge, so raw points never all
-  // exist at once. Trips arrive at the cleaner in the identical
-  // (car, day, trip) order either way, and every cleaning counter is
-  // folded per trip in that order, so the results are byte-identical.
+  // path materialises every raw trip in a store and cleans and matches
+  // the store as stages of their own; the streamed path runs the fused
+  // unit on each (car, day) shard on the worker that simulated it, and a
+  // reorder buffer releases the finished shards to fold_matched in
+  // (car, day, trip) order, so raw points never all exist at once.
   // Fault plans force the in-memory path: file-level faults corrupt a
   // CSV view of the whole store, which has no per-trip equivalent.
-  obs::StageSpan sim_span(&trace, "simulation");
-  synth::PedestrianModel pedestrians(config_.fleet.seed + 17,
-                                     map.hotspots,
-                                     config_.fleet.num_days);
-  const synth::FleetSimulator fleet(&map, &weather, config_.fleet,
-                                    &pedestrians);
   // Online ingestion consumes the materialised store (it rebuilds each
-  // car's arrival stream from it), so it forces the in-memory
-  // simulation path, exactly like an active fault plan does.
+  // car's arrival stream from it), so it forces the in-memory simulation
+  // path too.
+  obs::StageSpan sim_span(&trace, "simulation");
+  const synth::FleetSimulator fleet(&results.map, &results.weather,
+                                    config_.fleet, &results.pedestrians);
   const bool stream_ingest = config_.stream_ingestion;
   const bool streaming =
       config_.stream_simulation && !config_.faults.Any() && !stream_ingest;
+  clean::CleaningOptions cleaning_options = config_.cleaning;
 
   synth::FleetResult raw;
   int64_t trips_simulated = 0;
   int64_t points_simulated = 0;
-  clean::CleaningReport streamed_report;
-  std::vector<trace::Trip> streamed_cleaned;
+  int64_t peak_buffered_shards = 0;
   if (streaming) {
-    struct CleaningSink final : public trace::TripSink {
-      const clean::CleaningOptions* options = nullptr;
-      clean::CleaningReport* report = nullptr;
-      std::vector<trace::Trip>* cleaned = nullptr;
-      Status Consume(trace::Trip trip) override {
-        clean::TripCleanOutput out =
-            clean::CleanOneTrip(std::move(trip), *options);
-        clean::FoldTripCleanOutput(out, report);
-        for (trace::Trip& seg : out.segments) {
-          cleaned->push_back(std::move(seg));
-        }
-        return Status::OK();
-      }
+    struct MatchedShard {
+      std::vector<TripMatchOutput> trips;
+      int64_t raw_points = 0;
+      int64_t customer_drives = 0;
+      int64_t reposition_drives = 0;
     };
-    CleaningSink sink;
-    sink.options = &config_.cleaning;
-    sink.report = &streamed_report;
-    sink.cleaned = &streamed_cleaned;
-    TAXITRACE_ASSIGN_OR_RETURN(const synth::FleetRunStats stats,
-                               fleet.Run(&executor, &sink));
-    raw.num_customer_drives = stats.num_customer_drives;
-    raw.num_reposition_drives = stats.num_reposition_drives;
-    trips_simulated = stats.trips_simulated;
-    points_simulated = stats.points_simulated;
+    ReorderBuffer<MatchedShard> merge([&](MatchedShard shard) -> Status {
+      raw.num_customer_drives += shard.customer_drives;
+      raw.num_reposition_drives += shard.reposition_drives;
+      trips_simulated += static_cast<int64_t>(shard.trips.size());
+      points_simulated += shard.raw_points;
+      for (TripMatchOutput& trip : shard.trips) fold_matched(trip);
+      return Status::OK();
+    });
+    TAXITRACE_RETURN_IF_ERROR(fleet.RunShards(
+        &executor, [&](synth::FleetShard shard) -> Status {
+          MatchedShard out;
+          out.customer_drives = shard.num_customer_drives;
+          out.reposition_drives = shard.num_reposition_drives;
+          out.trips.reserve(shard.trips.size());
+          for (trace::Trip& trip : shard.trips) {
+            out.raw_points += static_cast<int64_t>(trip.points.size());
+            out.trips.push_back(CleanAndMatchTrip(
+                std::move(trip), cleaning_options, match_context));
+          }
+          return merge.Deposit(shard.index, std::move(out));
+        }));
+    peak_buffered_shards = merge.peak_buffered();
   } else {
     TAXITRACE_ASSIGN_OR_RETURN(raw, fleet.Run(&executor));
     trips_simulated = static_cast<int64_t>(raw.store.NumTrips());
     points_simulated = static_cast<int64_t>(raw.store.NumPoints());
   }
 
-  StudyResults results(std::move(map), std::move(weather),
-                       std::move(pedestrians));
-
   // 2.5. Fault injection (skipped entirely on a fault-free plan, so the
   // default configuration runs the exact pre-harness pipeline). The
   // injection itself is serial and draws per trip id / per CSV row, so
   // the corrupted store is identical at any thread count.
-  clean::CleaningOptions cleaning_options = config_.cleaning;
   fault::FaultReport injected;
   trace::TraceIoStats io_stats;
   int64_t trips_before_rebuild = trips_simulated;
@@ -172,42 +224,7 @@ Result<StudyResults> Pipeline::Run() const {
   sim_span.AddItems(trips_simulated);
   sim_span.Finish();
 
-  // 3. OD gates, transition extraction and matching machinery — built
-  // before the cleaning stage because the online ingestion path fuses
-  // cleaning and matching into one per-window unit of work. Everything
-  // here is shared read-only state for MatchSegment.
-  std::vector<odselect::OdGate> gates;
-  for (const synth::GateRoad& g : results.map.gates) {
-    gates.emplace_back(g.name, g.geometry, config_.gate);
-  }
-  const geo::LocalProjection& proj = results.map.network.projection();
-  const odselect::TransitionExtractor extractor(gates, proj);
-  const geo::Bbox region =
-      results.map.network.Bounds().Inflated(300.0);
-  const roadnet::SpatialIndex index(&results.map.network);
-  const mapmatch::IncrementalMatcher matcher(&results.map.network, &index,
-                                             config_.matcher);
-  const mapattr::AttributeFetcher fetcher(&results.map.network,
-                                          config_.attributes);
-  // Gate lookup by name, built once (the per-transition linear scan over
-  // gates was O(gates x transitions)).
-  std::unordered_map<std::string, const odselect::OdGate*> gate_by_name;
-  for (const odselect::OdGate& g : gates) gate_by_name.emplace(g.name(), &g);
-  SegmentMatchContext match_context;
-  match_context.extractor = &extractor;
-  match_context.gate_by_name = &gate_by_name;
-  match_context.matcher = &matcher;
-  match_context.fetcher = &fetcher;
-  match_context.network = &results.map.network;
-  match_context.central_area = &results.map.central_area;
-  match_context.projection = &proj;
-  match_context.region = region;
-  match_context.transition_filter = &config_.transition_filter;
-  match_context.speed = &config_.speed;
-  match_context.route_cache_capacity =
-      config_.matcher.gap.route_cache_capacity;
-
-  // 3.5. Online ingestion (stream_ingestion): every car's raw trace is
+  // 3. Online ingestion (stream_ingestion): every car's raw trace is
   // replayed as an arrival stream — optionally shuffled by a bounded
   // displacement — through an IngestSession that undoes the reordering
   // under the watermark and flushes each window (container trip) into
@@ -216,14 +233,9 @@ Result<StudyResults> Pipeline::Run() const {
   // and the per-car outputs are merged below in store order, so the
   // results are byte-identical to batch at any worker count whenever
   // the displacement fits the lossless bound.
-  struct TripIngestOutput {
-    int64_t trip_id = 0;
-    clean::TripCleanOutput clean;
-    std::vector<SegmentMatchOutput> matches;
-  };
   struct CarIngestOutput {
     int car_id = 0;
-    std::vector<TripIngestOutput> trips;
+    std::vector<TripMatchOutput> trips;
     stream::IngestStats stats;
     size_t next = 0;  ///< Merge cursor for the store-order fold.
   };
@@ -247,22 +259,15 @@ Result<StudyResults> Pipeline::Run() const {
                         static_cast<uint64_t>(car_id), 0),
                 config_.ingest.arrival_shuffle_window);
           }
-          // Each closed window runs the same per-trip cleaning and
-          // per-segment matching units the batch stages run, in the
-          // same per-car order.
+          // Each closed window runs the fused per-trip unit, in the
+          // same per-car order as the batch stages.
           struct WindowSink final : public trace::TripSink {
             const clean::CleaningOptions* options = nullptr;
             const SegmentMatchContext* context = nullptr;
-            std::vector<TripIngestOutput>* out = nullptr;
+            std::vector<TripMatchOutput>* out = nullptr;
             Status Consume(trace::Trip trip) override {
-              TripIngestOutput rec;
-              rec.trip_id = trip.trip_id;
-              rec.clean = clean::CleanOneTrip(std::move(trip), *options);
-              rec.matches.reserve(rec.clean.segments.size());
-              for (const trace::Trip& seg : rec.clean.segments) {
-                rec.matches.push_back(MatchSegment(seg, *context));
-              }
-              out->push_back(std::move(rec));
+              out->push_back(
+                  CleanAndMatchTrip(std::move(trip), *options, *context));
               return Status::OK();
             }
           };
@@ -288,38 +293,29 @@ Result<StudyResults> Pipeline::Run() const {
   }
 
   // 4. Cleaning: sanitiser (when faulted), order repair, error filters,
-  // segmentation, filters. On a streaming run the per-trip work already
-  // happened inside the simulation merge, and on an online-ingestion
-  // run inside the window flushes; what remains here is folding the
+  // segmentation, filters. On a streamed run the per-trip work already
+  // happened on the simulation workers, and on an online-ingestion run
+  // inside the window flushes; what remains here is the ordered fold's
   // totals, so the cleaning span is (by design) near-empty on both.
   obs::StageSpan clean_span(&trace, "cleaning");
-  std::vector<trace::Trip> cleaned;
-  std::vector<SegmentMatchOutput> match_outputs;
+  const bool batch = !streaming && !stream_ingest;
   if (stream_ingest) {
     // Merge the per-car window outputs in store order: walk the store's
     // trips and pull the matching window from its car's queue (each
     // queue is already in per-car store order — release order equals
     // canonical order). A store trip lost wholesale in ingestion is
     // skipped; its records are accounted in the funnel's ingest drops.
-    clean::CleaningReport& report = results.cleaning_report;
     std::unordered_map<int, CarIngestOutput*> outputs_by_car;
     for (CarIngestOutput& c : car_ingest) {
       outputs_by_car.emplace(c.car_id, &c);
     }
-    const auto fold_window = [&](TripIngestOutput& window) {
-      clean::FoldTripCleanOutput(window.clean, &report);
-      for (size_t k = 0; k < window.clean.segments.size(); ++k) {
-        cleaned.push_back(std::move(window.clean.segments[k]));
-        match_outputs.push_back(std::move(window.matches[k]));
-      }
-    };
     for (const trace::Trip& store_trip : raw.store.trips()) {
       const auto it = outputs_by_car.find(store_trip.car_id);
       if (it == outputs_by_car.end()) continue;
       CarIngestOutput& c = *it->second;
       if (c.next < c.trips.size() &&
           c.trips[c.next].trip_id == store_trip.trip_id) {
-        fold_window(c.trips[c.next]);
+        fold_matched(c.trips[c.next]);
         ++c.next;
       }
     }
@@ -328,11 +324,21 @@ Result<StudyResults> Pipeline::Run() const {
     // fold any leftovers in car order.
     for (CarIngestOutput& c : car_ingest) {
       for (; c.next < c.trips.size(); ++c.next) {
-        fold_window(c.trips[c.next]);
+        fold_matched(c.trips[c.next]);
       }
     }
-    report.raw_trips = results.ingest_stats.windows_closed;
-    report.raw_points = results.ingest_stats.points_released;
+  }
+  if (batch) {
+    TAXITRACE_ASSIGN_OR_RETURN(
+        cleaned, clean::CleanTrips(raw.store, cleaning_options,
+                                   &results.cleaning_report, &executor,
+                                   metrics));
+  } else {
+    clean::CleaningReport& report = results.cleaning_report;
+    report.raw_trips =
+        streaming ? trips_simulated : results.ingest_stats.windows_closed;
+    report.raw_points =
+        streaming ? points_simulated : results.ingest_stats.points_released;
     report.clean_segments = static_cast<int64_t>(cleaned.size());
     for (const trace::Trip& t : cleaned) {
       report.clean_points += static_cast<int64_t>(t.points.size());
@@ -340,24 +346,6 @@ Result<StudyResults> Pipeline::Run() const {
     if (metrics != nullptr) {
       clean::PublishCleaningMetrics(report, cleaned, metrics);
     }
-  } else if (streaming) {
-    streamed_report.raw_trips = trips_simulated;
-    streamed_report.raw_points = points_simulated;
-    cleaned = std::move(streamed_cleaned);
-    streamed_report.clean_segments = static_cast<int64_t>(cleaned.size());
-    for (const trace::Trip& t : cleaned) {
-      streamed_report.clean_points += static_cast<int64_t>(t.points.size());
-    }
-    results.cleaning_report = streamed_report;
-    if (metrics != nullptr) {
-      clean::PublishCleaningMetrics(results.cleaning_report, cleaned,
-                                    metrics);
-    }
-  } else {
-    TAXITRACE_ASSIGN_OR_RETURN(
-        cleaned, clean::CleanTrips(raw.store, cleaning_options,
-                                   &results.cleaning_report, &executor,
-                                   metrics));
   }
   // The cleaning stage's own drop counters, before the injection
   // report is merged in — the funnel below needs the unmixed values.
@@ -368,15 +356,16 @@ Result<StudyResults> Pipeline::Run() const {
 
   // 5. Selection + matching fans out over the cleaned trips: every
   // segment is independent given the shared read-only machinery built
-  // in stage 3. Each worker fills its segment's slot (MatchSegment)
-  // with ordered matched transitions plus Table 3 funnel deltas; the
-  // slots are then merged in cleaned order (== trip id order), so the
-  // funnel, the match report's running mean, and the transition list
-  // are byte-identical at any thread count. On an online-ingestion run
-  // the slots were already produced at window flush and merged into
-  // cleaned order above; only the fold below runs.
+  // above. Each worker fills its segment's slot (MatchSegment) with
+  // ordered matched transitions plus Table 3 funnel deltas; the slots
+  // are then merged in cleaned order (== trip id order), so the funnel,
+  // the match report's running mean, and the transition list are
+  // byte-identical at any thread count. On a streamed or
+  // online-ingestion run the slots were already produced by the fused
+  // per-trip unit and folded into cleaned order; only the fold below
+  // runs.
   obs::StageSpan match_span(&trace, "selection_matching");
-  if (!stream_ingest) {
+  if (batch) {
     match_outputs.resize(cleaned.size());
     TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
         0, static_cast<int64_t>(cleaned.size()), [&](int64_t i) -> Status {
@@ -686,6 +675,12 @@ Result<StudyResults> Pipeline::Run() const {
       // a high-water mark is a level, not a flow — hence a gauge.
       registry.gauge("stream.peak_buffered_records")
           ->Set(static_cast<double>(ing.peak_buffered_records));
+    }
+    if (streaming) {
+      // How many shards finished ahead of a slower predecessor: set by
+      // scheduling, not by the data, hence a gauge.
+      registry.gauge("synth.peak_buffered_shards")
+          ->Set(static_cast<double>(peak_buffered_shards));
     }
 
     // Executor load: scheduling-dependent by nature, hence gauges.

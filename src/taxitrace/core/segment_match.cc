@@ -90,5 +90,18 @@ SegmentMatchOutput MatchSegment(const trace::Trip& segment,
   return out;
 }
 
+TripMatchOutput CleanAndMatchTrip(trace::Trip raw,
+                                  const clean::CleaningOptions& cleaning,
+                                  const SegmentMatchContext& context) {
+  TripMatchOutput out;
+  out.trip_id = raw.trip_id;
+  out.clean = clean::CleanOneTrip(std::move(raw), cleaning);
+  out.matches.reserve(out.clean.segments.size());
+  for (const trace::Trip& segment : out.clean.segments) {
+    out.matches.push_back(MatchSegment(segment, context));
+  }
+  return out;
+}
+
 }  // namespace core
 }  // namespace taxitrace

@@ -1,11 +1,12 @@
 // The per-segment selection + matching unit of work, shared by the
-// batch pipeline's ParallelFor over cleaned segments and the online
-// ingestion path's per-window flush. One cleaned segment in, one
-// SegmentMatchOutput out; all inputs are shared read-only machinery,
-// every counter lands in exactly one bucket, and the per-segment route
-// cache lives and dies inside the call — which is what makes the
-// outputs foldable in any caller-chosen deterministic order and the
-// two paths byte-identical.
+// batch pipeline's ParallelFor over cleaned segments and the fused
+// per-trip unit (CleanAndMatchTrip) that the streamed simulation and
+// the online ingestion path run on their workers. One cleaned segment
+// in, one SegmentMatchOutput out; all inputs are shared read-only
+// machinery, every counter lands in exactly one bucket, and the
+// per-segment route cache lives and dies inside the call — which is
+// what makes the outputs foldable in any caller-chosen deterministic
+// order and every path byte-identical.
 
 #ifndef TAXITRACE_CORE_SEGMENT_MATCH_H_
 #define TAXITRACE_CORE_SEGMENT_MATCH_H_
@@ -16,6 +17,7 @@
 
 #include "taxitrace/analysis/route_stats.h"
 #include "taxitrace/analysis/speed_categories.h"
+#include "taxitrace/clean/cleaning_pipeline.h"
 #include "taxitrace/geo/coordinates.h"
 #include "taxitrace/mapattr/attribute_fetcher.h"
 #include "taxitrace/mapmatch/incremental_matcher.h"
@@ -82,6 +84,22 @@ struct SegmentMatchContext {
 /// segment. Thread-safe given the context contract above.
 SegmentMatchOutput MatchSegment(const trace::Trip& segment,
                                 const SegmentMatchContext& context);
+
+/// One raw trip through the fused per-trip unit: its cleaning output
+/// plus one SegmentMatchOutput per surviving segment, in segment order.
+struct TripMatchOutput {
+  int64_t trip_id = 0;  ///< The raw trip's id.
+  clean::TripCleanOutput clean;
+  std::vector<SegmentMatchOutput> matches;
+};
+
+/// Cleans one raw trip (clean::CleanOneTrip) and runs MatchSegment on
+/// every segment that survives. Thread-safe given the context contract
+/// above; folding the outputs in raw-trip order reproduces the batch
+/// stages exactly.
+TripMatchOutput CleanAndMatchTrip(trace::Trip raw,
+                                  const clean::CleaningOptions& cleaning,
+                                  const SegmentMatchContext& context);
 
 }  // namespace core
 }  // namespace taxitrace

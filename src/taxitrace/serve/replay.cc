@@ -24,12 +24,17 @@ namespace serve {
 namespace {
 
 // One shard's deterministic outputs plus its (run-dependent) latency
-// samples, merged in shard order after the parallel loop.
-struct ShardResult {
+// samples, merged in shard order after the parallel loop. Each worker
+// updates its shard's tallies on every query, so a shard gets cache
+// lines of its own: without the alignment, neighbouring shards in the
+// array share a line and the replay's speed depends on where the heap
+// happened to place it.
+struct alignas(64) ShardResult {
   QueryStats stats;
   uint64_t digest = 0;
   std::vector<uint32_t> latency_ns;
 };
+static_assert(alignof(ShardResult) == 64);
 
 // The Zipf cumulative distribution over the hot-cell ranking.
 struct ZipfTable {

@@ -1,19 +1,11 @@
 #include "taxitrace/synth/fleet_simulator.h"
 
-// tt-lint: allow-file(parallel-accumulation): the streaming Run's
-// shared state (reorder buffer, flush cursor, fleet counters) is only
-// touched under merge_mu, and the flush loop drains it in ascending
-// shard order — a per-index-slot merge is exactly what the buffer
-// replaces, because holding every slot until the join is the unbounded
-// memory this overload exists to avoid.
-
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <utility>
 
-#include "taxitrace/common/check.h"
+#include "taxitrace/common/reorder_buffer.h"
+#include "taxitrace/common/strings.h"
 #include "taxitrace/trace/time_util.h"
 
 namespace taxitrace {
@@ -65,15 +57,6 @@ class LazyRouteNoise final : public roadnet::EdgeCostModel {
   uint64_t drive_index_ = 0;
 };
 
-// Id allocation strides. Each (car, day) shard draws its trip ids from
-// [shard * kTripIdStride, ...) and its point ids (per car) from
-// [day * kPointIdStride, ...), so ids are unique and ascend in shard
-// order without any cross-shard coordination. A car-day cannot come
-// near either bound (a shift holds at most a few dozen customer rides
-// and a few thousand sensor events); TT_CHECKs below enforce it.
-constexpr int64_t kTripIdStride = 4096;
-constexpr int64_t kPointIdStride = 1 << 20;
-
 // Mutable state of one simulated car-day run.
 struct CarState {
   VertexId position;
@@ -94,21 +77,14 @@ struct ShardContext {
   WorkerLocal<SimScratch>* scratch;
 };
 
-// What one (car, day) shard produces; merged in shard order.
-struct ShardOutput {
-  std::vector<trace::Trip> trips;
-  int64_t num_customer_drives = 0;
-  int64_t num_reposition_drives = 0;
-};
-
 // Simulates one car on one day. Pure function of (context, car, day):
 // all randomness comes from streams derived from (seed, car, day), so
 // shards can run in any order on any thread.
-ShardOutput SimulateCarDay(const ShardContext& ctx, int car, int day) {
+Result<FleetShard> SimulateCarDay(const ShardContext& ctx, int car, int day) {
   const FleetOptions& options = *ctx.options;
   const roadnet::RoadNetwork& network = *ctx.network;
   SimScratch& scratch = ctx.scratch->Local();
-  ShardOutput out;
+  FleetShard out;
 
   // Car-level traits must not vary by day: they come from the car's own
   // stream (substream 0; day shards use day + 1).
@@ -124,9 +100,8 @@ ShardOutput SimulateCarDay(const ShardContext& ctx, int car, int day) {
   // refill per drive.
   LazyRouteNoise route_noise(day_seed, options.route_weight_noise);
 
-  const int64_t shard =
-      static_cast<int64_t>(car - 1) * options.num_days + day;
-  const int64_t trip_id_base = shard * kTripIdStride;
+  out.index = static_cast<int64_t>(car - 1) * options.num_days + day;
+  const int64_t trip_id_base = out.index * kTripIdStride;
   int64_t trips_begun = 0;
 
   const auto random_vertex = [&](Rng* r) {
@@ -144,7 +119,8 @@ ShardOutput SimulateCarDay(const ShardContext& ctx, int car, int day) {
   // Each day starts at a fresh random vertex: the overnight
   // repositioning between shifts, and what makes days independent.
   state.position = random_vertex(&rng);
-  state.next_point_id = static_cast<int64_t>(day) * kPointIdStride + 1;
+  const int64_t point_id_base = static_cast<int64_t>(day) * kPointIdStride;
+  state.next_point_id = point_id_base + 1;
   state.current_trip = trace::Trip{};
 
   const auto begin_trip = [&](double t) {
@@ -253,13 +229,32 @@ ShardOutput SimulateCarDay(const ShardContext& ctx, int car, int day) {
   }
   finish_trip();
 
-  TT_CHECK(trips_begun < kTripIdStride);
-  TT_CHECK(state.next_point_id <=
-           (static_cast<int64_t>(day) + 1) * kPointIdStride);
+  const Status budget = CheckShardIdBudget(
+      trips_begun, state.next_point_id - 1 - point_id_base);
+  if (!budget.ok()) {
+    return Status::OutOfRange(StrFormat("car %d day %d: %s", car, day,
+                                        budget.message().c_str()));
+  }
   return out;
 }
 
 }  // namespace
+
+Status CheckShardIdBudget(int64_t trips, int64_t point_ids) {
+  if (trips > kTripIdStride) {
+    return Status::OutOfRange(
+        StrFormat("%lld trips exceed the per-car-day budget of %lld",
+                  static_cast<long long>(trips),
+                  static_cast<long long>(kTripIdStride)));
+  }
+  if (point_ids > kPointIdStride) {
+    return Status::OutOfRange(
+        StrFormat("%lld point ids exceed the per-car-day budget of %lld",
+                  static_cast<long long>(point_ids),
+                  static_cast<long long>(kPointIdStride)));
+  }
+  return Status::OK();
+}
 
 double TaxiDemandWeight(double hour_of_day, bool weekend) {
   const double h = std::fmod(std::fmod(hour_of_day, 24.0) + 24.0, 24.0);
@@ -296,6 +291,32 @@ Result<FleetResult> FleetSimulator::Run(const Executor* executor) const {
 
 Result<FleetRunStats> FleetSimulator::Run(const Executor* executor,
                                           trace::TripSink* sink) const {
+  // Deterministic streaming merge: shards finish in any order, but
+  // trips reach the sink in strict shard order (car-major,
+  // day-ascending).
+  FleetRunStats stats;
+  ReorderBuffer<FleetShard> merge([&](FleetShard shard) -> Status {
+    stats.num_customer_drives += shard.num_customer_drives;
+    stats.num_reposition_drives += shard.num_reposition_drives;
+    for (trace::Trip& trip : shard.trips) {
+      ++stats.trips_simulated;
+      stats.points_simulated += static_cast<int64_t>(trip.points.size());
+      TAXITRACE_RETURN_IF_ERROR(sink->Consume(std::move(trip)));
+    }
+    return Status::OK();
+  });
+  TAXITRACE_RETURN_IF_ERROR(
+      RunShards(executor, [&merge](FleetShard shard) -> Status {
+        const int64_t index = shard.index;
+        return merge.Deposit(index, std::move(shard));
+      }));
+  stats.peak_buffered_shards = merge.peak_buffered();
+  return stats;
+}
+
+Status FleetSimulator::RunShards(
+    const Executor* executor,
+    const std::function<Status(FleetShard)>& on_shard) const {
   if (options_.num_cars <= 0 || options_.num_days <= 0) {
     return Status::InvalidArgument("fleet needs at least one car and day");
   }
@@ -316,54 +337,12 @@ Result<FleetRunStats> FleetSimulator::Run(const Executor* executor,
   const int64_t num_shards =
       static_cast<int64_t>(options_.num_cars) * options_.num_days;
   const Executor& ex = executor != nullptr ? *executor : Executor::Serial();
-
-  // Deterministic streaming merge: shards finish in any order, but
-  // trips reach the sink in strict shard order (car-major,
-  // day-ascending). A shard that completes early waits in `pending`;
-  // whenever the next shard in line lands, the contiguous run behind it
-  // flushes. The buffer's size tracks scheduler skew (~worker count),
-  // never the whole study — that is the bounded-memory property.
-  FleetRunStats stats;
-  std::mutex merge_mu;
-  std::map<int64_t, ShardOutput> pending;
-  int64_t next_flush = 0;
-  // Once a sink call fails, stop flushing: the failed shard stays at
-  // the head half-consumed, and re-flushing it from another worker
-  // would hand moved-from trips to the sink.
-  bool merge_failed = false;
-
-  TAXITRACE_RETURN_IF_ERROR(ex.ParallelFor(
-      0, num_shards, [&](int64_t shard) -> Status {
-        const int car = 1 + static_cast<int>(shard / options_.num_days);
-        const int day = static_cast<int>(shard % options_.num_days);
-        ShardOutput out = SimulateCarDay(ctx, car, day);
-
-        std::lock_guard<std::mutex> lock(merge_mu);
-        pending.emplace(shard, std::move(out));
-        stats.peak_buffered_shards =
-            std::max(stats.peak_buffered_shards,
-                     static_cast<int64_t>(pending.size()));
-        while (!merge_failed && !pending.empty() &&
-               pending.begin()->first == next_flush) {
-          ShardOutput& head = pending.begin()->second;
-          stats.num_customer_drives += head.num_customer_drives;
-          stats.num_reposition_drives += head.num_reposition_drives;
-          for (trace::Trip& trip : head.trips) {
-            ++stats.trips_simulated;
-            stats.points_simulated +=
-                static_cast<int64_t>(trip.points.size());
-            Status consumed = sink->Consume(std::move(trip));
-            if (!consumed.ok()) {
-              merge_failed = true;
-              return consumed;
-            }
-          }
-          pending.erase(pending.begin());
-          ++next_flush;
-        }
-        return Status::OK();
-      }));
-  return stats;
+  return ex.ParallelFor(0, num_shards, [&](int64_t shard) -> Status {
+    const int car = 1 + static_cast<int>(shard / options_.num_days);
+    const int day = static_cast<int>(shard % options_.num_days);
+    TAXITRACE_ASSIGN_OR_RETURN(FleetShard out, SimulateCarDay(ctx, car, day));
+    return on_shard(std::move(out));
+  });
 }
 
 }  // namespace synth

@@ -12,6 +12,9 @@
 #ifndef TAXITRACE_SYNTH_FLEET_SIMULATOR_H_
 #define TAXITRACE_SYNTH_FLEET_SIMULATOR_H_
 
+#include <functional>
+#include <vector>
+
 #include "taxitrace/common/executor.h"
 #include "taxitrace/common/result.h"
 #include "taxitrace/synth/driver_model.h"
@@ -58,6 +61,27 @@ struct FleetOptions {
 /// and afternoon peaks on weekdays, an evening/night peak on weekends.
 /// Waits between customers scale inversely with demand.
 double TaxiDemandWeight(double hour_of_day, bool weekend);
+
+/// Id budgets of one (car, day) shard. Shard s numbers its trips
+/// s * kTripIdStride + 1 .. s * kTripIdStride + kTripIdStride, and the
+/// points of car-day d are numbered d * kPointIdStride + 1 ..
+/// d * kPointIdStride + kPointIdStride, so ids are unique fleet-wide and
+/// ascend in shard order without any cross-shard coordination.
+inline constexpr int64_t kTripIdStride = 4096;
+inline constexpr int64_t kPointIdStride = int64_t{1} << 20;
+
+/// OK while one car-day's `trips` and `point_ids` fit their budgets
+/// above; OutOfRange naming the exhausted budget otherwise.
+Status CheckShardIdBudget(int64_t trips, int64_t point_ids);
+
+/// What one (car, day) shard simulated.
+struct FleetShard {
+  /// (car - 1) * num_days + day: the shard's place in the merge order.
+  int64_t index = 0;
+  std::vector<trace::Trip> trips;  ///< In trip order.
+  int64_t num_customer_drives = 0;
+  int64_t num_reposition_drives = 0;
+};
 
 /// Outcome of a simulation run.
 struct FleetResult {
@@ -112,15 +136,28 @@ class FleetSimulator {
   /// Streaming form: finished trips are handed to `sink` one at a time,
   /// in strict (car, day, trip) order regardless of worker count, and
   /// never accumulate inside the simulator. Out-of-order shard
-  /// completions wait in a reorder buffer whose high-water mark is
+  /// completions wait in a ReorderBuffer whose high-water mark is
   /// reported in the returned stats; with W workers it stays around W,
   /// so peak memory is bounded by per-shard state — the property that
-  /// makes 1000-car × multi-day runs feasible. Sink calls happen under
-  /// the simulator's merge lock: they are serialised and need no
-  /// synchronisation in the sink, but long sink work throttles the
-  /// pipeline. A sink error aborts the run and is returned.
+  /// makes 1000-car × multi-day runs feasible. Sink calls are
+  /// serialised under the reorder buffer's lock, so the sink needs no
+  /// synchronisation, but every worker waits on it: a sink that does
+  /// real per-trip work (cleaning, matching) serialises the whole run.
+  /// Such work belongs in RunShards' callback, on the worker, with only
+  /// an ordered fold behind it. A sink error aborts the run and is
+  /// returned.
   Result<FleetRunStats> Run(const Executor* executor,
                             trace::TripSink* sink) const;
+
+  /// The shard loop under both Run overloads: simulates every (car, day)
+  /// shard and calls `on_shard` once per shard on the worker that
+  /// simulated it — concurrently, in any order, with no lock held.
+  /// Callers that need (car, day) order deposit the shard, or what they
+  /// computed from it, in a ReorderBuffer keyed on FleetShard::index. A
+  /// shard that overflows its id budget, or an `on_shard` error, fails
+  /// the run; the executor returns the lowest failing shard's error.
+  Status RunShards(const Executor* executor,
+                   const std::function<Status(FleetShard)>& on_shard) const;
 
   [[nodiscard]] const FleetOptions& options() const { return options_; }
 

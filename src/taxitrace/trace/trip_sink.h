@@ -1,8 +1,8 @@
 // Streaming consumer of finished trips. Producers (the fleet
-// simulator) hand each trip to the sink exactly once, in a
-// deterministic order that never depends on worker count, so a sink
-// can process, clean, or discard trips one at a time without the whole
-// raw trace ever materialising in memory.
+// simulator, an online ingestion session) hand each trip to the sink
+// exactly once, in a deterministic order that never depends on worker
+// count, so a sink can store, forward, or discard trips one at a time
+// without the whole raw trace ever materialising in memory.
 
 #ifndef TAXITRACE_TRACE_TRIP_SINK_H_
 #define TAXITRACE_TRACE_TRIP_SINK_H_
@@ -14,10 +14,16 @@
 namespace taxitrace {
 namespace trace {
 
-/// Receives finished trips one at a time. Calls arrive serialised (the
-/// producer holds a lock around delivery) and in a deterministic order,
-/// so implementations need no synchronisation of their own but should
-/// keep Consume cheap — it sits on the producer's critical path.
+/// Receives finished trips one at a time. Calls arrive serialised and
+/// in a deterministic order, so implementations need no
+/// synchronisation of their own. FleetSimulator::Run serialises them
+/// under its reorder buffer's lock, which every simulation worker waits
+/// on: a sink there should only store, count or forward the trip,
+/// because per-trip work such as cleaning or matching would run on one
+/// thread for the whole fleet — run it in FleetSimulator::RunShards'
+/// callback instead. An IngestSession calls its sink on the worker that
+/// owns the session, with no lock, so that sink may do the per-trip
+/// work itself.
 class TripSink {
  public:
   virtual ~TripSink() = default;

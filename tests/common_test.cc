@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "taxitrace/common/csv.h"
+#include "taxitrace/common/executor.h"
 #include "taxitrace/common/hash.h"
 #include "taxitrace/common/logging.h"
 #include "taxitrace/common/random.h"
+#include "taxitrace/common/reorder_buffer.h"
 #include "taxitrace/common/result.h"
 #include "taxitrace/common/status.h"
 #include "taxitrace/common/strings.h"
@@ -422,6 +424,92 @@ TEST(HashTest, SplitMix64IsNotIdentityLike) {
   EXPECT_NE(SplitMix64(0), 0u);
   EXPECT_NE(SplitMix64(1) - SplitMix64(0), 1u);
   EXPECT_NE(SplitMix64(2) - SplitMix64(1), SplitMix64(1) - SplitMix64(0));
+}
+
+// ---------------------------------------------------------------------------
+// ReorderBuffer
+
+// Items carry a heap payload so a moved-from item (empty vector) would
+// be visible if it were ever delivered.
+using Payload = std::vector<int64_t>;
+
+TEST(ReorderBufferTest, OutOfOrderDepositsDrainInIndexOrder) {
+  std::vector<int64_t> delivered;
+  ReorderBuffer<Payload> buffer([&](Payload item) -> Status {
+    delivered.push_back(item.at(0));
+    return Status::OK();
+  });
+  const std::vector<int64_t> arrival = {3, 1, 4, 0, 2, 6, 5};
+  for (const int64_t i : arrival) {
+    ASSERT_TRUE(buffer.Deposit(i, Payload{i}).ok());
+    // Nothing is released past a missing predecessor.
+    for (size_t k = 0; k < delivered.size(); ++k) {
+      EXPECT_EQ(delivered[k], static_cast<int64_t>(k));
+    }
+  }
+  EXPECT_EQ(delivered, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6}));
+  // 3, 1 and 4 wait for 0; with 0 deposited four items are held.
+  EXPECT_EQ(buffer.peak_buffered(), 4);
+}
+
+TEST(ReorderBufferTest, SerialRunPeaksAtOne) {
+  int64_t delivered = 0;
+  ReorderBuffer<Payload> buffer([&](Payload item) -> Status {
+    EXPECT_EQ(item.at(0), delivered);
+    ++delivered;
+    return Status::OK();
+  });
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(buffer.Deposit(i, Payload{i}).ok());
+  }
+  EXPECT_EQ(delivered, 100);
+  EXPECT_EQ(buffer.peak_buffered(), 1);
+}
+
+TEST(ReorderBufferTest, ParallelDepositsDrainInIndexOrder) {
+  constexpr int64_t kItems = 2000;
+  std::vector<int64_t> delivered;
+  ReorderBuffer<Payload> buffer([&](Payload item) -> Status {
+    delivered.push_back(item.at(0));
+    return Status::OK();
+  });
+  const Executor executor(8);
+  ASSERT_TRUE(executor
+                  .ParallelFor(0, kItems,
+                               [&buffer](int64_t i) -> Status {
+                                 return buffer.Deposit(i, Payload{i});
+                               })
+                  .ok());
+  ASSERT_EQ(delivered.size(), static_cast<size_t>(kItems));
+  for (int64_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(delivered[static_cast<size_t>(i)], i);
+  }
+  EXPECT_GE(buffer.peak_buffered(), 1);
+}
+
+TEST(ReorderBufferTest, ConsumerErrorStopsDrainingWithoutRedelivery) {
+  std::vector<int64_t> delivered;
+  ReorderBuffer<Payload> buffer([&](Payload item) -> Status {
+    EXPECT_FALSE(item.empty()) << "moved-from item delivered";
+    const int64_t i = item.empty() ? -1 : item[0];
+    delivered.push_back(i);
+    if (i == 2) return Status::Internal("sink full");
+    return Status::OK();
+  });
+  // 3 and 4 wait behind 2; depositing 0..2 releases up to the failure.
+  ASSERT_TRUE(buffer.Deposit(3, Payload{3}).ok());
+  ASSERT_TRUE(buffer.Deposit(4, Payload{4}).ok());
+  ASSERT_TRUE(buffer.Deposit(0, Payload{0}).ok());
+  ASSERT_TRUE(buffer.Deposit(1, Payload{1}).ok());
+  const Status failed = buffer.Deposit(2, Payload{2});
+  EXPECT_EQ(failed, Status::Internal("sink full"));
+  EXPECT_EQ(delivered, (std::vector<int64_t>{0, 1, 2}));
+
+  // After the failure nothing drains again: not the failed head, not
+  // the items that were waiting behind it, not later deposits.
+  EXPECT_TRUE(buffer.Deposit(5, Payload{5}).ok());
+  EXPECT_TRUE(buffer.Deposit(6, Payload{6}).ok());
+  EXPECT_EQ(delivered, (std::vector<int64_t>{0, 1, 2}));
 }
 
 TEST(LoggingTest, LevelFilterRoundTrip) {

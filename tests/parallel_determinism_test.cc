@@ -254,6 +254,33 @@ TEST(ParallelDeterminismTest, MetricsOnEightWorkersMatchSerial) {
   ExpectIdenticalObservability(ObservedSerialReference(), run);
 }
 
+// Streamed legs: each simulation worker cleans and matches its own
+// shards and a reorder buffer folds them in (car, day, trip) order, so
+// the results, the funnel and every counter equal the batch serial
+// reference at any worker count. The buffer's high-water mark depends
+// on scheduling and is published as a gauge, never a counter.
+TEST(ParallelDeterminismTest, StreamedMetricsOnMatchBatchAtAnyWorkerCount) {
+  for (const int workers : {0, 1, 2, 8}) {
+    core::StudyConfig config = core::StudyConfig::SmallStudy();
+    config.num_threads = workers;
+    config.stream_simulation = true;
+    config.observability.enabled = true;
+    auto run = core::Pipeline(config).Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectIdenticalResults(SerialReference(), *run);
+    ExpectIdenticalObservability(ObservedSerialReference(), *run);
+
+    double peak = -1.0;
+    for (const obs::GaugeSample& g : run->observability.gauges) {
+      if (g.name == "synth.peak_buffered_shards") peak = g.value;
+    }
+    EXPECT_GE(peak, 1.0) << workers << " workers";
+    if (workers == 0) {
+      EXPECT_EQ(peak, 1.0);
+    }
+  }
+}
+
 // With fault injection on, the funnel gains the store-rebuild (and,
 // with file faults, the CSV parse) stages — and still reconciles
 // exactly, in == out + dropped, at every stage.

@@ -1,10 +1,11 @@
-// The streaming pipeline's contract: chaining cleaning onto each trip
-// as it leaves the simulator's ordered merge (stream_simulation = true)
-// produces StudyResults byte-identical to the in-memory path — same
-// trips in the same order reach the same per-trip stages, and every
-// counter folds in the same order. Checked on fault-free and faulted
-// studies at 0/1/2/8 workers; doubles compared exactly, plus the golden
-// digest, which hashes the full downstream output.
+// The streaming pipeline's contract: cleaning and matching each
+// simulated shard on its worker and folding the finished trips in
+// (car, day, trip) order (stream_simulation = true) produces
+// StudyResults byte-identical to the in-memory path — the same trips
+// reach the same per-trip stages, and every counter folds in the same
+// order. Checked on fault-free and faulted studies at 0/1/2/8 workers;
+// doubles compared exactly, plus the golden digest, which hashes the
+// full downstream output.
 
 #include <gtest/gtest.h>
 
@@ -149,18 +150,22 @@ TEST(StreamingEquivalenceTest, FaultedEightWorkersStreamingMatches) {
 TEST(StreamingEquivalenceTest, FunnelAndCountersMatchInMemory) {
   const core::StudyResults in_memory =
       RunStudy(0, /*streaming=*/false, {}, /*observability=*/true);
-  const core::StudyResults streamed =
-      RunStudy(2, /*streaming=*/true, {}, /*observability=*/true);
   ASSERT_TRUE(in_memory.observability.enabled);
-  ASSERT_TRUE(streamed.observability.enabled);
-  EXPECT_EQ(in_memory.observability.funnel, streamed.observability.funnel);
-  EXPECT_EQ(in_memory.observability.counters,
-            streamed.observability.counters);
   EXPECT_NE(in_memory.observability.funnel.Find("points.simulated"),
             nullptr);
-  const Status reconciles =
-      streamed.observability.funnel.CheckReconciles();
-  EXPECT_TRUE(reconciles.ok()) << reconciles.ToString();
+  for (const int workers : {2, 8}) {
+    const core::StudyResults streamed =
+        RunStudy(workers, /*streaming=*/true, {}, /*observability=*/true);
+    ASSERT_TRUE(streamed.observability.enabled);
+    EXPECT_EQ(in_memory.observability.funnel, streamed.observability.funnel)
+        << workers << " workers";
+    EXPECT_EQ(in_memory.observability.counters,
+              streamed.observability.counters)
+        << workers << " workers";
+    const Status reconciles =
+        streamed.observability.funnel.CheckReconciles();
+    EXPECT_TRUE(reconciles.ok()) << reconciles.ToString();
+  }
 }
 
 }  // namespace

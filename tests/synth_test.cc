@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "taxitrace/clean/order_repair.h"
 #include "taxitrace/common/executor.h"
+#include "taxitrace/common/strings.h"
 #include "taxitrace/roadnet/router.h"
 #include "taxitrace/roadnet/connectivity.h"
 #include "taxitrace/synth/city_map_generator.h"
@@ -629,6 +632,49 @@ TEST(FleetSimulatorTest, EmptyShardsStillAdvanceStreamingReleaseOrder) {
     EXPECT_EQ(parallel_sink.trips[i].car_id, serial_sink.trips[i].car_id);
     EXPECT_EQ(parallel_sink.trips[i].points.size(),
               serial_sink.trips[i].points.size());
+  }
+}
+
+// A car-day numbers its trips and points from fixed budgets; running
+// past one returns a Status naming it instead of aborting the process.
+TEST(FleetSimulatorTest, ShardIdBudgetBoundary) {
+  EXPECT_TRUE(CheckShardIdBudget(kTripIdStride, kPointIdStride).ok());
+  EXPECT_TRUE(CheckShardIdBudget(0, 0).ok());
+  const Status trips = CheckShardIdBudget(kTripIdStride + 1, 0);
+  EXPECT_EQ(trips.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(trips.message().find("trips"), std::string::npos);
+  const Status points = CheckShardIdBudget(0, kPointIdStride + 1);
+  EXPECT_EQ(points.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(points.message().find("point ids"), std::string::npos);
+}
+
+// RunShards hands every shard to the callback exactly once, and a
+// callback error surfaces as the lowest failing shard's, whatever the
+// worker count.
+TEST(FleetSimulatorTest, RunShardsVisitsEveryShardAndReportsLowestError) {
+  const WeatherModel weather(3, 4);
+  FleetOptions options;
+  options.num_cars = 2;
+  options.num_days = 4;
+  const FleetSimulator fleet(&TestMap(), &weather, options);
+  for (const int workers : {0, 8}) {
+    const Executor executor(workers);
+    std::vector<std::atomic<int>> seen(8);
+    const Status ok = fleet.RunShards(&executor, [&](FleetShard shard) {
+      seen.at(static_cast<size_t>(shard.index)).fetch_add(1);
+      return Status::OK();
+    });
+    ASSERT_TRUE(ok.ok()) << ok.ToString();
+    for (const std::atomic<int>& n : seen) EXPECT_EQ(n.load(), 1);
+
+    const Status failed = fleet.RunShards(&executor, [](FleetShard shard) {
+      return shard.index >= 5
+                 ? Status::Internal(StrFormat("shard %lld",
+                                              static_cast<long long>(
+                                                  shard.index)))
+                 : Status::OK();
+    });
+    EXPECT_EQ(failed, Status::Internal("shard 5")) << workers << " workers";
   }
 }
 
