@@ -38,9 +38,11 @@ std::vector<MatchCandidate> FindCandidates(
     const roadnet::SpatialIndex& index, const geo::EnPoint& point,
     double movement_heading_rad, bool has_heading,
     const ScoreOptions& options) {
+  const std::vector<roadnet::EdgeCandidate> nearby =
+      index.Nearby(point, options.search_radius_m);
   std::vector<MatchCandidate> out;
-  for (const roadnet::EdgeCandidate& cand :
-       index.Nearby(point, options.search_radius_m)) {
+  out.reserve(nearby.size());
+  for (const roadnet::EdgeCandidate& cand : nearby) {
     MatchCandidate mc;
     mc.edge = cand.edge;
     mc.projection = cand.projection;

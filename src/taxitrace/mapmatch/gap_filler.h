@@ -22,8 +22,10 @@ struct GapFillOptions {
   double detour_factor = 1.8;
   double detour_slack_m = 120.0;
   /// Entry capacity of the per-trip route cache the matchers thread
-  /// through Connect/NetworkDistance; 0 disables caching. Results are
-  /// identical either way — the cache only skips repeat searches.
+  /// through Connect/NetworkDistance; 0 disables caching. The HMM
+  /// matcher stores every connection; the incremental matcher stores
+  /// only gap fills and failed connections. Results are identical
+  /// either way — the cache only skips repeat searches.
   size_t route_cache_capacity = 128;
 };
 

@@ -54,9 +54,11 @@ class IncrementalMatcher {
 
   /// Matches a trip's points onto the network. Fails when fewer than two
   /// points can be matched at all. `cache`, when given, memoizes this
-  /// trip's gap-fill routes; pass one cache per trip (never shared
-  /// across parallel work items) so results and cache counters stay
-  /// independent of worker count.
+  /// trip's gap fills (connections longer than the gap threshold) and
+  /// failed connections; every connection looks it up, but short
+  /// successful ones are not stored. Pass one cache per trip (never
+  /// shared across parallel work items) so results and cache counters
+  /// stay independent of worker count.
   Result<MatchedRoute> Match(const trace::Trip& trip,
                              RouteCache* cache = nullptr) const;
 

@@ -6,11 +6,98 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace taxitrace {
 namespace roadnet {
+namespace {
+
+// Growth of the exact cell cover (build) and of the query square: far
+// above the rounding of any coordinate or projection distance, far
+// below any distance the callers resolve.
+constexpr double kCoverSlackM = 1e-6;
+
+// Largest |cell coordinate| the index represents. Keeping the lattice
+// at +-2^30 lets `last + 1` and span products stay inside int32/int64.
+constexpr double kMaxCellCoord = 1073741824.0;
+
+// Cells [*first, *last] of side `cell` that hold a point of [lo, hi].
+// False when a bound is not finite or leaves the representable
+// lattice: converting such a floor to int32 would be undefined.
+bool AxisCells(double lo, double hi, double cell, int32_t* first,
+               int32_t* last) {
+  const double f = std::floor(lo / cell);
+  const double l = std::floor(hi / cell);
+  if (!(std::abs(f) <= kMaxCellCoord && std::abs(l) <= kMaxCellCoord)) {
+    return false;
+  }
+  *first = static_cast<int32_t>(f);
+  *last = static_cast<int32_t>(l);
+  return true;
+}
+
+// Inclusive rectangle of cell coordinates.
+struct CellRect {
+  int32_t lo_cx = 0;
+  int32_t hi_cx = -1;
+  int32_t lo_cy = 0;
+  int32_t hi_cy = -1;
+};
+
+// Cells of side `cell` holding a point of `box` grown by `slack_m` on
+// every side; nullopt when a bound is off the lattice (see AxisCells).
+std::optional<CellRect> CellsCovering(const geo::Bbox& box, double slack_m,
+                                      double cell) {
+  CellRect r;
+  if (!AxisCells(box.min_x - slack_m, box.max_x + slack_m, cell, &r.lo_cx,
+                 &r.hi_cx) ||
+      !AxisCells(box.min_y - slack_m, box.max_y + slack_m, cell, &r.lo_cy,
+                 &r.hi_cy)) {
+    return std::nullopt;
+  }
+  return r;
+}
+
+// Calls `visit(cx, cy)` for every cell of side `cell` that segment a-b,
+// grown by kCoverSlackM, meets: the build's exact supercover.
+template <typename Visit>
+void CoverSegment(const geo::EnPoint& a, const geo::EnPoint& b, double cell,
+                  Visit visit) {
+  geo::Bbox seg = geo::Bbox::Empty();
+  seg.Extend(a);
+  seg.Extend(b);
+  const std::optional<CellRect> cols = CellsCovering(seg, kCoverSlackM, cell);
+  if (!cols) return;  // the caller has checked the whole edge's bounds
+  const double dx = b.x - a.x;
+  for (int32_t cx = cols->lo_cx; cx <= cols->hi_cx; ++cx) {
+    // The part of the segment within the slack of this column spans
+    // x in [x0, x1]; its y-extent there, grown by the slack, gives the
+    // column's rows. A vertical segment spans its whole y-extent.
+    double y0 = seg.min_y;
+    double y1 = seg.max_y;
+    if (dx != 0.0) {
+      const double x0 = std::max(seg.min_x, cx * cell - kCoverSlackM);
+      const double x1 = std::min(seg.max_x, (cx + 1) * cell + kCoverSlackM);
+      const double ya =
+          a.y + std::clamp((x0 - a.x) / dx, 0.0, 1.0) * (b.y - a.y);
+      const double yb =
+          a.y + std::clamp((x1 - a.x) / dx, 0.0, 1.0) * (b.y - a.y);
+      y0 = std::min(ya, yb);
+      y1 = std::max(ya, yb);
+    }
+    int32_t lo_cy = 0;
+    int32_t hi_cy = -1;
+    if (!AxisCells(y0 - kCoverSlackM, y1 + kCoverSlackM, cell, &lo_cy,
+                   &hi_cy)) {
+      continue;
+    }
+    for (int32_t cy = lo_cy; cy <= hi_cy; ++cy) visit(cx, cy);
+  }
+}
+
+}  // namespace
 
 SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
     : network_(network),
@@ -40,34 +127,37 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
       ++empty_geometry_edges_;
       return;
     }
-    geo::Bbox& bounds = edge_bounds_[ordinal];
-    for (const geo::EnPoint& p : pts) bounds.Extend(p);
+    geo::Bbox bounds = geo::Bbox::Empty();
+    bool finite = true;  // Bbox::Extend skips NaN, so check it here
+    for (const geo::EnPoint& p : pts) {
+      bounds.Extend(p);
+      finite = finite && std::isfinite(p.x) && std::isfinite(p.y);
+    }
+    if (!finite || !CellsCovering(bounds, kCoverSlackM, cell_size_m_)) {
+      // A coordinate that is not finite or lies beyond the cell lattice
+      // has no cell to live in; drop and count it like an empty
+      // geometry rather than cast it into a cell coordinate.
+      ++empty_geometry_edges_;
+      return;
+    }
+    edge_bounds_[ordinal] = bounds;
     std::unordered_set<uint64_t> edge_cells;
-    const auto insert_cell = [&](const geo::EnPoint& p) {
-      const CellKey key = KeyFor(p);
+    const auto insert_cell = [&](int32_t cx, int32_t cy) {
       const uint64_t packed =
-          (static_cast<uint64_t>(static_cast<uint32_t>(key.cx)) << 32) |
-          static_cast<uint32_t>(key.cy);
+          (static_cast<uint64_t>(static_cast<uint32_t>(cx)) << 32) |
+          static_cast<uint32_t>(cy);
       if (edge_cells.insert(packed).second) {
-        cells[key].push_back(e.id);
+        cells[CellKey{cx, cy}].push_back(e.id);
       }
     };
     if (pts.size() == 1) {
-      // Single-point (zero-length) geometry: the old segment loop
-      // skipped these edges entirely and queries near them missed a
-      // real edge. Index the lone point's cell instead.
-      insert_cell(pts[0]);
+      // Single-point (zero-length) geometry: the degenerate segment
+      // from the lone point to itself covers the point's cell(s).
+      CoverSegment(pts[0], pts[0], cell_size_m_, insert_cell);
       return;
     }
     for (size_t i = 0; i + 1 < pts.size(); ++i) {
-      // Walk the segment at sub-cell steps so no crossed cell is missed.
-      const double len = geo::Distance(pts[i], pts[i + 1]);
-      const int steps =
-          std::max(1, static_cast<int>(std::ceil(len / (cell_size_m_ / 2))));
-      for (int k = 0; k <= steps; ++k) {
-        const double t = static_cast<double>(k) / steps;
-        insert_cell(pts[i] + t * (pts[i + 1] - pts[i]));
-      }
+      CoverSegment(pts[i], pts[i + 1], cell_size_m_, insert_cell);
     }
   });
 
@@ -144,11 +234,6 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
   }
 }
 
-SpatialIndex::CellKey SpatialIndex::KeyFor(const geo::EnPoint& p) const {
-  return CellKey{static_cast<int32_t>(std::floor(p.x / cell_size_m_)),
-                 static_cast<int32_t>(std::floor(p.y / cell_size_m_))};
-}
-
 TileCoord SpatialIndex::OwnerTileOf(int32_t cx, int32_t cy) const {
   if (tile_size_m_ <= 0.0) return TileCoord{0, 0};
   // Owner of a cell = tile containing the cell's min corner; computed
@@ -162,14 +247,23 @@ TileCoord SpatialIndex::OwnerTileOf(int32_t cx, int32_t cy) const {
 
 std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
                                                 double radius_m) const {
-  // Gather candidate edges from all cells overlapping the query disc's
-  // bounding square, padded by one cell so edge geometry that merely
-  // passes near a cell corner is still found.
-  const int reach =
-      static_cast<int>(std::ceil(radius_m / cell_size_m_)) + 1;
-  const CellKey center = KeyFor(p);
-  const int64_t span = 2 * static_cast<int64_t>(reach) + 1;
-  const int64_t cells_probed = span * span;
+  // Gather candidate edges from the cells overlapping the query disc's
+  // bounding square grown by the cover slack. Complete by construction:
+  // every edge point within `radius_m` of `p` lies in one of these
+  // cells, and the build put the edge in every cell it meets. A point
+  // or radius off the cell lattice (NaN, infinite, too far out) has
+  // no cells and so no candidates.
+  const double reach = radius_m + kCoverSlackM;
+  const std::optional<CellRect> rect =
+      CellsCovering(geo::Bbox{p.x, p.y, p.x, p.y}, reach, cell_size_m_);
+  if (!rect) {
+    query_stats_->queries.fetch_add(1, std::memory_order_relaxed);
+    return {};
+  }
+  const auto [lo_cx, hi_cx, lo_cy, hi_cy] = *rect;
+  const int64_t cells_probed =
+      std::max<int64_t>(0, int64_t{hi_cx} - lo_cx + 1) *
+      std::max<int64_t>(0, int64_t{hi_cy} - lo_cy + 1);
   QueryScratch& scratch = scratch_->Local();
   if (scratch.seen_stamp.size() < edge_bounds_.size()) {
     scratch.seen_stamp.assign(edge_bounds_.size(), 0);
@@ -183,10 +277,6 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
   std::vector<EdgeId>& gathered = scratch.gathered;
   gathered.clear();
 
-  const int32_t lo_cx = center.cx - reach;
-  const int32_t hi_cx = center.cx + reach;
-  const int32_t lo_cy = center.cy - reach;
-  const int32_t hi_cy = center.cy + reach;
   const TileCoord lo_t = OwnerTileOf(lo_cx, lo_cy);
   const TileCoord hi_t = OwnerTileOf(hi_cx, hi_cy);
   int64_t tiles_probed = 0;
@@ -230,8 +320,7 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
   // whole bounding box - and therefore its polyline - is beyond the
   // radius, so the surviving projections produce exactly the candidates
   // the unfiltered loop would.
-  const double limit = radius_m + 1e-6;
-  const double limit_sq = limit * limit;
+  const double limit_sq = reach * reach;
   std::vector<EdgeCandidate> out;
   out.reserve(8);
   for (EdgeId id : gathered) {

@@ -34,11 +34,15 @@ struct SpatialIndexStats {
   int64_t tiles_probed = 0;   ///< tile-directory lookups performed.
   int64_t candidates = 0;     ///< distinct edges distance-checked.
   int64_t hits = 0;           ///< candidates returned within the radius.
-  int64_t empty_geometry_edges = 0;  ///< edges dropped at build time.
+  /// Edges dropped at build time: no geometry, or a coordinate that is
+  /// not finite or lies beyond the cell lattice.
+  int64_t empty_geometry_edges = 0;
 };
 
 /// Uniform grid over the bounding box of a network's edges. Each cell
-/// stores the edges whose geometry passes through it. The index is
+/// stores every edge whose geometry meets it (an exact supercover of
+/// each polyline segment, grown by 1e-6 m against rounding), so a
+/// query needs only the cells its search square overlaps. The index is
 /// immutable after construction and holds a pointer to the network, which
 /// must outlive it.
 ///
@@ -49,9 +53,8 @@ struct SpatialIndexStats {
 /// ownership is decided by the cell's lattice position alone, so every
 /// cell lives in exactly one tile grid; a query walks the (usually one,
 /// at most four) tiles overlapping its search square. On single-tile
-/// networks there is exactly one grid and the layout, candidate set,
-/// returned hits and stats() counters reproduce the historical flat
-/// implementation exactly.
+/// networks there is exactly one grid; tiling changes neither the
+/// candidate set nor the returned hits.
 class SpatialIndex {
  public:
   /// Builds the index. `cell_size_m` trades memory for query precision;
@@ -59,11 +62,14 @@ class SpatialIndex {
   explicit SpatialIndex(const RoadNetwork* network, double cell_size_m = 50.0);
 
   /// All edges with a point within `radius_m` of `p`, one candidate per
-  /// edge (its closest projection), sorted by ascending distance.
+  /// edge (its closest projection), sorted by ascending distance. A
+  /// point or radius that is not finite, or whose search square leaves
+  /// the cell lattice (about +-5e10 m at 50 m cells), finds nothing.
   std::vector<EdgeCandidate> Nearby(const geo::EnPoint& p,
                                     double radius_m) const;
 
-  /// The closest edge within `max_radius_m`, if any.
+  /// The closest edge within `max_radius_m`, if any; none for a point
+  /// Nearby() cannot search.
   std::optional<EdgeCandidate> Nearest(const geo::EnPoint& p,
                                        double max_radius_m) const;
 
@@ -107,8 +113,6 @@ class SpatialIndex {
     std::vector<int32_t> cell_offsets;
     std::vector<EdgeId> cell_edges;
   };
-
-  [[nodiscard]] CellKey KeyFor(const geo::EnPoint& p) const;
 
   /// Tile owning cell (cx, cy): the tile containing the cell's min
   /// corner. All tiles when tiling is off is the single {0, 0}.

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "taxitrace/common/random.h"
 #include "taxitrace/roadnet/map_preparation.h"
 #include "taxitrace/roadnet/road_network.h"
 #include "taxitrace/roadnet/router.h"
 #include "taxitrace/roadnet/spatial_index.h"
+#include "taxitrace/synth/city_map_generator.h"
+#include "taxitrace/synth/metro_map_generator.h"
 
 namespace taxitrace {
 namespace roadnet {
@@ -361,6 +367,154 @@ TEST(SpatialIndexDegenerateTest, EmptyGeometryIsDroppedWithReason) {
       index.Nearby(EnPoint{50, 2}, 10.0);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].edge, normal_id);
+}
+
+// Points and radii the index cannot search have no cell coordinate:
+// casting their floor into an int32 cell would be undefined behaviour
+// (caught by the UBSan build), so they must find nothing instead.
+TEST_F(SpatialIndexTest, OffLatticeQueriesFindNothing) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<EnPoint> points = {
+      {nan, 0},   {0, nan},    {nan, nan},  {inf, 0},      {-inf, 0},
+      {0, inf},   {0, -inf},   {1e12, 0},   {0, -1e12},    {1e300, 1e300},
+      {-3e11, 2}, {2, 1e200}};
+  for (const EnPoint& p : points) {
+    EXPECT_TRUE(index_.Nearby(p, 50.0).empty()) << p.x << "," << p.y;
+    EXPECT_FALSE(index_.Nearest(p, 500.0).has_value()) << p.x << "," << p.y;
+  }
+  for (const double radius : {nan, inf, 1e12}) {
+    EXPECT_TRUE(index_.Nearby(EnPoint{2, 2}, radius).empty()) << radius;
+  }
+  EXPECT_FALSE(index_.Nearest(EnPoint{2, 2}, nan).has_value());
+  // The index still answers ordinary queries afterwards.
+  EXPECT_EQ(index_.Nearby(EnPoint{2, 2}, 10.0).size(), 4u);
+  EXPECT_EQ(index_.stats().hits, 4);
+}
+
+TEST(SpatialIndexDegenerateTest, OffLatticeGeometryIsDroppedWithReason) {
+  RoadNetwork net(kOrigin);
+  const VertexId a = net.AddVertex({0, 0}, false);
+  const VertexId b = net.AddVertex({100, 0}, false);
+  Edge normal;
+  normal.from = a;
+  normal.to = b;
+  normal.geometry = geo::Polyline({{0, 0}, {100, 0}});
+  const EdgeId normal_id = net.AddEdge(std::move(normal));
+  for (const EnPoint& far :
+       {EnPoint{std::numeric_limits<double>::quiet_NaN(), 0},
+        EnPoint{std::numeric_limits<double>::infinity(), 0},
+        EnPoint{0, -1e15}}) {
+    Edge bad;
+    bad.from = a;
+    bad.to = b;
+    bad.geometry = geo::Polyline({{0, 0}, far});
+    net.AddEdge(std::move(bad));
+  }
+
+  const SpatialIndex index(&net);
+  EXPECT_EQ(index.stats().empty_geometry_edges, 3);
+  const std::vector<EdgeCandidate> found =
+      index.Nearby(EnPoint{50, 2}, 10.0);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].edge, normal_id);
+}
+
+// --- Spatial index vs brute force -------------------------------------------------
+
+// The definition Nearby() implements: project onto every edge, keep the
+// projections within the radius, order by (distance, edge id).
+std::vector<EdgeCandidate> BruteForceNearby(const RoadNetwork& net,
+                                            const EnPoint& p,
+                                            double radius_m) {
+  std::vector<EdgeCandidate> out;
+  net.ForEachEdge([&](const Edge& e) {
+    if (e.geometry.points().empty()) return;
+    const geo::PolylineProjection proj = e.geometry.Project(p);
+    if (proj.distance <= radius_m) out.push_back(EdgeCandidate{e.id, proj});
+  });
+  std::sort(out.begin(), out.end(),
+            [](const EdgeCandidate& a, const EdgeCandidate& b) {
+              if (a.projection.distance != b.projection.distance) {
+                return a.projection.distance < b.projection.distance;
+              }
+              return a.edge < b.edge;
+            });
+  return out;
+}
+
+// Compares Nearby() with the brute force over random points around the
+// map, points exactly on 50 m cell lines and on tile lines, and edge
+// start points, at radii in [0, 200] m. The index's `hits` counter must
+// equal the brute-force total.
+void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
+  const SpatialIndex index(&net);
+  const geo::Bbox box = net.Bounds();
+  constexpr double kCell = 50.0;
+  constexpr double kMargin = 300.0;
+  // Tile lines on a tiled map; on a single-tile map, every 20th cell line.
+  const double line = net.tiling().tile_size_m > 0.0
+                          ? net.tiling().tile_size_m
+                          : 20 * kCell;
+  const auto snap = [](double v, double step) {
+    return std::round(v / step) * step;
+  };
+  Rng rng(seed);
+  const auto radius = [&](int i) {
+    if (i % 50 == 0) return 0.0;
+    if (i % 50 == 1) return 200.0;
+    return rng.Uniform(0.0, 200.0);
+  };
+  std::vector<std::pair<EnPoint, double>> queries;
+  for (int i = 0; i < 1200; ++i) {
+    EnPoint p{rng.Uniform(box.min_x - kMargin, box.max_x + kMargin),
+              rng.Uniform(box.min_y - kMargin, box.max_y + kMargin)};
+    if (i % 4 == 1) p.x = snap(p.x, kCell);                 // on a cell line
+    if (i % 4 == 2) p = {snap(p.x, kCell), snap(p.y, kCell)};  // cell corner
+    if (i % 4 == 3) p = {snap(p.x, line), snap(p.y, kCell)};   // tile line
+    queries.emplace_back(p, radius(i));
+  }
+  // Edge start points: distance exactly 0, found even at radius 0.
+  int edge_count = 0;
+  net.ForEachEdge([&](const Edge& e) {
+    if (edge_count++ % 7 != 0 || e.geometry.points().empty()) return;
+    queries.emplace_back(e.geometry.points().front(), radius(edge_count));
+  });
+
+  int64_t expected_hits = 0;
+  for (const auto& [p, r] : queries) {
+    const std::vector<EdgeCandidate> want = BruteForceNearby(net, p, r);
+    const std::vector<EdgeCandidate> got = index.Nearby(p, r);
+    expected_hits += static_cast<int64_t>(want.size());
+    ASSERT_EQ(got.size(), want.size())
+        << "at (" << p.x << ", " << p.y << ") r=" << r;
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].edge, want[k].edge);
+      EXPECT_EQ(got[k].projection.point.x, want[k].projection.point.x);
+      EXPECT_EQ(got[k].projection.point.y, want[k].projection.point.y);
+      EXPECT_EQ(got[k].projection.segment_index,
+                want[k].projection.segment_index);
+      EXPECT_EQ(got[k].projection.t, want[k].projection.t);
+      EXPECT_EQ(got[k].projection.arc_length,
+                want[k].projection.arc_length);
+      EXPECT_EQ(got[k].projection.distance, want[k].projection.distance);
+    }
+  }
+  EXPECT_GT(expected_hits, 0);
+  EXPECT_EQ(index.stats().hits, expected_hits);
+  EXPECT_EQ(index.stats().queries, static_cast<int64_t>(queries.size()));
+}
+
+TEST(SpatialIndexEquivalenceTest, CityMapMatchesBruteForce) {
+  const synth::CityMap map = synth::GenerateCityMap().value();
+  ExpectNearbyMatchesBruteForce(map.network, 41);
+}
+
+TEST(SpatialIndexEquivalenceTest, TiledMetroMatchesBruteForce) {
+  const synth::MetroMap map =
+      synth::GenerateMetroMap(synth::MetroPreset(0)).value();
+  ASSERT_GT(map.network.tiling().tile_size_m, 0.0);
+  ExpectNearbyMatchesBruteForce(map.network, 43);
 }
 
 // --- Router -----------------------------------------------------------------------
