@@ -16,17 +16,28 @@ TripCleanOutput CleanOneTrip(trace::Trip trip,
     ++out.faults.trips_dropped_empty;
     return out;
   }
-  RepairTripOrder(&trip, &out.order);
-  FilterTripOutliers(&trip, options.outliers, &out.outliers);
+  // The trip's totals are not read until segmentation sets each
+  // segment's own, so the stages here run on the points alone. The
+  // outlier filter's step distances carry through to segmentation, and
+  // segmentation's segment lengths to the trip filter.
+  RepairPointOrder(&trip.points, &out.order);
+  std::vector<double> steps_m;
+  FilterOutliers(&trip.points, options.outliers, &out.outliers, &steps_m);
   out.points_after_outliers = static_cast<int64_t>(trip.points.size());
   if (options.restore_lost_points) {
-    RestoreTripLostPoints(&trip, options.interpolation,
-                          &out.interpolation);
+    RestoreLostPoints(&trip.points, options.interpolation,
+                      &out.interpolation);
+    steps_m = trace::StepDistancesMeters(trip.points);
   }
   std::vector<trace::Trip> segments =
-      SegmentTrip(trip, options.segmentation, &out.segmentation);
-  out.segments =
-      FilterTrips(std::move(segments), options.filter, &out.filter);
+      SegmentTrip(trip, steps_m, options.segmentation, &out.segmentation);
+  std::vector<double> lengths_m;
+  lengths_m.reserve(segments.size());
+  for (const trace::Trip& seg : segments) {
+    lengths_m.push_back(seg.total_distance_m);
+  }
+  out.segments = FilterTrips(std::move(segments), lengths_m, options.filter,
+                             &out.filter);
   return out;
 }
 

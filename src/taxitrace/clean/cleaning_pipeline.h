@@ -79,6 +79,14 @@ struct TripCleanOutput {
 /// Runs every per-trip stage on a single raw trip. Takes the trip by
 /// value: batch callers pass a copy, streaming callers move the trip in
 /// and the raw points die with it — the point of streaming.
+///
+/// The output equals the chain SanitizeTrip -> RepairTripOrder ->
+/// FilterTripOutliers -> [RestoreTripLostPoints] -> SegmentTrip ->
+/// FilterTrips bit for bit. It calls the stage forms those wrappers are
+/// built on, handing each consecutive-pair distance from the outlier
+/// filter to segmentation (recomputed after interpolation) and each
+/// segment length to the trip filter, and it skips the trip totals no
+/// stage reads.
 TripCleanOutput CleanOneTrip(trace::Trip raw, const CleaningOptions& options);
 
 /// Folds one trip's counter deltas into `report` (raw_trips/raw_points

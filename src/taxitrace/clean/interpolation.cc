@@ -20,11 +20,16 @@ void RestoreLostPoints(std::vector<trace::RoutePoint>* points,
       const trace::RoutePoint& a = pts[i - 1];
       const trace::RoutePoint& b = pts[i];
       const double dt = b.timestamp_s - a.timestamp_s;
-      const double d = geo::HaversineMeters(a.position, b.position);
-      if (dt > options.min_gap_s && d > options.min_gap_distance_m) {
-        const int pieces = std::min(
-            options.max_points_per_gap + 1,
-            static_cast<int>(std::floor(dt / options.restored_interval_s)));
+      if (dt > options.min_gap_s &&
+          geo::HaversineMeters(a.position, b.position) >
+              options.min_gap_distance_m) {
+        // Clamped in double: the piece count of an infinite or huge gap
+        // (or a NaN one) does not fit an int.
+        const double max_pieces =
+            static_cast<double>(options.max_points_per_gap) + 1.0;
+        const int pieces = static_cast<int>(std::min(
+            max_pieces,
+            std::max(0.0, std::floor(dt / options.restored_interval_s))));
         for (int k = 1; k < pieces; ++k) {
           const double t = static_cast<double>(k) / pieces;
           trace::RoutePoint restored = a;

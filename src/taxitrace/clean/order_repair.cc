@@ -35,10 +35,22 @@ void AlignMonotone(std::vector<trace::RoutePoint>* points) {
   }
 }
 
+// True when both fields are non-decreasing along the sequence. `<=`
+// fails on a NaN timestamp, which then takes the general path.
+bool AlreadyInOrder(const std::vector<trace::RoutePoint>& points) {
+  for (size_t i = 1; i < points.size(); ++i) {
+    if (!(points[i - 1].point_id <= points[i].point_id &&
+          points[i - 1].timestamp_s <= points[i].timestamp_s)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points) {
-  if (points->size() < 2) return ChosenOrder::kConsistent;
+  if (AlreadyInOrder(*points)) return ChosenOrder::kConsistent;
 
   std::vector<trace::RoutePoint> by_id = *points;
   std::stable_sort(by_id.begin(), by_id.end(),
@@ -67,9 +79,9 @@ ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points) {
   return ChosenOrder::kByTimestamp;
 }
 
-ChosenOrder RepairTripOrder(trace::Trip* trip, OrderRepairStats* stats) {
-  const ChosenOrder order = RepairPointOrder(&trip->points);
-  trip->RecomputeTotals();
+ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points,
+                             OrderRepairStats* stats) {
+  const ChosenOrder order = RepairPointOrder(points);
   if (stats != nullptr) {
     switch (order) {
       case ChosenOrder::kConsistent:
@@ -83,6 +95,12 @@ ChosenOrder RepairTripOrder(trace::Trip* trip, OrderRepairStats* stats) {
         break;
     }
   }
+  return order;
+}
+
+ChosenOrder RepairTripOrder(trace::Trip* trip, OrderRepairStats* stats) {
+  const ChosenOrder order = RepairPointOrder(&trip->points, stats);
+  trip->RecomputeTotals();
   return order;
 }
 

@@ -36,7 +36,18 @@ struct OrderRepairStats {
 /// After the call the points are in the chosen order and both the id and
 /// timestamp fields are monotonically increasing (their value multisets
 /// are preserved).
+///
+/// A sequence already non-decreasing in both fields (ties allowed) is
+/// returned as kConsistent without copying or sorting: both stable sorts
+/// would leave it as it is. Anything else, a NaN timestamp included,
+/// takes the general path of two stable sorts and the length criterion.
 ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points);
+
+/// RepairPointOrder, also counting the chosen order into `stats` if
+/// given. The form CleanOneTrip uses: no later stage of it reads the
+/// trip totals, so it does not recompute them.
+ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points,
+                             OrderRepairStats* stats);
 
 /// Repairs a trip (points + recomputed totals), updating `stats` if
 /// given.

@@ -2,18 +2,18 @@
 
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 
 namespace taxitrace {
 namespace clean {
 namespace {
 
 // True when b is a position spike between a and c: far from both while a
-// and c are near each other.
-bool IsSpike(const trace::RoutePoint& a, const trace::RoutePoint& b,
+// and c are near each other. `ab` and `bc` are the step distances a-b
+// and b-c.
+bool IsSpike(const trace::RoutePoint& a, double ab, double bc,
              const trace::RoutePoint& c,
              const OutlierFilterOptions& options) {
-  const double ab = geo::HaversineMeters(a.position, b.position);
-  const double bc = geo::HaversineMeters(b.position, c.position);
   if (ab < options.spike_distance_m || bc < options.spike_distance_m) {
     return false;
   }
@@ -21,14 +21,18 @@ bool IsSpike(const trace::RoutePoint& a, const trace::RoutePoint& b,
   return ac < options.spike_closeness_ratio * (ab + bc);
 }
 
-// True when moving from a to b implies an impossible speed.
+// True when moving from a to b, `d` metres apart, implies an impossible
+// speed.
 bool ImpliedSpeedTooHigh(const trace::RoutePoint& a,
-                         const trace::RoutePoint& b,
+                         const trace::RoutePoint& b, double d,
                          const OutlierFilterOptions& options) {
   const double dt = b.timestamp_s - a.timestamp_s;
   if (dt <= 0.0) return false;  // handled by duplicate/order logic
-  const double d = geo::HaversineMeters(a.position, b.position);
   return d / dt > options.max_implied_speed_ms;
+}
+
+double StepMeters(const trace::RoutePoint& a, const trace::RoutePoint& b) {
+  return geo::HaversineMeters(a.position, b.position);
 }
 
 }  // namespace
@@ -36,6 +40,13 @@ bool ImpliedSpeedTooHigh(const trace::RoutePoint& a,
 void FilterOutliers(std::vector<trace::RoutePoint>* points,
                     const OutlierFilterOptions& options,
                     OutlierFilterStats* stats) {
+  std::vector<double> steps_m;
+  FilterOutliers(points, options, stats, &steps_m);
+}
+
+void FilterOutliers(std::vector<trace::RoutePoint>* points,
+                    const OutlierFilterOptions& options,
+                    OutlierFilterStats* stats, std::vector<double>* steps_m) {
   OutlierFilterStats local;
   std::vector<trace::RoutePoint>& pts = *points;
 
@@ -56,6 +67,14 @@ void FilterOutliers(std::vector<trace::RoutePoint>* points,
     pts.resize(kept);
   }
 
+  // steps[j] is the distance between pts[j] and pts[j + 1]. Every test
+  // below reads it; a removal joins two points into a new pair, whose
+  // distance is the only one computed afresh. Each value is
+  // HaversineMeters on the very pair, in the pair's order, that the test
+  // would otherwise measure itself, so every decision is the same.
+  std::vector<double>& steps = *steps_m;
+  steps = trace::StepDistancesMeters(pts);
+
   // Passes 2+3 iterate to a joint fixpoint: dropping an implied-speed
   // offender changes its neighbours' adjacency, which can expose a spike
   // the earlier scan could not see (e.g. a cluster of displaced points
@@ -73,8 +92,11 @@ void FilterOutliers(std::vector<trace::RoutePoint>* points,
     {
       size_t i = 1;
       while (pts.size() >= 3 && i + 1 < pts.size()) {
-        if (IsSpike(pts[i - 1], pts[i], pts[i + 1], options)) {
+        if (IsSpike(pts[i - 1], steps[i - 1], steps[i], pts[i + 1],
+                    options)) {
           pts.erase(pts.begin() + static_cast<ptrdiff_t>(i));
+          steps.erase(steps.begin() + static_cast<ptrdiff_t>(i));
+          steps[i - 1] = StepMeters(pts[i - 1], pts[i]);
           ++local.spikes_removed;
           round_changed = true;
           if (i > 1) --i;
@@ -87,20 +109,26 @@ void FilterOutliers(std::vector<trace::RoutePoint>* points,
     // Impossible implied speeds (drop the later point of the pair; a bad
     // first fix surfaces as its successor looking too fast, so also
     // check and drop a leading offender against its two successors).
-    // Same in-place compaction shape as the duplicate pass.
+    // Same in-place compaction shape as the duplicate pass; while
+    // nothing has been dropped (kept == r) the pair is an old one.
     {
       size_t kept = 0;
       for (size_t r = 0; r < pts.size(); ++r) {
-        if (kept > 0 &&
-            ImpliedSpeedTooHigh(pts[kept - 1], pts[r], options)) {
-          ++local.implied_speed_removed;
-          round_changed = true;
-          continue;
+        if (kept > 0) {
+          const double d = kept == r ? steps[r - 1]
+                                     : StepMeters(pts[kept - 1], pts[r]);
+          if (ImpliedSpeedTooHigh(pts[kept - 1], pts[r], d, options)) {
+            ++local.implied_speed_removed;
+            round_changed = true;
+            continue;
+          }
+          steps[kept - 1] = d;
         }
         if (kept != r) pts[kept] = pts[r];
         ++kept;
       }
       pts.resize(kept);
+      steps.resize(kept > 0 ? kept - 1 : 0);
     }
   }
 
@@ -114,8 +142,9 @@ void FilterOutliers(std::vector<trace::RoutePoint>* points,
 void FilterTripOutliers(trace::Trip* trip,
                         const OutlierFilterOptions& options,
                         OutlierFilterStats* stats) {
-  FilterOutliers(&trip->points, options, stats);
-  trip->RecomputeTotals();
+  std::vector<double> steps_m;
+  FilterOutliers(&trip->points, options, stats, &steps_m);
+  trip->RecomputeTotals(std::accumulate(steps_m.begin(), steps_m.end(), 0.0));
 }
 
 }  // namespace clean

@@ -37,7 +37,19 @@ void FilterOutliers(std::vector<trace::RoutePoint>* points,
                     const OutlierFilterOptions& options = {},
                     OutlierFilterStats* stats = nullptr);
 
-/// Trip-level convenience wrapper (recomputes totals).
+/// FilterOutliers, also leaving in `steps_m` the step distances of the
+/// surviving points (trace::StepDistancesMeters of the result). The
+/// filter computes each consecutive-pair distance once after the
+/// duplicate pass and keeps the list in step with every removal, so the
+/// spike and implied-speed tests read it instead of recomputing; only a
+/// pair made new by a removal costs a fresh distance. The form the trip
+/// wrapper and CleanOneTrip use.
+void FilterOutliers(std::vector<trace::RoutePoint>* points,
+                    const OutlierFilterOptions& options,
+                    OutlierFilterStats* stats, std::vector<double>* steps_m);
+
+/// Trip-level convenience wrapper. Sets the totals from the filter's own
+/// step distances, equal bit for bit to Trip::RecomputeTotals().
 void FilterTripOutliers(trace::Trip* trip,
                         const OutlierFilterOptions& options = {},
                         OutlierFilterStats* stats = nullptr);

@@ -1,19 +1,22 @@
 #include "taxitrace/clean/segmentation.h"
 
-#include <cmath>
+#include <cstddef>
+#include <numeric>
+
+#include "taxitrace/common/check.h"
 
 namespace taxitrace {
 namespace clean {
 namespace {
 
 // Returns the Table 2 rule (2..4) classifying the gap between two
-// consecutive route points as a stop, or 0 for ordinary driving. Rule 1
-// (and its rule 5 variant) is window-based and handled by the splitter.
+// consecutive route points, `d` metres apart, as a stop, or 0 for
+// ordinary driving. Rule 1 (and its rule 5 variant) is window-based and
+// handled by the splitter.
 int PairStopRule(const trace::RoutePoint& a, const trace::RoutePoint& b,
-                 const SegmentationOptions& opt) {
+                 double d, const SegmentationOptions& opt) {
   const double dt = b.timestamp_s - a.timestamp_s;
   if (dt <= 0.0) return 0;
-  const double d = geo::HaversineMeters(a.position, b.position);
   const double implied_speed = d / dt;
 
   // Rule 3: crawling below 0.002 m/s across a long silent gap.
@@ -30,75 +33,90 @@ int PairStopRule(const trace::RoutePoint& a, const trace::RoutePoint& b,
   return 0;
 }
 
-// Splits a point sequence at stops: rule 1 fires when the position has
-// not changed (within GPS tolerance) for `window_s`; rules 2-4 fire on
-// single long silent gaps. Stationary points beyond the rule-1 window
-// belong to the stop itself and are dropped. `rule_offset` selects which
-// stats bucket the window splits land in (rule 1 vs rule 5).
-std::vector<std::vector<trace::RoutePoint>> SplitAtStops(
-    const std::vector<trace::RoutePoint>& points, double window_s,
-    const SegmentationOptions& opt, SegmentationStats* stats,
-    int window_rule_index) {
-  std::vector<std::vector<trace::RoutePoint>> segments;
-  std::vector<trace::RoutePoint> current;
-  // Stationary-run tracking: the anchor is the first point of the
-  // current no-movement run.
-  geo::LatLon anchor_pos{};
-  double anchor_time = 0.0;
+// A segment: the input points [first, last).
+struct Span {
+  size_t first;
+  size_t last;
+};
+
+// Path length of a span, summed in order from 0.0 over its step
+// distances: PathLengthMeters of its points, bit for bit.
+double SpanLength(const std::vector<double>& steps, const Span& span) {
+  return std::accumulate(steps.begin() + static_cast<ptrdiff_t>(span.first),
+                         steps.begin() + static_cast<ptrdiff_t>(span.last - 1),
+                         0.0);
+}
+
+// Splits points[first, last) at stops, appending the segments to `out`:
+// rule 1 fires when the position has not changed (within GPS tolerance)
+// for `window_s`; rules 2-4 fire on single long silent gaps. Stationary
+// points beyond the rule-1 window belong to the stop itself and are
+// dropped, so every segment is a run of consecutive input points.
+// `window_rule_index` selects which stats bucket the window splits land
+// in (rule 1 vs rule 5).
+void SplitAtStops(const std::vector<trace::RoutePoint>& points,
+                  const std::vector<double>& steps, size_t first,
+                  size_t last, double window_s,
+                  const SegmentationOptions& opt, SegmentationStats* stats,
+                  int window_rule_index, std::vector<Span>* out) {
+  // The current segment is [begin, i) while `open`. The anchor is the
+  // first point of the current no-movement run.
+  size_t begin = first;
+  bool open = false;
+  size_t anchor = first;
   bool in_stop = false;  // consuming stationary points inside a stop
 
-  const auto close_current = [&]() {
-    if (!current.empty()) segments.push_back(std::move(current));
-    current.clear();
+  const auto close_current = [&](size_t end) {
+    if (open) out->push_back(Span{begin, end});
+    open = false;
+  };
+  const auto start_at = [&](size_t i) {
+    begin = i;
+    anchor = i;
+    open = true;
+  };
+  // The anchor is the previous point whenever the car is moving, and
+  // then the distance is that pair's step.
+  const auto from_anchor = [&](size_t i) {
+    return anchor + 1 == i ? steps[i - 1]
+                           : geo::HaversineMeters(points[anchor].position,
+                                                  points[i].position);
   };
 
-  for (const trace::RoutePoint& p : points) {
+  for (size_t i = first; i < last; ++i) {
     if (in_stop) {
-      if (geo::HaversineMeters(anchor_pos, p.position) <=
-          opt.no_change_tolerance_m) {
+      if (from_anchor(i) <= opt.no_change_tolerance_m) {
         continue;  // still parked: the point belongs to the stop
       }
-      in_stop = false;  // movement resumed; fall through to start fresh
-      current.clear();
-      anchor_pos = p.position;
-      anchor_time = p.timestamp_s;
-      current.push_back(p);
+      in_stop = false;  // movement resumed: start fresh at this point
+      start_at(i);
       continue;
     }
-    if (current.empty()) {
-      anchor_pos = p.position;
-      anchor_time = p.timestamp_s;
-      current.push_back(p);
+    if (!open) {
+      start_at(i);
       continue;
     }
-    const int pair_rule = PairStopRule(current.back(), p, opt);
+    // An open segment always ends at the previous point.
+    const int pair_rule = PairStopRule(points[i - 1], points[i],
+                                       steps[i - 1], opt);
     if (pair_rule != 0) {
       ++stats->splits_by_rule[pair_rule - 1];
-      close_current();
-      anchor_pos = p.position;
-      anchor_time = p.timestamp_s;
-      current.push_back(p);
+      close_current(i);
+      start_at(i);
       continue;
     }
-    if (geo::HaversineMeters(anchor_pos, p.position) >
-        opt.no_change_tolerance_m) {
-      // Moving: restart the stationary run at this point.
-      anchor_pos = p.position;
-      anchor_time = p.timestamp_s;
-      current.push_back(p);
+    if (from_anchor(i) > opt.no_change_tolerance_m) {
+      anchor = i;  // moving: restart the stationary run at this point
       continue;
     }
     // Within the stationary run.
-    if (p.timestamp_s - anchor_time >= window_s) {
+    if (points[i].timestamp_s - points[anchor].timestamp_s >= window_s) {
       ++stats->splits_by_rule[window_rule_index];
-      close_current();
+      close_current(i);
       in_stop = true;
-      continue;
     }
-    current.push_back(p);
   }
-  close_current();
-  return segments;
+  close_current(last);
 }
 
 }  // namespace
@@ -106,34 +124,47 @@ std::vector<std::vector<trace::RoutePoint>> SplitAtStops(
 std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
                                      const SegmentationOptions& opt,
                                      SegmentationStats* stats) {
+  return SegmentTrip(trip, trace::StepDistancesMeters(trip.points), opt,
+                     stats);
+}
+
+std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
+                                     const std::vector<double>& steps_m,
+                                     const SegmentationOptions& opt,
+                                     SegmentationStats* stats) {
+  const std::vector<trace::RoutePoint>& points = trip.points;
+  TT_CHECK(steps_m.size() + 1 == points.size() ||
+           (points.empty() && steps_m.empty()));
   SegmentationStats local;
   local.trips_in = 1;
 
   // First round: rules 1-4.
-  std::vector<std::vector<trace::RoutePoint>> segments =
-      SplitAtStops(trip.points, opt.rule1_window_s, opt, &local, 0);
+  std::vector<Span> spans;
+  SplitAtStops(points, steps_m, 0, points.size(), opt.rule1_window_s, opt,
+               &local, 0, &spans);
 
   // Rule 5: re-split overlong segments with the tighter 1.5-minute
   // window.
-  std::vector<std::vector<trace::RoutePoint>> final_segments;
-  for (std::vector<trace::RoutePoint>& seg : segments) {
-    if (trace::PathLengthMeters(seg) <= opt.rule5_length_m) {
-      final_segments.push_back(std::move(seg));
+  std::vector<Span> final_spans;
+  for (const Span& span : spans) {
+    if (SpanLength(steps_m, span) <= opt.rule5_length_m) {
+      final_spans.push_back(span);
       continue;
     }
-    std::vector<std::vector<trace::RoutePoint>> parts =
-        SplitAtStops(seg, opt.rule5_window_s, opt, &local, 4);
-    for (auto& part : parts) final_segments.push_back(std::move(part));
+    SplitAtStops(points, steps_m, span.first, span.last, opt.rule5_window_s,
+                 opt, &local, 4, &final_spans);
   }
 
   std::vector<trace::Trip> out;
-  out.reserve(final_segments.size());
-  for (size_t k = 0; k < final_segments.size(); ++k) {
+  out.reserve(final_spans.size());
+  for (size_t k = 0; k < final_spans.size(); ++k) {
     trace::Trip seg;
     seg.trip_id = trip.trip_id * 1000 + static_cast<int64_t>(k);
     seg.car_id = trip.car_id;
-    seg.points = std::move(final_segments[k]);
-    seg.RecomputeTotals();
+    seg.points.assign(
+        points.begin() + static_cast<ptrdiff_t>(final_spans[k].first),
+        points.begin() + static_cast<ptrdiff_t>(final_spans[k].last));
+    seg.RecomputeTotals(SpanLength(steps_m, final_spans[k]));
     out.push_back(std::move(seg));
   }
   local.segments_out = static_cast<int64_t>(out.size());

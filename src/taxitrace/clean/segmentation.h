@@ -54,9 +54,26 @@ struct SegmentationStats {
 /// their ids are `source_trip_id * 1000 + k` (k = 0,1,...), keeping the
 /// mapping to the source trip explicit. Points must be in repaired
 /// (time-monotone) order.
+///
+/// Every segment is a run of consecutive input points, so the splitter
+/// works on index ranges and copies each segment's points once. One
+/// distance per consecutive pair (trace::StepDistancesMeters) serves the
+/// rule 2-4 pair test, the rule-5 length and each segment's
+/// `total_distance_m`, summed in order from 0.0 and hence equal to
+/// Trip::RecomputeTotals() bit for bit. Only the stationary-anchor test
+/// makes its own HaversineMeters call, when its anchor is older than the
+/// previous point.
 std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
                                      const SegmentationOptions& options = {},
                                      SegmentationStats* stats = nullptr);
+
+/// SegmentTrip with the step distances of `trip.points` already known
+/// (`steps_m` must equal trace::StepDistancesMeters(trip.points)), e.g.
+/// from the outlier filter. The form CleanOneTrip uses.
+std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
+                                     const std::vector<double>& steps_m,
+                                     const SegmentationOptions& options,
+                                     SegmentationStats* stats);
 
 /// Segments every trip of a collection.
 std::vector<trace::Trip> SegmentTrips(const std::vector<trace::Trip>& trips,

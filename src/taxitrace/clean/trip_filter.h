@@ -34,6 +34,14 @@ std::vector<trace::Trip> FilterTrips(std::vector<trace::Trip> trips,
                                      const TripFilterOptions& options = {},
                                      TripFilterStats* stats = nullptr);
 
+/// FilterTrips with each trip's path length already known: `lengths_m[i]`
+/// must equal trace::PathLengthMeters(trips[i].points), as SegmentTrip's
+/// `total_distance_m` does bit for bit. The form CleanOneTrip uses.
+std::vector<trace::Trip> FilterTrips(std::vector<trace::Trip> trips,
+                                     const std::vector<double>& lengths_m,
+                                     const TripFilterOptions& options,
+                                     TripFilterStats* stats);
+
 }  // namespace clean
 }  // namespace taxitrace
 

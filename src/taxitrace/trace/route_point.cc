@@ -12,6 +12,18 @@ double PathLengthMeters(const std::vector<RoutePoint>& points) {
   return total;
 }
 
+std::vector<double> StepDistancesMeters(
+    const std::vector<RoutePoint>& points) {
+  std::vector<double> steps;
+  if (points.size() < 2) return steps;
+  steps.reserve(points.size() - 1);
+  for (size_t i = 1; i < points.size(); ++i) {
+    steps.push_back(
+        geo::HaversineMeters(points[i - 1].position, points[i].position));
+  }
+  return steps;
+}
+
 double TimeSpanSeconds(const std::vector<RoutePoint>& points) {
   if (points.size() < 2) return 0.0;
   return points.back().timestamp_s - points.front().timestamp_s;

@@ -34,6 +34,13 @@ struct RoutePoint {
 /// Sum of great-circle distances between consecutive points, metres.
 double PathLengthMeters(const std::vector<RoutePoint>& points);
 
+/// Great-circle distance of each consecutive pair, metres: element i is
+/// HaversineMeters(points[i], points[i + 1]); empty below two points.
+/// Summing the elements in order from 0.0 gives PathLengthMeters bit for
+/// bit.
+std::vector<double> StepDistancesMeters(
+    const std::vector<RoutePoint>& points);
+
 /// Total time span between first and last point, seconds (0 for fewer
 /// than two points). Assumes the points are in time order.
 double TimeSpanSeconds(const std::vector<RoutePoint>& points);

@@ -33,6 +33,11 @@ struct Trip {
   /// Recomputes the totals from the route points (used after cleaning or
   /// segmentation invalidates device-reported totals).
   void RecomputeTotals();
+
+  /// RecomputeTotals with the path length already known, e.g. summed in
+  /// order from 0.0 over StepDistancesMeters(points), which equals
+  /// PathLengthMeters(points) bit for bit.
+  void RecomputeTotals(double path_length_m);
 };
 
 }  // namespace trace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "taxitrace/clean/cleaning_pipeline.h"
 #include "taxitrace/clean/order_repair.h"
@@ -99,6 +102,102 @@ TEST(OrderRepairTest, ShortSequencesAreConsistent) {
   EXPECT_EQ(RepairPointOrder(&empty), ChosenOrder::kConsistent);
   std::vector<trace::RoutePoint> one = StraightDrive(1);
   EXPECT_EQ(RepairPointOrder(&one), ChosenOrder::kConsistent);
+}
+
+// --- Order repair fast path ------------------------------------------------
+//
+// A sequence already non-decreasing in both fields comes back untouched
+// without being sorted; anything else takes the general path. The
+// expected answers are those of the repair that always sorted.
+
+// Whole-record identity, NaN fields included (RoutePoint has no padding).
+bool SameRecords(const std::vector<trace::RoutePoint>& a,
+                 const std::vector<trace::RoutePoint>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(),
+                      a.size() * sizeof(trace::RoutePoint)) == 0);
+}
+
+std::vector<int64_t> Ids(const std::vector<trace::RoutePoint>& pts) {
+  std::vector<int64_t> ids;
+  for (const trace::RoutePoint& p : pts) ids.push_back(p.point_id);
+  return ids;
+}
+
+TEST(OrderRepairFastPathTest, TiesInIdAndTimestampAreLeftUntouched) {
+  std::vector<trace::RoutePoint> pts = StraightDrive(6);
+  pts[2].point_id = pts[1].point_id;        // id tie
+  pts[4].timestamp_s = pts[3].timestamp_s;  // timestamp tie
+  const std::vector<trace::RoutePoint> original = pts;
+  EXPECT_EQ(RepairPointOrder(&pts), ChosenOrder::kConsistent);
+  EXPECT_TRUE(SameRecords(pts, original));
+}
+
+TEST(OrderRepairFastPathTest, NanTimestampTakesTheGeneralPath) {
+  // Otherwise in order: both sorts leave the NaN where it is.
+  std::vector<trace::RoutePoint> pts = StraightDrive(6);
+  pts[3].timestamp_s = std::nan("");
+  const std::vector<trace::RoutePoint> original = pts;
+  EXPECT_EQ(RepairPointOrder(&pts), ChosenOrder::kConsistent);
+  EXPECT_TRUE(SameRecords(pts, original));
+
+  // With two ids swapped as well, timestamp order wins and the ids are
+  // realigned; the NaN keeps its slot.
+  pts = StraightDrive(8);
+  pts[2].timestamp_s = std::nan("");
+  std::swap(pts[4].point_id, pts[5].point_id);
+  std::vector<trace::RoutePoint> expected = StraightDrive(8);
+  expected[2].timestamp_s = std::nan("");
+  EXPECT_EQ(RepairPointOrder(&pts), ChosenOrder::kByTimestamp);
+  EXPECT_TRUE(SameRecords(pts, expected));
+}
+
+TEST(OrderRepairFastPathTest, SingleOutOfOrderIdIsRepairedByTimestamp) {
+  std::vector<trace::RoutePoint> pts = StraightDrive(8);
+  pts[3].point_id = 99;
+  std::vector<trace::RoutePoint> expected = pts;
+  EXPECT_EQ(RepairPointOrder(&pts), ChosenOrder::kByTimestamp);
+  // The points stay in time order; the ids are realigned monotone.
+  const std::vector<int64_t> ids = {1, 2, 3, 5, 6, 7, 8, 99};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i].point_id = ids[i];
+  }
+  EXPECT_TRUE(SameRecords(pts, expected));
+}
+
+TEST(OrderRepairFastPathTest, ZeroOneAndTwoPoints) {
+  std::vector<trace::RoutePoint> empty;
+  EXPECT_EQ(RepairPointOrder(&empty), ChosenOrder::kConsistent);
+  EXPECT_TRUE(empty.empty());
+
+  std::vector<trace::RoutePoint> one = StraightDrive(1);
+  one[0].timestamp_s = std::nan("");
+  const std::vector<trace::RoutePoint> one_before = one;
+  EXPECT_EQ(RepairPointOrder(&one), ChosenOrder::kConsistent);
+  EXPECT_TRUE(SameRecords(one, one_before));
+
+  std::vector<trace::RoutePoint> two = StraightDrive(2);
+  const std::vector<trace::RoutePoint> two_before = two;
+  EXPECT_EQ(RepairPointOrder(&two), ChosenOrder::kConsistent);
+  EXPECT_TRUE(SameRecords(two, two_before));
+
+  // Ids disagree with time: the tie in length goes to id order, which
+  // reverses the two fixes.
+  two = StraightDrive(2);
+  std::swap(two[0].point_id, two[1].point_id);
+  EXPECT_EQ(RepairPointOrder(&two), ChosenOrder::kById);
+  EXPECT_EQ(Ids(two), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(two[0].timestamp_s, 0.0);
+  EXPECT_EQ(two[0].position.lat_deg, two_before[1].position.lat_deg);
+  EXPECT_EQ(two[1].position.lat_deg, two_before[0].position.lat_deg);
+
+  // Timestamps disagree with ids: id order wins, the fixes stay put and
+  // the timestamps are realigned.
+  two = StraightDrive(2);
+  std::swap(two[0].timestamp_s, two[1].timestamp_s);
+  EXPECT_EQ(RepairPointOrder(&two), ChosenOrder::kById);
+  EXPECT_TRUE(SameRecords(two, two_before));
 }
 
 TEST(OrderRepairTest, TripWrapperUpdatesTotalsAndStats) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "taxitrace/clean/interpolation.h"
 
 namespace taxitrace {
@@ -75,6 +78,28 @@ TEST(InterpolationTest, CapsPointsPerGap) {
   RestoreLostPoints(&pts, options, &stats);
   EXPECT_EQ(stats.points_inserted, 5);
   EXPECT_EQ(pts.size(), 7u);
+}
+
+TEST(InterpolationTest, HugeAndInfiniteGapsInsertTheCap) {
+  // The piece count of these gaps (3.3e10 and infinity) does not fit an
+  // int; it is clamped to the cap before the cast.
+  const double gaps[] = {1e12, std::numeric_limits<double>::infinity()};
+  for (const double end : gaps) {
+    std::vector<trace::RoutePoint> pts = {
+        Point(1, 0.0, 65.00, 25.47),
+        Point(2, end, 65.05, 25.47),
+    };
+    InterpolationOptions options;
+    InterpolationStats stats;
+    RestoreLostPoints(&pts, options, &stats);
+    EXPECT_EQ(stats.gaps_restored, 1) << end;
+    EXPECT_EQ(stats.points_inserted, options.max_points_per_gap) << end;
+    ASSERT_EQ(pts.size(),
+              2u + static_cast<size_t>(options.max_points_per_gap));
+    for (size_t i = 1; i < pts.size(); ++i) {
+      EXPECT_GT(pts[i].position.lat_deg, pts[i - 1].position.lat_deg);
+    }
+  }
 }
 
 TEST(InterpolationTest, TripWrapperRecomputesTotals) {

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "taxitrace/clean/cleaning_pipeline.h"
 #include "taxitrace/common/histogram.h"
@@ -490,6 +493,663 @@ TEST(CleaningSweepTest, SegmentationNeverKeepsAStopGapInsideASegment) {
   }
 }
 
+// --- CleanOneTrip against the stage chain it replaced ------------------------
+//
+// `reference` is the per-trip cleaning chain as it stood before the
+// stages shared their step distances: order repair always copies and
+// sorts, every stage computes its own great-circle distances, and every
+// stage recomputes the trip totals. CleanOneTrip and the public stage
+// functions must reproduce it bit for bit on traces that reach every
+// branch of it. The only edit is RestoreLostPoints' piece count, clamped
+// in double (the generated gaps never reach the clamp).
+
+namespace reference {
+
+using clean::ChosenOrder;
+
+bool SameOrder(const std::vector<trace::RoutePoint>& a,
+               const std::vector<trace::RoutePoint>& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].point_id != b[i].point_id) return false;
+  }
+  return true;
+}
+
+void AlignMonotone(std::vector<trace::RoutePoint>* points) {
+  std::vector<int64_t> ids;
+  std::vector<double> times;
+  for (const trace::RoutePoint& p : *points) {
+    ids.push_back(p.point_id);
+    times.push_back(p.timestamp_s);
+  }
+  std::sort(ids.begin(), ids.end());
+  std::sort(times.begin(), times.end());
+  for (size_t i = 0; i < points->size(); ++i) {
+    (*points)[i].point_id = ids[i];
+    (*points)[i].timestamp_s = times[i];
+  }
+}
+
+ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points) {
+  if (points->size() < 2) return ChosenOrder::kConsistent;
+  std::vector<trace::RoutePoint> by_id = *points;
+  std::stable_sort(by_id.begin(), by_id.end(),
+                   [](const trace::RoutePoint& a, const trace::RoutePoint& b) {
+                     return a.point_id < b.point_id;
+                   });
+  std::vector<trace::RoutePoint> by_time = *points;
+  std::stable_sort(by_time.begin(), by_time.end(),
+                   [](const trace::RoutePoint& a, const trace::RoutePoint& b) {
+                     return a.timestamp_s < b.timestamp_s;
+                   });
+  if (SameOrder(by_id, by_time)) {
+    *points = std::move(by_id);
+    return ChosenOrder::kConsistent;
+  }
+  const double len_id = trace::PathLengthMeters(by_id);
+  const double len_time = trace::PathLengthMeters(by_time);
+  if (len_id <= len_time) {
+    *points = std::move(by_id);
+    AlignMonotone(points);
+    return ChosenOrder::kById;
+  }
+  *points = std::move(by_time);
+  AlignMonotone(points);
+  return ChosenOrder::kByTimestamp;
+}
+
+void RepairTripOrder(trace::Trip* trip, clean::OrderRepairStats* stats) {
+  const ChosenOrder order = RepairPointOrder(&trip->points);
+  trip->RecomputeTotals();
+  switch (order) {
+    case ChosenOrder::kConsistent:
+      ++stats->trips_consistent;
+      break;
+    case ChosenOrder::kById:
+      ++stats->trips_repaired_by_id;
+      break;
+    case ChosenOrder::kByTimestamp:
+      ++stats->trips_repaired_by_timestamp;
+      break;
+  }
+}
+
+bool IsSpike(const trace::RoutePoint& a, const trace::RoutePoint& b,
+             const trace::RoutePoint& c,
+             const clean::OutlierFilterOptions& options) {
+  const double ab = geo::HaversineMeters(a.position, b.position);
+  const double bc = geo::HaversineMeters(b.position, c.position);
+  if (ab < options.spike_distance_m || bc < options.spike_distance_m) {
+    return false;
+  }
+  const double ac = geo::HaversineMeters(a.position, c.position);
+  return ac < options.spike_closeness_ratio * (ab + bc);
+}
+
+bool ImpliedSpeedTooHigh(const trace::RoutePoint& a,
+                         const trace::RoutePoint& b,
+                         const clean::OutlierFilterOptions& options) {
+  const double dt = b.timestamp_s - a.timestamp_s;
+  if (dt <= 0.0) return false;
+  const double d = geo::HaversineMeters(a.position, b.position);
+  return d / dt > options.max_implied_speed_ms;
+}
+
+void FilterTripOutliers(trace::Trip* trip,
+                        const clean::OutlierFilterOptions& options,
+                        clean::OutlierFilterStats* stats) {
+  std::vector<trace::RoutePoint>& pts = trip->points;
+  {
+    size_t kept = 0;
+    for (size_t r = 0; r < pts.size(); ++r) {
+      if (kept > 0 && pts[kept - 1].point_id == pts[r].point_id &&
+          pts[kept - 1].timestamp_s == pts[r].timestamp_s) {
+        ++stats->duplicates_removed;
+        continue;
+      }
+      if (kept != r) pts[kept] = pts[r];
+      ++kept;
+    }
+    pts.resize(kept);
+  }
+  bool round_changed = true;
+  while (round_changed) {
+    round_changed = false;
+    size_t i = 1;
+    while (pts.size() >= 3 && i + 1 < pts.size()) {
+      if (IsSpike(pts[i - 1], pts[i], pts[i + 1], options)) {
+        pts.erase(pts.begin() + static_cast<ptrdiff_t>(i));
+        ++stats->spikes_removed;
+        round_changed = true;
+        if (i > 1) --i;
+      } else {
+        ++i;
+      }
+    }
+    size_t kept = 0;
+    for (size_t r = 0; r < pts.size(); ++r) {
+      if (kept > 0 && ImpliedSpeedTooHigh(pts[kept - 1], pts[r], options)) {
+        ++stats->implied_speed_removed;
+        round_changed = true;
+        continue;
+      }
+      if (kept != r) pts[kept] = pts[r];
+      ++kept;
+    }
+    pts.resize(kept);
+  }
+  trip->RecomputeTotals();
+}
+
+void RestoreTripLostPoints(trace::Trip* trip,
+                           const clean::InterpolationOptions& options,
+                           clean::InterpolationStats* stats) {
+  std::vector<trace::RoutePoint>& pts = trip->points;
+  if (pts.size() >= 2) {
+    std::vector<trace::RoutePoint> out;
+    for (size_t i = 0; i < pts.size(); ++i) {
+      if (i > 0) {
+        const trace::RoutePoint& a = pts[i - 1];
+        const trace::RoutePoint& b = pts[i];
+        const double dt = b.timestamp_s - a.timestamp_s;
+        const double d = geo::HaversineMeters(a.position, b.position);
+        if (dt > options.min_gap_s && d > options.min_gap_distance_m) {
+          const int pieces = static_cast<int>(
+              std::min(static_cast<double>(options.max_points_per_gap) + 1.0,
+                       std::floor(dt / options.restored_interval_s)));
+          for (int k = 1; k < pieces; ++k) {
+            const double t = static_cast<double>(k) / pieces;
+            trace::RoutePoint restored = a;
+            restored.timestamp_s = a.timestamp_s + t * dt;
+            restored.position.lat_deg =
+                a.position.lat_deg +
+                t * (b.position.lat_deg - a.position.lat_deg);
+            restored.position.lon_deg =
+                a.position.lon_deg +
+                t * (b.position.lon_deg - a.position.lon_deg);
+            restored.speed_kmh =
+                a.speed_kmh + t * (b.speed_kmh - a.speed_kmh);
+            restored.fuel_delta_ml = 0.0;
+            out.push_back(restored);
+            ++stats->points_inserted;
+          }
+          if (pieces > 1) ++stats->gaps_restored;
+        }
+      }
+      out.push_back(pts[i]);
+    }
+    pts = std::move(out);
+  }
+  trip->RecomputeTotals();
+}
+
+int PairStopRule(const trace::RoutePoint& a, const trace::RoutePoint& b,
+                 const clean::SegmentationOptions& opt) {
+  const double dt = b.timestamp_s - a.timestamp_s;
+  if (dt <= 0.0) return 0;
+  const double d = geo::HaversineMeters(a.position, b.position);
+  const double implied_speed = d / dt;
+  if (implied_speed < opt.rule3_speed_ms && dt >= opt.rule1_window_s) {
+    return 3;
+  }
+  if (dt > opt.rule2_window_s && d < opt.rule2_max_move_m) return 2;
+  if (dt > opt.rule4_window_s && d < opt.rule4_max_move_m &&
+      implied_speed > opt.rule3_speed_ms) {
+    return 4;
+  }
+  return 0;
+}
+
+std::vector<std::vector<trace::RoutePoint>> SplitAtStops(
+    const std::vector<trace::RoutePoint>& points, double window_s,
+    const clean::SegmentationOptions& opt, clean::SegmentationStats* stats,
+    int window_rule_index) {
+  std::vector<std::vector<trace::RoutePoint>> segments;
+  std::vector<trace::RoutePoint> current;
+  geo::LatLon anchor_pos{};
+  double anchor_time = 0.0;
+  bool in_stop = false;
+  const auto close_current = [&]() {
+    if (!current.empty()) segments.push_back(std::move(current));
+    current.clear();
+  };
+  for (const trace::RoutePoint& p : points) {
+    if (in_stop) {
+      if (geo::HaversineMeters(anchor_pos, p.position) <=
+          opt.no_change_tolerance_m) {
+        continue;
+      }
+      in_stop = false;
+      current.clear();
+      anchor_pos = p.position;
+      anchor_time = p.timestamp_s;
+      current.push_back(p);
+      continue;
+    }
+    if (current.empty()) {
+      anchor_pos = p.position;
+      anchor_time = p.timestamp_s;
+      current.push_back(p);
+      continue;
+    }
+    const int pair_rule = PairStopRule(current.back(), p, opt);
+    if (pair_rule != 0) {
+      ++stats->splits_by_rule[pair_rule - 1];
+      close_current();
+      anchor_pos = p.position;
+      anchor_time = p.timestamp_s;
+      current.push_back(p);
+      continue;
+    }
+    if (geo::HaversineMeters(anchor_pos, p.position) >
+        opt.no_change_tolerance_m) {
+      anchor_pos = p.position;
+      anchor_time = p.timestamp_s;
+      current.push_back(p);
+      continue;
+    }
+    if (p.timestamp_s - anchor_time >= window_s) {
+      ++stats->splits_by_rule[window_rule_index];
+      close_current();
+      in_stop = true;
+      continue;
+    }
+    current.push_back(p);
+  }
+  close_current();
+  return segments;
+}
+
+std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
+                                     const clean::SegmentationOptions& opt,
+                                     clean::SegmentationStats* stats) {
+  ++stats->trips_in;
+  std::vector<std::vector<trace::RoutePoint>> segments =
+      SplitAtStops(trip.points, opt.rule1_window_s, opt, stats, 0);
+  std::vector<std::vector<trace::RoutePoint>> final_segments;
+  for (std::vector<trace::RoutePoint>& seg : segments) {
+    if (trace::PathLengthMeters(seg) <= opt.rule5_length_m) {
+      final_segments.push_back(std::move(seg));
+      continue;
+    }
+    for (auto& part : SplitAtStops(seg, opt.rule5_window_s, opt, stats, 4)) {
+      final_segments.push_back(std::move(part));
+    }
+  }
+  std::vector<trace::Trip> out;
+  for (size_t k = 0; k < final_segments.size(); ++k) {
+    trace::Trip seg;
+    seg.trip_id = trip.trip_id * 1000 + static_cast<int64_t>(k);
+    seg.car_id = trip.car_id;
+    seg.points = std::move(final_segments[k]);
+    seg.RecomputeTotals();
+    out.push_back(std::move(seg));
+  }
+  stats->segments_out += static_cast<int64_t>(out.size());
+  return out;
+}
+
+std::vector<trace::Trip> FilterTrips(std::vector<trace::Trip> trips,
+                                     const clean::TripFilterOptions& options,
+                                     clean::TripFilterStats* stats) {
+  std::vector<trace::Trip> out;
+  for (trace::Trip& trip : trips) {
+    if (trip.points.size() < options.min_points) {
+      ++stats->removed_too_few_points;
+      continue;
+    }
+    if (trace::PathLengthMeters(trip.points) > options.max_length_m) {
+      ++stats->removed_too_long;
+      continue;
+    }
+    ++stats->kept;
+    out.push_back(std::move(trip));
+  }
+  return out;
+}
+
+clean::TripCleanOutput CleanOneTrip(trace::Trip trip,
+                                    const clean::CleaningOptions& options) {
+  clean::TripCleanOutput out;
+  clean::SanitizeTrip(&trip, options.sanitize, &out.faults);
+  out.points_after_sanitize = static_cast<int64_t>(trip.points.size());
+  if (options.sanitize.enabled && trip.points.empty()) {
+    ++out.faults.trips_dropped_empty;
+    return out;
+  }
+  reference::RepairTripOrder(&trip, &out.order);
+  reference::FilterTripOutliers(&trip, options.outliers, &out.outliers);
+  out.points_after_outliers = static_cast<int64_t>(trip.points.size());
+  if (options.restore_lost_points) {
+    reference::RestoreTripLostPoints(&trip, options.interpolation,
+                                     &out.interpolation);
+  }
+  out.segments = reference::FilterTrips(
+      reference::SegmentTrip(trip, options.segmentation, &out.segmentation),
+      options.filter, &out.filter);
+  return out;
+}
+
+}  // namespace reference
+
+constexpr uint64_t kOracleSeed = 0x6f72636c;  // "orcl"
+constexpr int kOracleTrips = 400;
+
+struct OracleCase {
+  trace::Trip trip;
+  clean::CleaningOptions options;
+};
+
+// A trace built to walk every branch of the chain: Table 2 stops of each
+// rule, long hauls that only rule 5 re-splits, moving gaps for the
+// interpolator, single and chained spikes, implied-speed offenders (a
+// leading one included), duplicates, equal timestamps, scrambled storage
+// order and swapped ids or timestamps; every fourth trace adds foreign,
+// non-finite and out-of-region points under the sanitiser, and a few
+// others carry a NaN timestamp straight into order repair.
+OracleCase MakeOracleCase(int index) {
+  Rng rng(MixSeed(kOracleSeed, static_cast<uint64_t>(index), 0));
+  OracleCase c;
+  trace::Trip& trip = c.trip;
+  trip.trip_id = index + 1;
+  trip.car_id = 1 + index % 7;
+  std::vector<trace::RoutePoint>& pts = trip.points;
+
+  double t = rng.Uniform(0.0, 3600.0);
+  geo::LatLon pos{65.0 + rng.Uniform(-0.01, 0.01),
+                  25.47 + rng.Uniform(-0.01, 0.01)};
+  int64_t id = 1;
+  const auto emit = [&](const geo::LatLon& at, double speed_kmh) {
+    trace::RoutePoint p;
+    p.point_id = id++;
+    p.trip_id = trip.trip_id;
+    p.timestamp_s = t;
+    p.position = at;
+    p.speed_kmh = speed_kmh;
+    p.fuel_delta_ml = rng.Uniform(0.0, 5.0);
+    pts.push_back(p);
+  };
+  const auto jitter = [&](const geo::LatLon& at) {
+    return geo::LatLon{at.lat_deg + rng.Uniform(-5e-5, 5e-5),
+                       at.lon_deg + rng.Uniform(-5e-5, 5e-5)};
+  };
+
+  // Long hauls run over 40 km between stops, with short stands that
+  // only the 1.5-minute rule-5 window sees.
+  const bool long_haul = index % 5 == 0;
+  const int blocks = static_cast<int>(rng.UniformInt(2, 6));
+  for (int block = 0; block < blocks; ++block) {
+    const int drive_points = static_cast<int>(
+        long_haul ? rng.UniformInt(180, 260) : rng.UniformInt(5, 25));
+    const double step_deg = long_haul ? 2.2e-3 : 8e-4;
+    for (int k = 0; k < drive_points; ++k) {
+      emit(pos, rng.Uniform(5.0, 60.0));
+      if (long_haul && rng.Bernoulli(0.04)) {
+        const geo::LatLon stand = pos;
+        for (int s = 0; s < 3; ++s) {
+          t += rng.Uniform(45.0, 55.0);
+          emit(jitter(stand), 0.0);
+        }
+      }
+      t += long_haul ? rng.Uniform(25.0, 45.0) : rng.Uniform(5.0, 45.0);
+      pos.lat_deg += rng.Gaussian(0.0, step_deg);
+      pos.lon_deg += rng.Gaussian(0.0, step_deg);
+    }
+    const geo::LatLon last = pts.back().position;
+    switch (rng.UniformInt(0, 4)) {
+      case 0:  // rule 1: jittered stand over several minutes
+        for (int k = static_cast<int>(rng.UniformInt(2, 8)); k > 0; --k) {
+          t += rng.Uniform(60.0, 240.0);
+          emit(jitter(last), 0.0);
+        }
+        break;
+      case 1:  // rule 3: the very same fix after a long silence
+        t += rng.Uniform(200.0, 400.0);
+        emit(last, 0.0);
+        break;
+      case 2:  // rule 2: long silence, short move
+        t += rng.Uniform(430.0, 880.0);
+        pos.lat_deg += rng.Uniform(0.001, 0.01);
+        break;
+      case 3:  // rule 4 (when rule 2 is off): longer silence, short move
+        t += rng.Uniform(920.0, 1500.0);
+        pos.lat_deg += rng.Uniform(0.001, 0.01);
+        break;
+      default:  // a moving gap the interpolator restores
+        t += rng.Uniform(100.0, 400.0);
+        pos.lat_deg += rng.Uniform(0.003, 0.015);
+        break;
+    }
+  }
+
+  const auto any_inner = [&]() {
+    return static_cast<size_t>(
+        rng.UniformInt(1, static_cast<int64_t>(pts.size()) - 2));
+  };
+  // Single spikes, 2-5 km off the track.
+  for (trace::RoutePoint& p : pts) {
+    if (rng.Bernoulli(0.03)) p.position.lat_deg += rng.Uniform(0.02, 0.05);
+  }
+  // A chained spike: two neighbours displaced together.
+  if (rng.Bernoulli(0.3) && pts.size() > 4) {
+    const size_t k = any_inner() - 1;
+    const double off = rng.Uniform(0.01, 0.02);
+    pts[k].position.lon_deg += off;
+    pts[k + 1].position.lon_deg += off - 0.001;
+  }
+  // An implied-speed offender too close to be a spike: ~220 m away, 1 s
+  // after its predecessor.
+  if (rng.Bernoulli(0.4) && pts.size() > 3) {
+    const size_t k = any_inner();
+    pts[k].position.lat_deg += 0.002;
+    pts[k].timestamp_s = pts[k - 1].timestamp_s + 1.0;
+  }
+  // A leading offender: the first fix is off by ~2 km, 1 s before the
+  // second, so the filter drops its successors instead.
+  if (rng.Bernoulli(0.1) && pts.size() > 3) {
+    pts[0].position.lat_deg += 0.02;
+    pts[0].timestamp_s = pts[1].timestamp_s - 1.0;
+  }
+  // Equal timestamps (dt = 0) on distinct fixes.
+  if (rng.Bernoulli(0.3) && pts.size() > 3) {
+    const size_t k = any_inner();
+    pts[k].timestamp_s = pts[k - 1].timestamp_s;
+  }
+  // Duplicated uploads.
+  if (rng.Bernoulli(0.5) && pts.size() > 2) {
+    const size_t k = any_inner();
+    pts.insert(pts.begin() + static_cast<ptrdiff_t>(k), pts[k]);
+  }
+  // Scrambles: storage order (repair keeps it consistent), swapped
+  // timestamps (repaired by id) or swapped ids (repaired by timestamp).
+  const int64_t scramble = rng.UniformInt(0, 3);
+  for (int s = static_cast<int>(rng.UniformInt(1, 4)); s > 0 && scramble > 0;
+       --s) {
+    const size_t a = any_inner();
+    const size_t b = std::min(pts.size() - 1, a + 2);
+    if (scramble == 1) std::swap(pts[a], pts[b]);
+    if (scramble == 2) std::swap(pts[a].timestamp_s, pts[b].timestamp_s);
+    if (scramble == 3) std::swap(pts[a].point_id, pts[b].point_id);
+  }
+
+  if (index % 4 == 3) {
+    clean::SanitizeOptions& san = c.options.sanitize;
+    san.enabled = true;
+    san.has_region = true;
+    san.lat_min_deg = 64.8;
+    san.lat_max_deg = 65.2;
+    san.lon_min_deg = 25.0;
+    san.lon_max_deg = 26.0;
+    for (trace::RoutePoint& p : pts) {
+      const double u = rng.Uniform(0.0, 1.0);
+      if (u < 0.03) p.trip_id += 1;
+      else if (u < 0.06) p.position.lat_deg = std::nan("");
+      else if (u < 0.09) p.position.lat_deg += 1.0;
+    }
+    if (index % 40 == 3) {
+      for (trace::RoutePoint& p : pts) p.trip_id += 1;  // nothing left
+    }
+  } else if (rng.Bernoulli(0.05)) {
+    pts[any_inner()].timestamp_s = std::nan("");
+  }
+  c.options.restore_lost_points = index % 3 == 1;
+  if (index % 6 == 2) c.options.segmentation.rule2_window_s = 1e9;
+  trip.RecomputeTotals();
+  return c;
+}
+
+// Bit pattern of a double: NaN != NaN, so equality is taken on bits.
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Plain-integer counter structs compare as bytes.
+template <typename Counters>
+bool SameCounters(const Counters& a, const Counters& b) {
+  static_assert(std::has_unique_object_representations_v<Counters>);
+  return std::memcmp(&a, &b, sizeof(Counters)) == 0;
+}
+
+testing::AssertionResult SameTrips(const std::vector<trace::Trip>& got,
+                                   const std::vector<trace::Trip>& want) {
+  if (got.size() != want.size()) {
+    return testing::AssertionFailure()
+           << got.size() << " trips, want " << want.size();
+  }
+  for (size_t k = 0; k < got.size(); ++k) {
+    const trace::Trip& g = got[k];
+    const trace::Trip& w = want[k];
+    if (g.trip_id != w.trip_id || g.car_id != w.car_id ||
+        Bits(g.total_time_s) != Bits(w.total_time_s) ||
+        Bits(g.total_distance_m) != Bits(w.total_distance_m) ||
+        Bits(g.total_fuel_ml) != Bits(w.total_fuel_ml)) {
+      return testing::AssertionFailure()
+             << "trip " << k << " (id " << w.trip_id << "): ids or totals "
+             << "differ, distance " << g.total_distance_m << " vs "
+             << w.total_distance_m;
+    }
+    if (g.points.size() != w.points.size()) {
+      return testing::AssertionFailure()
+             << "trip " << k << ": " << g.points.size() << " points, want "
+             << w.points.size();
+    }
+    for (size_t i = 0; i < g.points.size(); ++i) {
+      const trace::RoutePoint& p = g.points[i];
+      const trace::RoutePoint& q = w.points[i];
+      if (p.point_id != q.point_id || p.trip_id != q.trip_id ||
+          Bits(p.timestamp_s) != Bits(q.timestamp_s) ||
+          Bits(p.position.lat_deg) != Bits(q.position.lat_deg) ||
+          Bits(p.position.lon_deg) != Bits(q.position.lon_deg) ||
+          Bits(p.speed_kmh) != Bits(q.speed_kmh) ||
+          Bits(p.fuel_delta_ml) != Bits(q.fuel_delta_ml)) {
+        return testing::AssertionFailure()
+               << "trip " << k << ": point " << i << " differs";
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+testing::AssertionResult SameOutput(const clean::TripCleanOutput& got,
+                                    const clean::TripCleanOutput& want) {
+  if (got.points_after_sanitize != want.points_after_sanitize ||
+      got.points_after_outliers != want.points_after_outliers ||
+      !SameCounters(got.order, want.order) ||
+      !SameCounters(got.outliers, want.outliers) ||
+      !SameCounters(got.interpolation, want.interpolation) ||
+      !SameCounters(got.segmentation, want.segmentation) ||
+      !SameCounters(got.filter, want.filter) ||
+      !SameCounters(got.faults, want.faults)) {
+    return testing::AssertionFailure() << "a counter differs";
+  }
+  return SameTrips(got.segments, want.segments);
+}
+
+TEST(CleanOneTripOracleTest, MatchesTheUnsharedStageChainBitForBit) {
+  clean::CleaningReport reached;
+  for (int i = 0; i < kOracleTrips; ++i) {
+    const OracleCase c = MakeOracleCase(i);
+    const clean::TripCleanOutput want =
+        reference::CleanOneTrip(c.trip, c.options);
+    ASSERT_TRUE(SameOutput(clean::CleanOneTrip(c.trip, c.options), want))
+        << "trace " << i;
+    clean::FoldTripCleanOutput(want, &reached);
+  }
+  // The sweep reaches every branch it claims to.
+  EXPECT_GT(reached.order.trips_consistent, 0);
+  EXPECT_GT(reached.order.trips_repaired_by_id, 0);
+  EXPECT_GT(reached.order.trips_repaired_by_timestamp, 0);
+  EXPECT_GT(reached.outliers.duplicates_removed, 0);
+  EXPECT_GT(reached.outliers.spikes_removed, 0);
+  EXPECT_GT(reached.outliers.implied_speed_removed, 0);
+  EXPECT_GT(reached.interpolation.points_inserted, 0);
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_GT(reached.segmentation.splits_by_rule[r], 0) << "rule " << r + 1;
+  }
+  EXPECT_GT(reached.filter.removed_too_few_points, 0);
+  EXPECT_GT(reached.filter.removed_too_long, 0);
+  EXPECT_GT(reached.filter.kept, 0);
+  EXPECT_GT(reached.faults.points_dropped_foreign, 0);
+  EXPECT_GT(reached.faults.points_dropped_nonfinite, 0);
+  EXPECT_GT(reached.faults.points_dropped_out_of_region, 0);
+  EXPECT_GT(reached.faults.trips_dropped_empty, 0);
+}
+
+// The public stage functions one at a time, as the benchmark's layer
+// pass calls them: each must leave the same points, totals and counters
+// as its reference stage.
+TEST(CleanOneTripOracleTest, PublicStagesMatchTheirReferenceStages) {
+  for (int i = 0; i < kOracleTrips; ++i) {
+    OracleCase c = MakeOracleCase(i);
+    const clean::CleaningOptions& opt = c.options;
+    fault::FaultReport faults;
+    clean::SanitizeTrip(&c.trip, opt.sanitize, &faults);
+    if (c.trip.points.empty()) continue;
+    trace::Trip got = c.trip;
+    trace::Trip want = c.trip;
+    clean::CleaningReport g;
+    clean::CleaningReport w;
+
+    clean::RepairTripOrder(&got, &g.order);
+    reference::RepairTripOrder(&want, &w.order);
+    ASSERT_TRUE(SameTrips({got}, {want})) << "order repair, trace " << i;
+    ASSERT_TRUE(SameCounters(g.order, w.order)) << "trace " << i;
+
+    clean::FilterTripOutliers(&got, opt.outliers, &g.outliers);
+    reference::FilterTripOutliers(&want, opt.outliers, &w.outliers);
+    ASSERT_TRUE(SameTrips({got}, {want})) << "outlier filter, trace " << i;
+    ASSERT_TRUE(SameCounters(g.outliers, w.outliers)) << "trace " << i;
+
+    if (opt.restore_lost_points) {
+      clean::RestoreTripLostPoints(&got, opt.interpolation,
+                                   &g.interpolation);
+      reference::RestoreTripLostPoints(&want, opt.interpolation,
+                                       &w.interpolation);
+      ASSERT_TRUE(SameTrips({got}, {want})) << "interpolation, trace " << i;
+      ASSERT_TRUE(SameCounters(g.interpolation, w.interpolation))
+          << "trace " << i;
+    }
+
+    std::vector<trace::Trip> got_segments =
+        clean::SegmentTrip(got, opt.segmentation, &g.segmentation);
+    std::vector<trace::Trip> want_segments =
+        reference::SegmentTrip(want, opt.segmentation, &w.segmentation);
+    ASSERT_TRUE(SameTrips(got_segments, want_segments))
+        << "segmentation, trace " << i;
+    ASSERT_TRUE(SameCounters(g.segmentation, w.segmentation))
+        << "trace " << i;
+
+    ASSERT_TRUE(SameTrips(
+        clean::FilterTrips(std::move(got_segments), opt.filter, &g.filter),
+        reference::FilterTrips(std::move(want_segments), opt.filter,
+                               &w.filter)))
+        << "trip filter, trace " << i;
+    ASSERT_TRUE(SameCounters(g.filter, w.filter)) << "trace " << i;
+  }
+}
+
 // --- Windowed ingestion over adversarial arrival streams ---------------------
 
 constexpr int64_t kIngestSweepLag = 16;
@@ -512,13 +1172,8 @@ trace::TraceStore AdversarialStore() {
 
 // The injector writes non-finite coordinates, and NaN breaks tuple
 // equality (NaN != NaN), so the stream comparisons flatten to bit
-// patterns: byte-identity is exactly the contract being proven.
-uint64_t Bits(double v) {
-  uint64_t b = 0;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
+// patterns (Bits, above): byte-identity is exactly the contract being
+// proven.
 std::vector<std::tuple<int64_t, uint64_t, uint64_t, uint64_t, uint64_t>>
 BitFlattenPoints(const std::vector<trace::Trip>& trips) {
   std::vector<std::tuple<int64_t, uint64_t, uint64_t, uint64_t, uint64_t>>
