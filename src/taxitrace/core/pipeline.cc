@@ -1,6 +1,7 @@
 #include "taxitrace/core/pipeline.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -32,6 +33,11 @@ std::vector<analysis::TransitionRecord> StudyResults::Records() const {
 Pipeline::Pipeline(StudyConfig config) : config_(std::move(config)) {}
 
 Result<StudyResults> Pipeline::Run() const {
+  if (config_.stream_ingestion && config_.ingest.reorder_lag < 0) {
+    return Status::InvalidArgument(
+        StrFormat("ingest.reorder_lag must be >= 0, got %lld",
+                  static_cast<long long>(config_.ingest.reorder_lag)));
+  }
   const bool collect = config_.observability.enabled;
   // The span trace is always kept — it is a handful of records per run
   // and is what StageTimings is derived from now. The registry and the
@@ -250,15 +256,14 @@ Result<StudyResults> Pipeline::Run() const {
           const int car_id = car_ids[static_cast<size_t>(ci)];
           CarIngestOutput& out = car_ingest[static_cast<size_t>(ci)];
           out.car_id = car_id;
-          stream::CarStream arrivals =
-              stream::BuildCarStream(raw.store, car_id);
-          if (config_.ingest.arrival_shuffle_window > 0) {
-            stream::ShuffleArrivals(
-                &arrivals.records,
-                MixSeed(config_.ingest.arrival_shuffle_seed,
-                        static_cast<uint64_t>(car_id), 0),
-                config_.ingest.arrival_shuffle_window);
-          }
+          // The arrival stream without copies: record references into
+          // the store, visited in the shuffled arrival order.
+          const stream::CarRecords records(raw.store, car_id);
+          const std::vector<uint32_t> arrival_order = stream::ArrivalOrder(
+              records.size(),
+              MixSeed(config_.ingest.arrival_shuffle_seed,
+                      static_cast<uint64_t>(car_id), 0),
+              config_.ingest.arrival_shuffle_window);
           // Each closed window runs the fused per-trip unit, in the
           // same per-car order as the batch stages.
           struct WindowSink final : public trace::TripSink {
@@ -276,8 +281,8 @@ Result<StudyResults> Pipeline::Run() const {
           sink.context = &match_context;
           sink.out = &out.trips;
           stream::IngestSession session(car_id, config_.ingest, &sink);
-          for (const stream::StreamRecord& rec : arrivals.records) {
-            TAXITRACE_RETURN_IF_ERROR(session.Ingest(rec));
+          for (const uint32_t seq : arrival_order) {
+            TAXITRACE_RETURN_IF_ERROR(session.Ingest(records.At(seq)));
           }
           TAXITRACE_RETURN_IF_ERROR(session.FinishStream());
           out.stats = session.stats();

@@ -1,6 +1,7 @@
 #include "taxitrace/stream/ingest_session.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "taxitrace/common/check.h"
@@ -59,8 +60,11 @@ IngestSession::IngestSession(int car_id, const IngestOptions& options,
   // One bucket per latency value the lossless contract allows, plus an
   // overflow bucket for anything beyond the lag (late floods can stall
   // a buffered record past the bound; the overflow keeps that visible).
-  stats_.latency_hist.assign(static_cast<size_t>(options_.reorder_lag) + 2,
-                             0);
+  stats_.latency_hist.assign(
+      static_cast<size_t>(
+          std::min(options_.reorder_lag, IngestStats::kMaxLatencyBucket)) +
+          2,
+      0);
 }
 
 void IngestSession::RecordLatency(int64_t latency_slots) {
@@ -83,9 +87,8 @@ Status IngestSession::CloseWindow() {
   return Status::OK();
 }
 
-Status IngestSession::Release(const BufferedRecord& buffered) {
-  RecordLatency(arrivals_ - buffered.arrived_at);
-  const StreamRecord& rec = buffered.record;
+Status IngestSession::Release(const StreamRecord& rec, int64_t arrived_at) {
+  RecordLatency(arrivals_ - arrived_at);
   if (rec.kind == StreamRecord::Kind::kTripBegin) {
     ++stats_.trip_markers_released;
     TAXITRACE_RETURN_IF_ERROR(CloseWindow());
@@ -114,27 +117,55 @@ Status IngestSession::Release(const BufferedRecord& buffered) {
   return Status::OK();
 }
 
+void IngestSession::Reserve(int64_t seq) {
+  const auto span = static_cast<size_t>(seq - next_expected_) + 1;
+  if (span <= ring_.size()) return;
+  std::vector<BufferedRecord> grown(std::bit_ceil(span));
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const int64_t s = next_expected_ + static_cast<int64_t>(i);
+    BufferedRecord& old = Slot(s);
+    if (old.arrived_at != 0) {
+      grown[static_cast<size_t>(s) & (grown.size() - 1)] = std::move(old);
+    }
+  }
+  ring_ = std::move(grown);
+}
+
+Status IngestSession::Step() {
+  if (buffered_ > 0) {
+    BufferedRecord& slot = Slot(next_expected_);
+    if (slot.arrived_at != 0) {
+      const int64_t arrived_at = slot.arrived_at;
+      slot.arrived_at = 0;
+      --buffered_;
+      ++next_expected_;
+      return Release(slot.record, arrived_at);
+    }
+  }
+  ++stats_.slots_declared_lost;
+  ++next_expected_;
+  return Status::OK();
+}
+
+Status IngestSession::AdvanceTo(int64_t end) {
+  while (next_expected_ < end) {
+    if (buffered_ == 0) {
+      // Nothing left to release below `end`: the rest are lost slots.
+      stats_.slots_declared_lost += end - next_expected_;
+      next_expected_ = end;
+      break;
+    }
+    TAXITRACE_RETURN_IF_ERROR(Step());
+  }
+  return Status::OK();
+}
+
 Status IngestSession::DrainReady() {
-  while (true) {
-    if (!buffer_.empty() && buffer_.begin()->first == next_expected_) {
-      const BufferedRecord ready = std::move(buffer_.begin()->second);
-      buffer_.erase(buffer_.begin());
-      ++next_expected_;
-      TAXITRACE_RETURN_IF_ERROR(Release(ready));
-      continue;
-    }
-    // Watermark close: the head of the stream has run `reorder_lag`
-    // slots past the oldest gap — stop waiting for it.
-    if (max_seq_ - next_expected_ > options_.reorder_lag) {
-      ++stats_.slots_declared_lost;
-      ++next_expected_;
-      continue;
-    }
-    break;
+  while (buffered_ > 0 && Slot(next_expected_).arrived_at != 0) {
+    TAXITRACE_RETURN_IF_ERROR(Step());
   }
   stats_.peak_buffered_records =
-      std::max(stats_.peak_buffered_records,
-               static_cast<int64_t>(buffer_.size()));
+      std::max(stats_.peak_buffered_records, buffered_);
   return Status::OK();
 }
 
@@ -155,10 +186,11 @@ Status IngestSession::Ingest(const StreamRecord& record) {
   } else {
     ++stats_.trip_markers_offered;
   }
+  const int64_t seq = record.seq;
   // Behind the watermark (slot already released or declared lost), or a
   // duplicate of a buffered slot: an explicit, counted drop.
-  if (record.seq < next_expected_ ||
-      buffer_.find(record.seq) != buffer_.end()) {
+  if (seq < next_expected_ ||
+      (buffered_ > 0 && seq <= max_seq_ && Slot(seq).arrived_at != 0)) {
     if (is_point) {
       ++stats_.points_dropped_late;
     } else {
@@ -166,8 +198,21 @@ Status IngestSession::Ingest(const StreamRecord& record) {
     }
     return Status::OK();
   }
-  buffer_.emplace(record.seq, BufferedRecord{record, arrivals_});
-  max_seq_ = std::max(max_seq_, record.seq);
+  // Watermark close: once this arrival is the stream head, every slot
+  // more than `reorder_lag` behind it stops waiting. Closing them first
+  // lands the arrival within reorder_lag of the release point.
+  if (seq - next_expected_ > options_.reorder_lag) {
+    TAXITRACE_RETURN_IF_ERROR(AdvanceTo(seq - options_.reorder_lag));
+  }
+  max_seq_ = std::max(max_seq_, seq);
+  if (seq == next_expected_) {
+    ++next_expected_;
+    TAXITRACE_RETURN_IF_ERROR(Release(record, arrivals_));
+  } else {
+    Reserve(seq);
+    Slot(seq) = BufferedRecord{record, arrivals_};
+    ++buffered_;
+  }
   return DrainReady();
 }
 
@@ -176,16 +221,8 @@ Status IngestSession::FinishStream() {
   finished_ = true;
   // End of stream: every remaining gap is a loss, everything buffered
   // beyond it is released in seq order.
-  while (!buffer_.empty()) {
-    if (buffer_.begin()->first != next_expected_) {
-      ++stats_.slots_declared_lost;
-      ++next_expected_;
-      continue;
-    }
-    const BufferedRecord ready = std::move(buffer_.begin()->second);
-    buffer_.erase(buffer_.begin());
-    ++next_expected_;
-    TAXITRACE_RETURN_IF_ERROR(Release(ready));
+  while (buffered_ > 0) {
+    TAXITRACE_RETURN_IF_ERROR(Step());
   }
   return CloseWindow();
 }

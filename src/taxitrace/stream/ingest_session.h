@@ -14,7 +14,14 @@
 //     older than the watermark stops waiting — its slots are declared
 //     lost and the stream skips ahead — so no window ever survives a
 //     watermark advance by more than the lag, and buffering is bounded
-//     by `reorder_lag` records.
+//     by `reorder_lag` records between arrivals.
+//
+// Buffered records live in a power-of-two ring indexed by `seq & mask`
+// that grows to the span actually buffered, never to the configured
+// lag: the slots cover seqs [next_expected, max_seq_seen], at most
+// reorder_lag + 1 of them. An arrival more than reorder_lag ahead of
+// the release point first releases or declares lost every slot below
+// its own watermark, so it always lands inside that span.
 //
 // The equivalence contract: whenever every record's arrival
 // displacement is at most `reorder_lag / 2`, nothing is ever declared
@@ -28,7 +35,6 @@
 #define TAXITRACE_STREAM_INGEST_SESSION_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "taxitrace/common/status.h"
@@ -48,7 +54,7 @@ struct IngestOptions {
 
   /// When positive, the pipeline perturbs each car's canonical arrival
   /// order by at most this many slots before ingesting (deterministic
-  /// per-car shuffle; see ShuffleArrivals). 0 ingests canonical order.
+  /// per-car shuffle; see ArrivalOrder). 0 ingests canonical order.
   /// Keep it at most reorder_lag / 2 to stay within the lossless bound.
   int64_t arrival_shuffle_window = 0;
   uint64_t arrival_shuffle_seed = 0x5EEDA11CULL;
@@ -77,14 +83,20 @@ struct IngestStats {
   int64_t windows_opened_implicit = 0;
   int64_t windows_closed = 0;
 
-  /// High-water mark of records buffered awaiting release (<= lag).
+  /// High-water mark of records buffered awaiting release between
+  /// arrivals (<= lag).
   int64_t peak_buffered_records = 0;
 
   /// Per-record release latency in arrival slots: bucket b counts
   /// records released after b further arrivals on the same stream
-  /// (0 = released by the arrival that carried them). The last bucket
+  /// (0 = released by the arrival that carried them). A session keeps
+  /// min(reorder_lag, kMaxLatencyBucket) + 2 buckets; the last one
   /// accumulates everything >= its index.
   std::vector<int64_t> latency_hist;
+
+  /// Cap on the histogram's per-value buckets, so a huge configured lag
+  /// does not allocate a huge histogram.
+  static constexpr int64_t kMaxLatencyBucket = int64_t{1} << 16;
 
   /// Adds every counter of `other` into this (latency buckets
   /// element-wise, growing to the larger histogram).
@@ -129,17 +141,27 @@ class IngestSession {
   }
   [[nodiscard]] int64_t next_expected_seq() const { return next_expected_; }
   [[nodiscard]] int64_t max_seq_seen() const { return max_seq_; }
-  [[nodiscard]] int64_t buffered_records() const {
-    return static_cast<int64_t>(buffer_.size());
-  }
+  [[nodiscard]] int64_t buffered_records() const { return buffered_; }
 
  private:
   struct BufferedRecord {
     StreamRecord record;
-    int64_t arrived_at = 0;  ///< Arrival counter when it was ingested.
+    /// Arrival counter when it was ingested; 0 marks an empty slot
+    /// (the counter is at least 1 once anything has arrived).
+    int64_t arrived_at = 0;
   };
 
-  Status Release(const BufferedRecord& buffered);
+  BufferedRecord& Slot(int64_t seq) {
+    return ring_[static_cast<size_t>(seq) & (ring_.size() - 1)];
+  }
+  /// Grows the ring to cover seqs [next_expected_, seq].
+  void Reserve(int64_t seq);
+  /// Releases the next expected slot if it is buffered, or declares it
+  /// lost, and advances past it.
+  Status Step();
+  /// Steps until next_expected_ reaches `end` (the watermark close).
+  Status AdvanceTo(int64_t end);
+  Status Release(const StreamRecord& record, int64_t arrived_at);
   Status DrainReady();
   Status CloseWindow();
   void RecordLatency(int64_t latency_slots);
@@ -148,10 +170,14 @@ class IngestSession {
   const IngestOptions options_;
   trace::TripSink* const sink_;
 
-  /// Out-of-order arrivals awaiting their predecessors, keyed by seq.
-  /// Holds at most reorder_lag records (seqs in (next_expected_,
-  /// max_seq_], and the watermark caps that span at the lag).
-  std::map<int64_t, BufferedRecord> buffer_;
+  /// Out-of-order arrivals awaiting their predecessors: a ring whose
+  /// size is zero or a power of two, covering seqs [next_expected_,
+  /// next_expected_ + ring_.size()). Between arrivals it holds at most
+  /// reorder_lag records (seqs in (next_expected_, max_seq_], a span the
+  /// watermark caps at the lag), in at most bit_ceil(reorder_lag + 1)
+  /// slots.
+  std::vector<BufferedRecord> ring_;
+  int64_t buffered_ = 0;
   int64_t next_expected_ = 0;
   int64_t max_seq_ = -1;
   int64_t arrivals_ = 0;

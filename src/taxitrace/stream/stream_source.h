@@ -10,10 +10,17 @@
 // then perturbs the *arrival* order by a bounded displacement while
 // the seq values keep naming the canonical slots — exactly the
 // transport-reordering model a bounded-lag ingester must undo.
+//
+// Two primitives carry the hot path without copying records: CarRecords
+// names each canonical record by an 8-byte reference into the store and
+// materialises one StreamRecord on demand, and ArrivalOrder is the
+// shuffle as a permutation of seqs. BuildCarStream and ShuffleArrivals
+// are the materialising wrappers over them.
 
 #ifndef TAXITRACE_STREAM_STREAM_SOURCE_H_
 #define TAXITRACE_STREAM_STREAM_SOURCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +64,32 @@ struct CarStream {
   std::vector<StreamRecord> records;  ///< In arrival order.
 };
 
+/// One car's canonical stream as references into a store: record `seq`
+/// is (trip index, point index), the point index being kMarker for the
+/// trip's kTripBegin. The store must outlive the CarRecords and stay
+/// unmodified.
+class CarRecords {
+ public:
+  CarRecords(const trace::TraceStore& store, int car_id);
+
+  [[nodiscard]] int car_id() const { return car_id_; }
+  [[nodiscard]] size_t size() const { return refs_.size(); }
+
+  /// The canonical record with this seq, 0 <= seq < size().
+  [[nodiscard]] StreamRecord At(int64_t seq) const;
+
+ private:
+  static constexpr int32_t kMarker = -1;
+  struct Ref {
+    uint32_t trip = 0;  ///< Index into store.trips().
+    int32_t point = kMarker;
+  };
+
+  const std::vector<trace::Trip>* trips_;
+  int car_id_;
+  std::vector<Ref> refs_;
+};
+
 /// Builds the canonical arrival stream of one car from a store: its
 /// trips in store insertion order, each as a kTripBegin marker followed
 /// by its points, with seq numbering the records 0..n-1.
@@ -65,14 +98,21 @@ CarStream BuildCarStream(const trace::TraceStore& store, int car_id);
 /// Canonical streams for every car in the store, ascending car id.
 std::vector<CarStream> BuildCarStreams(const trace::TraceStore& store);
 
-/// Deterministically perturbs the arrival order so that no record lands
-/// more than `max_displacement` positions away from its canonical slot
-/// (each record's sort key is its position plus a uniform draw in
-/// [0, max_displacement]; keys within `max_displacement` of each other
-/// bound the displacement of a stable sort by `max_displacement`).
-/// `max_displacement <= 0` leaves the stream untouched. Equal seeds
-/// produce equal shuffles at any thread count — callers derive the seed
-/// per car via MixSeed.
+/// The arrival order of `n` canonical records: element k is the seq
+/// (canonical position) of the k-th arrival. No record lands more than
+/// `max_displacement` positions away from its canonical slot: each
+/// position's key is the position plus a uniform draw in
+/// [0, max_displacement], and records arrive in key order, ties in
+/// position order (keys within `max_displacement` of their positions
+/// bound the displacement of that stable order by `max_displacement`).
+/// `max_displacement <= 0` gives the identity. Equal seeds produce equal
+/// orders at any thread count — callers derive the seed per car via
+/// MixSeed. Requires n < 2^32.
+std::vector<uint32_t> ArrivalOrder(size_t n, uint64_t seed,
+                                   int64_t max_displacement);
+
+/// Reorders `records` into ArrivalOrder(records->size(), seed,
+/// max_displacement), moving each record once.
 void ShuffleArrivals(std::vector<StreamRecord>* records, uint64_t seed,
                      int64_t max_displacement);
 

@@ -247,6 +247,20 @@ TEST(IngestEquivalenceTest, LatencyBoundedByConfiguredLag) {
   EXPECT_GT(stream::IngestLatencyMax(s), 0);  // The shuffle did shuffle.
 }
 
+// A negative lag is a configuration error: the study reports it before
+// any simulation work instead of failing a check on a worker.
+TEST(IngestEquivalenceTest, NegativeReorderLagIsInvalidArgument) {
+  core::StudyConfig config = core::StudyConfig::SmallStudy();
+  config.stream_ingestion = true;
+  config.ingest.reorder_lag = -1;
+  for (const int threads : {0, 2}) {
+    config.num_threads = threads;
+    const auto run = core::Pipeline(config).Run();
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Direct IngestSession tests: the invariants the pipeline relies on.
 
