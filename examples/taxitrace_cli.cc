@@ -15,6 +15,10 @@
 //   taxitrace_cli serve [--bench] [--queries <n>] [--full]
 //                 [--bench-json <out.json>] [cars] [days]
 //
+// Numeric arguments are whole decimal integers in range (cars, days,
+// queries >= 1; lags and shuffle windows >= 0); anything else is a
+// usage error, exit code 2.
+//
 // `study` runs the end-to-end synthetic study (SmallStudy scale unless
 // cars/days are given) with observability enabled and prints the stage
 // funnel and span tree; --metrics-json additionally writes the full
@@ -38,7 +42,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "taxitrace/analysis/grid.h"
 #include "taxitrace/analysis/od_matrix.h"
@@ -73,10 +79,25 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// Parses a whole decimal integer argument into `*out`. False when the
+// text is malformed, the value does not fit T, or it is below `min`;
+// callers then exit with the usage code 2.
+template <typename T>
+bool ParseArg(const char* text, T* out,
+              T min = std::numeric_limits<T>::min()) {
+  const Result<int64_t> value = ParseInt64(text);
+  if (!value.ok() || !std::in_range<T>(*value) ||
+      static_cast<T>(*value) < min) {
+    return false;
+  }
+  *out = static_cast<T>(*value);
+  return true;
+}
+
 int GenerateMap(int argc, char** argv) {
   if (argc < 4) return 2;
   synth::CityMapOptions options;
-  if (argc > 4) options.seed = std::strtoull(argv[4], nullptr, 10);
+  if (argc > 4 && !ParseArg(argv[4], &options.seed)) return 2;
   const Result<synth::CityMap> map = synth::GenerateCityMap(options);
   if (!map.ok()) return Fail(map.status());
   Status st = roadnet::WriteElementsFile(argv[2], map->source_elements);
@@ -112,9 +133,11 @@ int Simulate(int argc, char** argv) {
   const Result<synth::CityMap> map = LoadMap(argv[2], argv[3]);
   if (!map.ok()) return Fail(map.status());
   synth::FleetOptions options;
-  if (argc > 5) options.num_cars = std::atoi(argv[5]);
-  if (argc > 6) options.num_days = std::atoi(argv[6]);
-  if (argc > 7) options.seed = std::strtoull(argv[7], nullptr, 10);
+  if ((argc > 5 && !ParseArg(argv[5], &options.num_cars, 1)) ||
+      (argc > 6 && !ParseArg(argv[6], &options.num_days, 1)) ||
+      (argc > 7 && !ParseArg(argv[7], &options.seed))) {
+    return 2;
+  }
   const synth::WeatherModel weather(options.seed + 1, options.num_days);
   const synth::FleetSimulator fleet(&*map, &weather, options);
   const Result<synth::FleetResult> result = fleet.Run();
@@ -157,8 +180,8 @@ int Match(int argc, char** argv) {
   const Result<std::vector<trace::Trip>> segments =
       trace::ReadTripsFile(argv[4]);
   if (!segments.ok()) return Fail(segments.status());
-  const size_t max_trips =
-      argc > 6 ? static_cast<size_t>(std::atoll(argv[6])) : 200;
+  size_t max_trips = 200;
+  if (argc > 6 && !ParseArg(argv[6], &max_trips)) return 2;
 
   const roadnet::SpatialIndex index(&map->network);
   const mapmatch::IncrementalMatcher matcher(&map->network, &index);
@@ -257,6 +280,17 @@ int Analyze(int argc, char** argv) {
   return 0;
 }
 
+// The optional [cars] [days] positionals of `study` and `serve`, each at
+// least 1; at most two positionals.
+bool ParseStudySize(const std::vector<const char*>& positional,
+                    core::StudyConfig* config) {
+  return positional.size() <= 2 &&
+         (positional.empty() ||
+          ParseArg(positional[0], &config->fleet.num_cars, 1)) &&
+         (positional.size() < 2 ||
+          ParseArg(positional[1], &config->fleet.num_days, 1));
+}
+
 int Study(int argc, char** argv) {
   const char* metrics_path = nullptr;
   bool stream_ingest = false;
@@ -270,11 +304,14 @@ int Study(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--stream-ingest") == 0) {
       stream_ingest = true;
     } else if (std::strcmp(argv[i], "--ingest-lag") == 0) {
-      if (i + 1 >= argc) return 2;
-      ingest_lag = std::atoll(argv[++i]);
+      if (i + 1 >= argc || !ParseArg(argv[++i], &ingest_lag, int64_t{0})) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--ingest-shuffle") == 0) {
-      if (i + 1 >= argc) return 2;
-      ingest_shuffle = std::atoll(argv[++i]);
+      if (i + 1 >= argc ||
+          !ParseArg(argv[++i], &ingest_shuffle, int64_t{0})) {
+        return 2;
+      }
     } else {
       positional.push_back(argv[i]);
     }
@@ -286,11 +323,7 @@ int Study(int argc, char** argv) {
   if (ingest_shuffle >= 0) {
     config.ingest.arrival_shuffle_window = ingest_shuffle;
   }
-  if (!positional.empty()) config.fleet.num_cars = std::atoi(positional[0]);
-  if (positional.size() > 1) {
-    config.fleet.num_days = std::atoi(positional[1]);
-  }
-  if (config.fleet.num_cars <= 0 || config.fleet.num_days <= 0) return 2;
+  if (!ParseStudySize(positional, &config)) return 2;
 
   const core::Pipeline pipeline(config);
   const Result<core::StudyResults> results = pipeline.Run();
@@ -343,8 +376,9 @@ int Serve(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
     } else if (std::strcmp(argv[i], "--queries") == 0) {
-      if (i + 1 >= argc) return 2;
-      queries = std::atoll(argv[++i]);
+      if (i + 1 >= argc || !ParseArg(argv[++i], &queries, int64_t{1})) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--bench-json") == 0) {
       if (i + 1 >= argc) return 2;
       bench_json = argv[++i];
@@ -354,14 +388,7 @@ int Serve(int argc, char** argv) {
   }
   core::StudyConfig config = full ? core::StudyConfig::FullStudy()
                                   : core::StudyConfig::SmallStudy();
-  if (!positional.empty()) config.fleet.num_cars = std::atoi(positional[0]);
-  if (positional.size() > 1) {
-    config.fleet.num_days = std::atoi(positional[1]);
-  }
-  if (config.fleet.num_cars <= 0 || config.fleet.num_days <= 0 ||
-      queries <= 0) {
-    return 2;
-  }
+  if (!ParseStudySize(positional, &config)) return 2;
   const char* smoke_env = std::getenv("TAXITRACE_BENCH_SMOKE");
   const bool smoke =
       smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';

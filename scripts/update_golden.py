@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the golden study digest (tests/golden/study_small.json).
+"""Regenerate the golden study files under tests/golden/.
 
-Builds the regression_test target and runs the golden-digest test with
-TAXITRACE_UPDATE_GOLDEN=1, which makes the test rewrite the golden file
-from the current pipeline output instead of comparing against it. Use
+Builds the regression_test target and runs the golden tests with
+TAXITRACE_UPDATE_GOLDEN=1, which makes them rewrite study_small.json
+(the StudyResults digest) and study_small_observability.json (funnel,
+counters and data histograms) from the current pipeline output instead
+of comparing against them. Use
 this only for an *intentional* behaviour change, and review the diff of
 the golden file like any other code change.
 
@@ -59,8 +61,8 @@ def main() -> int:
         env=env,
     )
 
-    golden = REPO_ROOT / "tests" / "golden" / "study_small.json"
-    print(f"regenerated {golden}")
+    golden = REPO_ROOT / "tests" / "golden"
+    print(f"regenerated the golden files in {golden}")
     print("review the diff before committing:")
     run(["git", "--no-pager", "diff", "--stat", str(golden)])
     return 0

@@ -71,7 +71,6 @@ void FoldTripCleanOutput(const TripCleanOutput& out,
 }
 
 void PublishCleaningMetrics(const CleaningReport& report,
-                            const std::vector<trace::Trip>& cleaned,
                             obs::MetricsRegistry* metrics) {
   metrics->counter("clean.raw_trips")->Add(report.raw_trips);
   metrics->counter("clean.raw_points")->Add(report.raw_points);
@@ -87,11 +86,39 @@ void PublishCleaningMetrics(const CleaningReport& report,
       ->Add(report.outliers.implied_speed_removed);
   metrics->counter("clean.segments_out")->Add(report.clean_segments);
   metrics->counter("clean.points_out")->Add(report.clean_points);
-  obs::HistogramMetric* seg_points =
-      metrics->histogram("clean.points_per_segment", 0.0, 400.0, 40);
-  for (const trace::Trip& t : cleaned) {
-    seg_points->Record(static_cast<double>(t.points.size()));
-  }
+}
+
+obs::HistogramMetric* PointsPerSegmentHistogram(
+    obs::MetricsRegistry* metrics) {
+  return metrics->histogram("clean.points_per_segment", 0.0, 400.0, 40);
+}
+
+void AddCleaningFunnelRows(const CleaningReport& report,
+                           obs::FunnelLedger* funnel) {
+  const fault::FaultReport& faults = report.faults;
+  funnel
+      ->AddStage("trips.cleaning", "trips", report.raw_trips,
+                 report.segmentation.trips_in)
+      .Drop("empty", faults.trips_dropped_empty);
+  funnel
+      ->AddStage("points.sanitize", "points", report.raw_points,
+                 report.points_after_sanitize)
+      .Drop("nonfinite", faults.points_dropped_nonfinite)
+      .Drop("foreign_trip", faults.points_dropped_foreign)
+      .Drop("negative_speed", faults.points_dropped_negative_speed)
+      .Drop("out_of_region", faults.points_dropped_out_of_region)
+      .Drop("clock_jump", faults.points_dropped_clock_jump);
+  funnel
+      ->AddStage("points.outlier_filter", "points",
+                 report.points_after_sanitize, report.points_after_outliers)
+      .Drop("duplicate", report.outliers.duplicates_removed)
+      .Drop("spike", report.outliers.spikes_removed)
+      .Drop("implied_speed", report.outliers.implied_speed_removed);
+  funnel
+      ->AddStage("segments.filter", "segments",
+                 report.segmentation.segments_out, report.filter.kept)
+      .Drop("too_few_points", report.filter.removed_too_few_points)
+      .Drop("too_long", report.filter.removed_too_long);
 }
 
 Result<std::vector<trace::Trip>> CleanTrips(const trace::TraceStore& store,
@@ -126,7 +153,11 @@ Result<std::vector<trace::Trip>> CleanTrips(const trace::TraceStore& store,
     local.clean_points += static_cast<int64_t>(t.points.size());
   }
   if (metrics != nullptr) {
-    PublishCleaningMetrics(local, cleaned, metrics);
+    PublishCleaningMetrics(local, metrics);
+    obs::HistogramMetric* seg_points = PointsPerSegmentHistogram(metrics);
+    for (const trace::Trip& t : cleaned) {
+      seg_points->Record(static_cast<double>(t.points.size()));
+    }
   }
   if (report != nullptr) *report = local;
   return cleaned;

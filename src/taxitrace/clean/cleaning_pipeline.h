@@ -13,6 +13,7 @@
 #include "taxitrace/clean/trip_filter.h"
 #include "taxitrace/common/result.h"
 #include "taxitrace/fault/fault_report.h"
+#include "taxitrace/obs/funnel.h"
 #include "taxitrace/obs/metrics.h"
 #include "taxitrace/trace/trace_store.h"
 
@@ -63,7 +64,7 @@ struct CleaningReport {
 /// per-stage counter deltas. Deltas are summed (all counters are plain
 /// integers) and segments concatenated in raw-trip order, which
 /// reproduces the serial pipeline's output exactly — the contract both
-/// CleanTrips and the streaming pipeline build on.
+/// CleanTrips and the pipeline's fused per-trip unit build on.
 struct TripCleanOutput {
   std::vector<trace::Trip> segments;
   int64_t points_after_sanitize = 0;
@@ -93,11 +94,20 @@ TripCleanOutput CleanOneTrip(trace::Trip raw, const CleaningOptions& options);
 /// and the clean_* totals are the caller's; segments are untouched).
 void FoldTripCleanOutput(const TripCleanOutput& out, CleaningReport* report);
 
-/// Publishes a merged report and the cleaned segments as `clean.*`
-/// counters plus the points-per-segment histogram.
+/// Publishes a merged report as `clean.*` counters.
 void PublishCleaningMetrics(const CleaningReport& report,
-                            const std::vector<trace::Trip>& cleaned,
                             obs::MetricsRegistry* metrics);
+
+/// The `clean.points_per_segment` histogram of `metrics`, created on
+/// first use; each cleaned segment's point count is recorded in it.
+obs::HistogramMetric* PointsPerSegmentHistogram(
+    obs::MetricsRegistry* metrics);
+
+/// Appends the cleaning funnel rows of a merged report to `funnel`:
+/// `trips.cleaning`, `points.sanitize`, `points.outlier_filter` and
+/// `segments.filter`, every drop named.
+void AddCleaningFunnelRows(const CleaningReport& report,
+                           obs::FunnelLedger* funnel);
 
 /// Runs the pipeline over all trips of a store and returns the cleaned
 /// trip segments.

@@ -11,6 +11,7 @@ namespace core {
 SegmentMatchOutput MatchSegment(const trace::Trip& segment,
                                 const SegmentMatchContext& context) {
   SegmentMatchOutput out;
+  out.segment_points = static_cast<int64_t>(segment.points.size());
   // One route memo per cleaned segment, shared by all its matched
   // transitions and never by other segments.
   mapmatch::RouteCache route_cache(context.route_cache_capacity);
@@ -90,14 +91,53 @@ SegmentMatchOutput MatchSegment(const trace::Trip& segment,
   return out;
 }
 
+void AddMatchCounts(const SegmentMatchOutput& segment,
+                    SegmentMatchOutput* totals) {
+  totals->filtered_cleaned += segment.filtered_cleaned;
+  totals->transitions_total += segment.transitions_total;
+  totals->transitions_central += segment.transitions_central;
+  totals->post_filtered += segment.post_filtered;
+  totals->transitions_examined += segment.transitions_examined;
+  totals->dropped_direction += segment.dropped_direction;
+  totals->dropped_outside_central += segment.dropped_outside_central;
+  totals->dropped_match_failed += segment.dropped_match_failed;
+  totals->dropped_unknown_gate += segment.dropped_unknown_gate;
+  totals->dropped_endpoint_filter += segment.dropped_endpoint_filter;
+  totals->cache_hits += segment.cache_hits;
+  totals->cache_misses += segment.cache_misses;
+  totals->cache_evictions += segment.cache_evictions;
+}
+
+void AddSelectionFunnelRows(const SegmentMatchOutput& totals,
+                            int64_t segments, obs::FunnelLedger* funnel) {
+  funnel
+      ->AddStage("segments.gate_selection", "segments", segments,
+                 totals.filtered_cleaned)
+      .Drop("no_gate_crossing", segments - totals.filtered_cleaned);
+  funnel
+      ->AddStage("transitions.selection", "transitions",
+                 totals.transitions_examined, totals.post_filtered)
+      .Drop("direction_not_selected", totals.dropped_direction)
+      .Drop("outside_central_area", totals.dropped_outside_central)
+      .Drop("match_failed", totals.dropped_match_failed)
+      .Drop("unknown_gate", totals.dropped_unknown_gate)
+      .Drop("endpoint_filter", totals.dropped_endpoint_filter);
+}
+
 TripMatchOutput CleanAndMatchTrip(trace::Trip raw,
                                   const clean::CleaningOptions& cleaning,
                                   const SegmentMatchContext& context) {
   TripMatchOutput out;
   out.trip_id = raw.trip_id;
+  out.car_id = raw.car_id;
+  out.raw_points = static_cast<int64_t>(raw.points.size());
   out.clean = clean::CleanOneTrip(std::move(raw), cleaning);
-  out.matches.reserve(out.clean.segments.size());
-  for (const trace::Trip& segment : out.clean.segments) {
+  // The segments die at return, here on the worker, so no cleaned trace
+  // point outlives its trip's matching.
+  const std::vector<trace::Trip> segments =
+      std::exchange(out.clean.segments, {});
+  out.matches.reserve(segments.size());
+  for (const trace::Trip& segment : segments) {
     out.matches.push_back(MatchSegment(segment, context));
   }
   return out;

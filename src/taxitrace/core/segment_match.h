@@ -1,12 +1,11 @@
-// The per-segment selection + matching unit of work, shared by the
-// batch pipeline's ParallelFor over cleaned segments and the fused
-// per-trip unit (CleanAndMatchTrip) that the streamed simulation and
-// the online ingestion path run on their workers. One cleaned segment
-// in, one SegmentMatchOutput out; all inputs are shared read-only
-// machinery, every counter lands in exactly one bucket, and the
-// per-segment route cache lives and dies inside the call — which is
-// what makes the outputs foldable in any caller-chosen deterministic
-// order and every path byte-identical.
+// The study's unit of work. MatchSegment selects and matches one
+// cleaned segment; CleanAndMatchTrip, the fused per-trip unit every
+// pipeline source runs on its workers, cleans one raw trip and matches
+// each surviving segment. All inputs are shared read-only machinery,
+// every counter lands in exactly one bucket, and the per-segment route
+// cache lives and dies inside the call — which is what makes the
+// outputs foldable in any caller-chosen deterministic order and every
+// source byte-identical.
 
 #ifndef TAXITRACE_CORE_SEGMENT_MATCH_H_
 #define TAXITRACE_CORE_SEGMENT_MATCH_H_
@@ -21,6 +20,7 @@
 #include "taxitrace/geo/coordinates.h"
 #include "taxitrace/mapattr/attribute_fetcher.h"
 #include "taxitrace/mapmatch/incremental_matcher.h"
+#include "taxitrace/obs/funnel.h"
 #include "taxitrace/odselect/od_gate.h"
 #include "taxitrace/odselect/transition_extractor.h"
 #include "taxitrace/odselect/transition_filter.h"
@@ -41,6 +41,7 @@ struct MatchedTransition {
 /// transition lands in exactly one bucket, so
 /// transitions_examined == post_filtered + the five drop counters.
 struct SegmentMatchOutput {
+  int64_t segment_points = 0;  ///< Points of the cleaned segment.
   int64_t filtered_cleaned = 0;
   int64_t transitions_total = 0;
   int64_t transitions_central = 0;
@@ -85,18 +86,32 @@ struct SegmentMatchContext {
 SegmentMatchOutput MatchSegment(const trace::Trip& segment,
                                 const SegmentMatchContext& context);
 
-/// One raw trip through the fused per-trip unit: its cleaning output
+/// Adds the funnel and cache counters of `segment` into `totals`.
+void AddMatchCounts(const SegmentMatchOutput& segment,
+                    SegmentMatchOutput* totals);
+
+/// Appends the selection funnel rows to `funnel`: `segments.gate_selection`
+/// over `segments` cleaned segments and `transitions.selection`, from
+/// the fleet-wide `totals` of AddMatchCounts.
+void AddSelectionFunnelRows(const SegmentMatchOutput& totals,
+                            int64_t segments, obs::FunnelLedger* funnel);
+
+/// One raw trip through the fused per-trip unit: its cleaning counters
 /// plus one SegmentMatchOutput per surviving segment, in segment order.
+/// The segments themselves are gone (`clean.segments` is empty): each
+/// one's point count is all the fold needs of it.
 struct TripMatchOutput {
   int64_t trip_id = 0;  ///< The raw trip's id.
+  int car_id = 0;       ///< The raw trip's car, shared by its segments.
+  int64_t raw_points = 0;  ///< The raw trip's point count.
   clean::TripCleanOutput clean;
   std::vector<SegmentMatchOutput> matches;
 };
 
-/// Cleans one raw trip (clean::CleanOneTrip) and runs MatchSegment on
-/// every segment that survives. Thread-safe given the context contract
-/// above; folding the outputs in raw-trip order reproduces the batch
-/// stages exactly.
+/// Cleans one raw trip (clean::CleanOneTrip), runs MatchSegment on every
+/// segment that survives, and frees the segments on the calling worker.
+/// Thread-safe given the context contract above; folding the outputs in
+/// raw-trip order gives the same results from every source.
 TripMatchOutput CleanAndMatchTrip(trace::Trip raw,
                                   const clean::CleaningOptions& cleaning,
                                   const SegmentMatchContext& context);

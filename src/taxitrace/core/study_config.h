@@ -44,19 +44,14 @@ struct StudyConfig {
   /// funnel, empty StudyResults::observability).
   obs::ObservabilityOptions observability;
 
-  /// Chain simulation -> cleaning -> matching per raw trip instead of
-  /// materialising the whole raw trace store first. Each simulated
-  /// (car, day) shard is cleaned and matched on the worker that
-  /// simulated it, and only the surviving segments and their matches
-  /// are kept, folded in (car, day, trip) order, so peak memory is
-  /// bounded by per-(car, day) state rather than the campaign's full
-  /// point count — what makes 1000-car studies fit. StudyResults are
-  /// byte-identical to the in-memory path at any worker count; only
-  /// StageTimings shift (cleaning and matching work lands inside the
-  /// simulation span). When a
-  /// FaultPlan is active the pipeline falls back to the in-memory path:
-  /// file-level faults corrupt one CSV view of the whole store, which
-  /// has no per-trip equivalent.
+  /// Clean and match each simulated (car, day) shard on the worker that
+  /// simulated it instead of materialising the raw trace store first,
+  /// so peak memory is bounded by per-shard state rather than the
+  /// campaign's point count — what makes 1000-car studies fit.
+  /// StudyResults are byte-identical to the in-memory path at any
+  /// worker count; only StageTimings shift (the work lands in the
+  /// simulation span). An active FaultPlan falls back to the in-memory
+  /// path: file-level faults corrupt one CSV view of the whole store.
   bool stream_simulation = false;
 
   /// Online ingestion: rebuild each car's raw trace as an arrival

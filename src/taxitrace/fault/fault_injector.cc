@@ -1,11 +1,13 @@
 #include "taxitrace/fault/fault_injector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "taxitrace/common/random.h"
 #include "taxitrace/common/strings.h"
+#include "taxitrace/trace/trace_io.h"
 
 namespace taxitrace {
 namespace fault {
@@ -154,6 +156,56 @@ Result<trace::TraceStore> RebuildStoreDroppingDuplicates(
     return status;
   }
   return store;
+}
+
+Result<RegionGate> ApplyFaultPlan(const FaultPlan& plan,
+                                  const geo::Bbox& network_bounds,
+                                  const geo::LocalProjection& projection,
+                                  trace::TraceStore* store,
+                                  FaultReport* report,
+                                  obs::FunnelLedger* funnel) {
+  const FaultInjector injector(plan);
+  std::vector<trace::Trip> trips = store->trips();
+  injector.CorruptTrips(&trips, report);
+  if (plan.AnyFileFaults()) {
+    trace::TraceIoStats io_stats;
+    const std::string csv =
+        injector.CorruptCsv(trace::TripsToCsv(trips), report);
+    TAXITRACE_ASSIGN_OR_RETURN(trips,
+                               trace::TripsFromCsvLenient(csv, &io_stats));
+    report->rows_dropped_malformed += io_stats.rows_dropped_malformed;
+    report->rows_dropped_non_utf8 += io_stats.rows_dropped_non_utf8;
+    if (funnel != nullptr) {
+      funnel
+          ->AddStage("rows.csv_lenient_parse", "rows", io_stats.rows_total,
+                     io_stats.rows_total - io_stats.rows_dropped_malformed -
+                         io_stats.rows_dropped_non_utf8)
+          .Drop("malformed", io_stats.rows_dropped_malformed)
+          .Drop("non_utf8", io_stats.rows_dropped_non_utf8);
+    }
+  }
+  const int64_t trips_before_rebuild = static_cast<int64_t>(trips.size());
+  TAXITRACE_ASSIGN_OR_RETURN(
+      *store, RebuildStoreDroppingDuplicates(std::move(trips), report));
+  const int64_t trips_after_rebuild = static_cast<int64_t>(store->NumTrips());
+  if (funnel != nullptr) {
+    funnel
+        ->AddStage("trips.store_rebuild", "trips", trips_before_rebuild,
+                   trips_after_rebuild)
+        .Drop("duplicate_id", trips_before_rebuild - trips_after_rebuild);
+  }
+
+  const geo::Bbox box = network_bounds.Inflated(5000.0);
+  const geo::LatLon lo =
+      projection.Inverse(geo::EnPoint{box.min_x, box.min_y});
+  const geo::LatLon hi =
+      projection.Inverse(geo::EnPoint{box.max_x, box.max_y});
+  RegionGate gate;
+  gate.lat_min_deg = std::min(lo.lat_deg, hi.lat_deg);
+  gate.lat_max_deg = std::max(lo.lat_deg, hi.lat_deg);
+  gate.lon_min_deg = std::min(lo.lon_deg, hi.lon_deg);
+  gate.lon_max_deg = std::max(lo.lon_deg, hi.lon_deg);
+  return gate;
 }
 
 }  // namespace fault

@@ -11,7 +11,8 @@
 //
 // The helpers at the bottom are the graceful counterparts on the
 // consuming side: rebuilding a TraceStore while counting (instead of
-// aborting on) duplicate trip ids.
+// aborting on) duplicate trip ids, and ApplyFaultPlan, the whole plan
+// as one transform of a simulated store.
 
 #ifndef TAXITRACE_FAULT_FAULT_INJECTOR_H_
 #define TAXITRACE_FAULT_FAULT_INJECTOR_H_
@@ -22,6 +23,9 @@
 #include "taxitrace/common/result.h"
 #include "taxitrace/fault/fault_plan.h"
 #include "taxitrace/fault/fault_report.h"
+#include "taxitrace/geo/coordinates.h"
+#include "taxitrace/geo/geometry.h"
+#include "taxitrace/obs/funnel.h"
 #include "taxitrace/trace/trace_store.h"
 #include "taxitrace/trace/trip.h"
 
@@ -48,8 +52,6 @@ class FaultInjector {
   [[nodiscard]] std::string CorruptCsv(const std::string& csv,
                                        FaultReport* report) const;
 
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
  private:
   FaultPlan plan_;
 };
@@ -59,6 +61,29 @@ class FaultInjector {
 /// failing. Any other store error propagates.
 Result<trace::TraceStore> RebuildStoreDroppingDuplicates(
     std::vector<trace::Trip> trips, FaultReport* report);
+
+/// The lat/lon box outside which the cleaning sanitiser drops a fix.
+struct RegionGate {
+  double lat_min_deg = 0.0;
+  double lat_max_deg = 0.0;
+  double lon_min_deg = 0.0;
+  double lon_max_deg = 0.0;
+};
+
+/// Applies `plan` to a store in place: corrupts its trips, round-trips
+/// them through a corrupted CSV and the lenient reader on file-level
+/// faults, and rebuilds the store dropping duplicate ids. Injections
+/// and drops add to `report`; a non-null `funnel` gets the
+/// `rows.csv_lenient_parse` and `trips.store_rebuild` rows. Returns the
+/// sanitiser's region gate: `network_bounds` (metres under `projection`)
+/// inflated by 5 km, far beyond GPS scatter (outliers jump ~450 m), so
+/// only wild fixes such as swapped coordinates fall outside.
+Result<RegionGate> ApplyFaultPlan(const FaultPlan& plan,
+                                  const geo::Bbox& network_bounds,
+                                  const geo::LocalProjection& projection,
+                                  trace::TraceStore* store,
+                                  FaultReport* report,
+                                  obs::FunnelLedger* funnel);
 
 }  // namespace fault
 }  // namespace taxitrace

@@ -6,14 +6,15 @@
 namespace taxitrace {
 namespace obs {
 
-void FunnelStage::Drop(const std::string& reason, int64_t count) {
+FunnelStage& FunnelStage::Drop(const std::string& reason, int64_t count) {
   for (FunnelDrop& d : drops) {
     if (d.reason == reason) {
       d.count += count;
-      return;
+      return *this;
     }
   }
   drops.push_back(FunnelDrop{reason, count});
+  return *this;
 }
 
 int64_t FunnelStage::TotalDropped() const {
@@ -22,9 +23,11 @@ int64_t FunnelStage::TotalDropped() const {
   return total;
 }
 
-FunnelStage& FunnelLedger::AddStage(std::string name, std::string unit) {
+FunnelStage& FunnelLedger::AddStage(std::string name, std::string unit,
+                                    int64_t in, int64_t out) {
   TT_CHECK(Find(name) == nullptr);
-  stages_.push_back(FunnelStage{std::move(name), std::move(unit), 0, 0, {}});
+  stages_.push_back(
+      FunnelStage{std::move(name), std::move(unit), in, out, {}});
   return stages_.back();
 }
 

@@ -41,8 +41,9 @@ struct FunnelStage {
   std::vector<FunnelDrop> drops;  ///< In report order.
 
   /// Accumulates `count` into the drop entry for `reason` (created on
-  /// first use, preserving report order).
-  void Drop(const std::string& reason, int64_t count);
+  /// first use, preserving report order). Returns this stage, so drops
+  /// chain.
+  FunnelStage& Drop(const std::string& reason, int64_t count);
 
   [[nodiscard]] int64_t TotalDropped() const;
 
@@ -52,9 +53,10 @@ struct FunnelStage {
 /// Ordered list of funnel stages for one study run.
 class FunnelLedger {
  public:
-  /// Appends a stage and returns it for filling. Stage names must be
-  /// unique (TT_CHECK'd).
-  FunnelStage& AddStage(std::string name, std::string unit);
+  /// Appends a stage with its in and out counts and returns it for the
+  /// drops. Stage names must be unique (TT_CHECK'd).
+  FunnelStage& AddStage(std::string name, std::string unit, int64_t in = 0,
+                        int64_t out = 0);
 
   /// The stage named `name`, or nullptr.
   [[nodiscard]] const FunnelStage* Find(const std::string& name) const;

@@ -248,11 +248,11 @@ Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
     metrics->gauge("serve.replay.p99_us")->Set(result.p99_us);
   }
   if (funnel != nullptr) {
-    obs::FunnelStage& stage = funnel->AddStage("serve.queries", "queries");
-    stage.in = result.stats.offered;
-    stage.out = result.stats.answered;
-    stage.Drop("out_of_bounds", result.stats.out_of_bounds);
-    stage.Drop("empty_cell", result.stats.empty_cell);
+    funnel
+        ->AddStage("serve.queries", "queries", result.stats.offered,
+                   result.stats.answered)
+        .Drop("out_of_bounds", result.stats.out_of_bounds)
+        .Drop("empty_cell", result.stats.empty_cell);
     TAXITRACE_RETURN_IF_ERROR(funnel->CheckReconciles());
   }
   return result;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "taxitrace/common/check.h"
+#include "taxitrace/common/random.h"
 #include "taxitrace/common/strings.h"
 
 namespace taxitrace {
@@ -225,6 +226,47 @@ Status IngestSession::FinishStream() {
     TAXITRACE_RETURN_IF_ERROR(Step());
   }
   return CloseWindow();
+}
+
+Result<IngestStats> ReplayCarStream(const trace::TraceStore& store,
+                                    int car_id, const IngestOptions& options,
+                                    trace::TripSink* sink) {
+  const CarRecords records(store, car_id);
+  const std::vector<uint32_t> arrival_order = ArrivalOrder(
+      records.size(),
+      MixSeed(options.arrival_shuffle_seed, static_cast<uint64_t>(car_id), 0),
+      options.arrival_shuffle_window);
+  IngestSession session(car_id, options, sink);
+  for (const uint32_t seq : arrival_order) {
+    TAXITRACE_RETURN_IF_ERROR(session.Ingest(records.At(seq)));
+  }
+  TAXITRACE_RETURN_IF_ERROR(session.FinishStream());
+  return session.stats();
+}
+
+void PublishIngestMetrics(const IngestStats& stats, obs::FunnelLedger* funnel,
+                          obs::MetricsRegistry* metrics) {
+  funnel
+      ->AddStage("points.ingested", "points", stats.points_offered,
+                 stats.points_released)
+      .Drop("late_arrival", stats.points_dropped_late);
+  funnel
+      ->AddStage("windows.closed", "windows",
+                 stats.trip_markers_offered + stats.windows_opened_implicit,
+                 stats.windows_closed)
+      .Drop("marker_late_arrival", stats.trip_markers_dropped_late);
+  metrics->counter("stream.points_ingested")->Add(stats.points_released);
+  metrics->counter("stream.points_dropped_late")
+      ->Add(stats.points_dropped_late);
+  metrics->counter("stream.windows_closed")->Add(stats.windows_closed);
+  metrics->counter("stream.windows_opened_implicit")
+      ->Add(stats.windows_opened_implicit);
+  metrics->counter("stream.slots_declared_lost")
+      ->Add(stats.slots_declared_lost);
+  // Deterministic too (a max of per-car deterministic values), but a
+  // high-water mark is a level, not a flow — hence a gauge.
+  metrics->gauge("stream.peak_buffered_records")
+      ->Set(static_cast<double>(stats.peak_buffered_records));
 }
 
 }  // namespace stream

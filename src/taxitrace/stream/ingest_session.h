@@ -37,7 +37,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "taxitrace/common/result.h"
 #include "taxitrace/common/status.h"
+#include "taxitrace/obs/funnel.h"
+#include "taxitrace/obs/metrics.h"
 #include "taxitrace/stream/stream_source.h"
 #include "taxitrace/trace/trip.h"
 #include "taxitrace/trace/trip_sink.h"
@@ -188,6 +191,19 @@ class IngestSession {
 
   IngestStats stats_;
 };
+
+/// Replays car `car_id`'s trips in `store` through one IngestSession
+/// feeding `sink`: its CarRecords in ArrivalOrder, seeded per car from
+/// `options.arrival_shuffle_seed`. Returns the session's stats.
+Result<IngestStats> ReplayCarStream(const trace::TraceStore& store,
+                                    int car_id, const IngestOptions& options,
+                                    trace::TripSink* sink);
+
+/// Appends the `points.ingested` and `windows.closed` funnel rows to
+/// `funnel` (every offered record is released or a counted late drop)
+/// and publishes `stats` as `stream.*` counters in `metrics`.
+void PublishIngestMetrics(const IngestStats& stats, obs::FunnelLedger* funnel,
+                          obs::MetricsRegistry* metrics);
 
 }  // namespace stream
 }  // namespace taxitrace

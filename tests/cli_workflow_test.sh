@@ -34,6 +34,29 @@ test -s metrics.json
 grep -q '"funnel"' metrics.json
 grep -q '"counters"' metrics.json
 
+# Malformed or out-of-range numbers are usage errors (exit code 2), never
+# silently read as 0 or ignored.
+expect_usage_error() {
+  local rc=0
+  "$CLI" "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "expected exit code 2, got $rc: $*" >&2
+    exit 1
+  fi
+}
+expect_usage_error study --stream-ingest --ingest-lag x 1 1
+expect_usage_error study --stream-ingest --ingest-lag -5 1 1
+expect_usage_error study --ingest-shuffle 3x 1 1
+expect_usage_error study 2 seven
+expect_usage_error study 0 7
+expect_usage_error study 99999999999 7
+expect_usage_error simulate elements.csv features.csv t.csv 1 3 -9
+expect_usage_error simulate elements.csv features.csv t.csv 4294967297 3
+expect_usage_error simulate elements.csv features.csv t.csv 1 3 99999999999999999999
+expect_usage_error serve --queries abc 1 1
+expect_usage_error serve --queries 0 1 1
+expect_usage_error serve 1 1.5
+
 # Unknown commands fail cleanly.
 if "$CLI" frobnicate 2>/dev/null; then
   echo "expected failure for unknown command" >&2

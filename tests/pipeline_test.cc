@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "taxitrace/common/strings.h"
@@ -120,6 +121,21 @@ TEST(PipelineTest, SeasonalAggregatesConsistent) {
   EXPECT_EQ(n, r.total_point_speeds);
   EXPECT_GT(r.overall_mean_speed_kmh, 10.0);
   EXPECT_LT(r.overall_mean_speed_kmh, 45.0);
+}
+
+// A grid cell size that is not a finite positive length is a
+// configuration error, reported before any map or simulation work; the
+// grid would otherwise cast an infinite cell coordinate to an integer.
+TEST(PipelineTest, NonPositiveOrNonFiniteGridCellIsInvalidArgument) {
+  for (const double cell_m :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    StudyConfig config = StudyConfig::SmallStudy();
+    config.grid_cell_m = cell_m;
+    const auto run = Pipeline(config).Run();
+    ASSERT_FALSE(run.ok()) << cell_m;
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  }
 }
 
 TEST(PipelineTest, DeterministicAcrossRuns) {

@@ -13,6 +13,7 @@
 #include "taxitrace/analysis/route_stats.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/core/reports.h"
+#include "taxitrace/fault/fault_plan.h"
 
 namespace taxitrace {
 namespace core {
@@ -167,6 +168,108 @@ TEST(GoldenDigestTest, SmallStudyDigestMatchesGolden) {
   EXPECT_EQ(golden.str(), digest)
       << "study digest drifted from tests/golden/study_small.json; if the "
          "change is intended, regenerate with scripts/update_golden.py";
+}
+
+// The deterministic half of the observability snapshot as JSON: every
+// funnel row (in, out, each named drop), every counter, and the bin
+// counts of the two data histograms. Gauges and spans are observations
+// of the run and stay out.
+std::string ObservabilityDigest(const obs::StudySnapshot& snapshot) {
+  std::ostringstream out;
+  out << "    \"funnel\": [\n";
+  const std::vector<obs::FunnelStage>& stages = snapshot.funnel.stages();
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const obs::FunnelStage& s = stages[i];
+    out << "      {\"name\": \"" << s.name << "\", \"unit\": \"" << s.unit
+        << "\", \"in\": " << s.in << ", \"out\": " << s.out
+        << ", \"drops\": {";
+    for (size_t d = 0; d < s.drops.size(); ++d) {
+      out << (d > 0 ? ", " : "") << "\"" << s.drops[d].reason
+          << "\": " << s.drops[d].count;
+    }
+    out << "}}" << (i + 1 < stages.size() ? "," : "") << "\n";
+  }
+  out << "    ],\n    \"counters\": {\n";
+  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
+    out << "      \"" << snapshot.counters[i].name
+        << "\": " << snapshot.counters[i].value
+        << (i + 1 < snapshot.counters.size() ? "," : "") << "\n";
+  }
+  out << "    },\n    \"histograms\": {";
+  bool first = true;
+  for (const obs::HistogramSample& h : snapshot.histograms) {
+    if (h.name != "clean.points_per_segment" &&
+        h.name != "analysis.point_speed_kmh") {
+      continue;
+    }
+    out << (first ? "\n" : ",\n") << "      \"" << h.name
+        << "\": {\"total\": " << h.total << ", \"nonfinite\": "
+        << h.nonfinite << ", \"counts\": [";
+    for (size_t b = 0; b < h.counts.size(); ++b) {
+      out << (b > 0 ? ", " : "") << h.counts[b];
+    }
+    out << "]}";
+    first = false;
+  }
+  out << "\n    }";
+  return out.str();
+}
+
+// Golden observability snapshot of the SmallStudy: batch, streamed,
+// fault-injected (uniform 2%) and online-ingest runs. The digest above
+// pins StudyResults; this pins the funnel ledger, the counters and the
+// data histograms, which the equivalence tests only compare across
+// modes and worker counts. Regenerated with the digest by
+// scripts/update_golden.py.
+TEST(GoldenDigestTest, SmallStudyObservabilityMatchesGolden) {
+  struct Mode {
+    const char* name;
+    StudyConfig config;
+  };
+  std::vector<Mode> modes;
+  modes.push_back({"batch", StudyConfig::SmallStudy()});
+  modes.push_back({"streamed", StudyConfig::SmallStudy()});
+  modes.back().config.stream_simulation = true;
+  modes.push_back({"faults_uniform_0.02", StudyConfig::SmallStudy()});
+  modes.back().config.faults = fault::FaultPlan::Uniform(0.02);
+  modes.push_back({"stream_ingest", StudyConfig::SmallStudy()});
+  modes.back().config.stream_ingestion = true;
+  modes.back().config.ingest.reorder_lag = 64;
+  modes.back().config.ingest.arrival_shuffle_window = 32;
+
+  std::ostringstream digest;
+  digest << "{\n";
+  for (size_t m = 0; m < modes.size(); ++m) {
+    StudyConfig config = modes[m].config;
+    config.num_threads = 2;
+    config.observability.enabled = true;
+    auto run = Pipeline(config).Run();
+    ASSERT_TRUE(run.ok()) << modes[m].name << ": " << run.status().ToString();
+    digest << "  \"" << modes[m].name << "\": {\n"
+           << ObservabilityDigest(run->observability) << "\n  }"
+           << (m + 1 < modes.size() ? "," : "") << "\n";
+  }
+  digest << "}\n";
+
+  const std::string path =
+      std::string(TAXITRACE_GOLDEN_DIR) + "/study_small_observability.json";
+  if (std::getenv("TAXITRACE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << digest.str();
+    ASSERT_TRUE(out.good()) << "write failed: " << path;
+    GTEST_SKIP() << "golden regenerated: " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " — regenerate with scripts/update_golden.py";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(golden.str(), digest.str())
+      << "observability snapshot drifted from "
+         "tests/golden/study_small_observability.json; if the change is "
+         "intended, regenerate with scripts/update_golden.py";
 }
 
 }  // namespace
