@@ -426,6 +426,7 @@ Result<StudyResults> Pipeline::Run() const {
           idx.empty_geometry_edges);
     const roadnet::RouterStats rt = matcher.gap_filler().router().stats();
     count("roadnet.router.searches", rt.searches);
+    count("roadnet.router.direct_connections", rt.direct_connections);
     count("roadnet.router.heap_pops", rt.heap_pops);
     count("roadnet.router.settled_vertices", rt.settled_vertices);
     count("roadnet.router.goal_directed_searches", rt.goal_directed_searches);

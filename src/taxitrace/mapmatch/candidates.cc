@@ -38,11 +38,22 @@ std::vector<MatchCandidate> FindCandidates(
     const roadnet::SpatialIndex& index, const geo::EnPoint& point,
     double movement_heading_rad, bool has_heading,
     const ScoreOptions& options) {
-  const std::vector<roadnet::EdgeCandidate> nearby =
-      index.Nearby(point, options.search_radius_m);
+  std::vector<roadnet::EdgeCandidate> nearby;
   std::vector<MatchCandidate> out;
-  out.reserve(nearby.size());
-  for (const roadnet::EdgeCandidate& cand : nearby) {
+  FindCandidates(index, point, movement_heading_rad, has_heading, options,
+                 &nearby, &out);
+  return out;
+}
+
+void FindCandidates(const roadnet::SpatialIndex& index,
+                    const geo::EnPoint& point, double movement_heading_rad,
+                    bool has_heading, const ScoreOptions& options,
+                    std::vector<roadnet::EdgeCandidate>* nearby,
+                    std::vector<MatchCandidate>* out) {
+  index.Nearby(point, options.search_radius_m, nearby);
+  out->clear();
+  out->reserve(nearby->size());
+  for (const roadnet::EdgeCandidate& cand : *nearby) {
     MatchCandidate mc;
     mc.edge = cand.edge;
     mc.projection = cand.projection;
@@ -51,13 +62,12 @@ std::vector<MatchCandidate> FindCandidates(
         HeadingScore(movement_heading_rad, has_heading,
                      index.network().edge(cand.edge),
                      cand.projection.segment_index, options);
-    out.push_back(mc);
+    out->push_back(mc);
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out->begin(), out->end(),
             [](const MatchCandidate& a, const MatchCandidate& b) {
               return a.TotalScore() > b.TotalScore();
             });
-  return out;
 }
 
 }  // namespace mapmatch

@@ -53,6 +53,15 @@ std::vector<MatchCandidate> FindCandidates(
     double movement_heading_rad, bool has_heading,
     const ScoreOptions& options);
 
+/// Same as above, written into `*out` (cleared first); `*nearby` is
+/// scratch for the index query. Reusing both across a trip's points
+/// keeps the per-point search free of allocations.
+void FindCandidates(const roadnet::SpatialIndex& index,
+                    const geo::EnPoint& point, double movement_heading_rad,
+                    bool has_heading, const ScoreOptions& options,
+                    std::vector<roadnet::EdgeCandidate>* nearby,
+                    std::vector<MatchCandidate>* out);
+
 }  // namespace mapmatch
 }  // namespace taxitrace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 
 namespace taxitrace {
@@ -99,10 +100,13 @@ Result<MatchedRoute> IncrementalMatcher::Match(const trace::Trip& trip,
   roadnet::EdgePosition current{};
   geo::EnPoint current_pt{};
 
+  // Reused across the trip's points, so candidate search allocates
+  // nothing once they have grown to the largest candidate set.
+  std::vector<roadnet::EdgeCandidate> nearby;
+  std::vector<MatchCandidate> candidates;
   for (size_t i = 0; i < pts.size(); ++i) {
-    const std::vector<MatchCandidate> candidates =
-        FindCandidates(*index_, pts[i], headings[i].heading,
-                       headings[i].valid, options_.score);
+    FindCandidates(*index_, pts[i], headings[i].heading, headings[i].valid,
+                   options_.score, &nearby, &candidates);
     if (candidates.empty()) {
       ++route.points_skipped;
       continue;
@@ -128,8 +132,7 @@ Result<MatchedRoute> IncrementalMatcher::Match(const trace::Trip& trip,
       continue;
     }
     const MatchCandidate* chosen = nullptr;
-    Result<roadnet::Path> chosen_path =
-        Status::NotFound("no candidate tried");
+    std::optional<roadnet::Path> chosen_path;
     for (const MatchCandidate& cand : candidates) {
       const roadnet::EdgePosition cand_pos{cand.edge,
                                            cand.projection.arc_length};
@@ -138,15 +141,15 @@ Result<MatchedRoute> IncrementalMatcher::Match(const trace::Trip& trip,
       if (!path.ok()) continue;
       if (gap_filler_.IsPlausible(path->length_m, straight)) {
         chosen = &cand;
-        chosen_path = std::move(path);
+        chosen_path = std::move(*path);
         break;
       }
       if (!chosen) {  // remember the best-scored fallback
         chosen = &cand;
-        chosen_path = std::move(path);
+        chosen_path = std::move(*path);
       }
     }
-    if (chosen == nullptr || !chosen_path.ok()) {
+    if (chosen == nullptr) {
       ++route.points_skipped;
       continue;
     }

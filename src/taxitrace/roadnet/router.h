@@ -12,6 +12,11 @@
 // test, so computed distances — and, whenever shortest paths are unique
 // at full double precision, the paths themselves — are identical
 // between the two.
+//
+// Connecting two positions on the same edge (most of map matching's
+// connections) usually needs no search at all: when a bound proves the
+// sub-edge between them no longer than every way of leaving the edge
+// and coming back, ShortestPathBetween returns it directly.
 
 #ifndef TAXITRACE_ROADNET_ROUTER_H_
 #define TAXITRACE_ROADNET_ROUTER_H_
@@ -42,6 +47,10 @@ struct RouterStats {
   /// Sum over searches of the distinct graph tiles each one relaxed a
   /// vertex in (always == searches on single-tile maps).
   int64_t tiles_touched = 0;
+  /// ShortestPathBetween calls answered with the direct sub-edge path
+  /// without a search; every other call that gets past argument checks
+  /// runs exactly one search.
+  int64_t direct_connections = 0;
 };
 
 /// A traversal of one edge within a path.
@@ -114,7 +123,18 @@ class Router {
 
   /// Shortest drivable path between two positions on edges (as produced
   /// by map matching). Includes the partial first and last edges in the
-  /// returned geometry/length. NotFound when unreachable.
+  /// returned geometry/length. Arcs are clamped to their edge. When both
+  /// positions lie on one edge, the direct sub-edge path wins every
+  /// exact tie with a route that leaves the edge and re-enters it. It
+  /// is returned without a search (counted in direct_connections)
+  /// whenever a bound proves it optimal: a route back to the vertex it
+  /// left costs at least exit + entry, never less than direct, and one
+  /// to the other vertex at least exit + the straight line between the
+  /// edge's vertices + entry, because edges are at least as long as
+  /// their chords; that bound must beat direct by 1e-6 m, against
+  /// rounding. Otherwise one search decides, with the same result.
+  /// InvalidArgument for an unknown edge or a non-finite arc; NotFound
+  /// when unreachable.
   Result<Path> ShortestPathBetween(const EdgePosition& from,
                                    const EdgePosition& to) const;
 
@@ -163,6 +183,7 @@ class Router {
     std::atomic<int64_t> settled_vertices{0};
     std::atomic<int64_t> goal_directed_searches{0};
     std::atomic<int64_t> tiles_touched{0};
+    std::atomic<int64_t> direct_connections{0};
   };
 
   const RoadNetwork* network_;

@@ -247,6 +247,14 @@ TileCoord SpatialIndex::OwnerTileOf(int32_t cx, int32_t cy) const {
 
 std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
                                                 double radius_m) const {
+  std::vector<EdgeCandidate> out;
+  Nearby(p, radius_m, &out);
+  return out;
+}
+
+void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
+                          std::vector<EdgeCandidate>* out) const {
+  out->clear();
   // Gather candidate edges from the cells overlapping the query disc's
   // bounding square grown by the cover slack. Complete by construction:
   // every edge point within `radius_m` of `p` lies in one of these
@@ -258,7 +266,7 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
       CellsCovering(geo::Bbox{p.x, p.y, p.x, p.y}, reach, cell_size_m_);
   if (!rect) {
     query_stats_->queries.fetch_add(1, std::memory_order_relaxed);
-    return {};
+    return;
   }
   const auto [lo_cx, hi_cx, lo_cy, hi_cy] = *rect;
   const int64_t cells_probed =
@@ -321,8 +329,7 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
   // radius, so the surviving projections produce exactly the candidates
   // the unfiltered loop would.
   const double limit_sq = reach * reach;
-  std::vector<EdgeCandidate> out;
-  out.reserve(8);
+  out->reserve(8);
   for (EdgeId id : gathered) {
     const geo::Bbox& b = edge_bounds_[network_->EdgeOrdinal(id)];
     const double ddx = std::max({b.min_x - p.x, 0.0, p.x - b.max_x});
@@ -331,10 +338,10 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
     const geo::PolylineProjection proj =
         network_->edge(id).geometry.Project(p);
     if (proj.distance <= radius_m) {
-      out.push_back(EdgeCandidate{id, proj});
+      out->push_back(EdgeCandidate{id, proj});
     }
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out->begin(), out->end(),
             [](const EdgeCandidate& a, const EdgeCandidate& b) {
               if (a.projection.distance != b.projection.distance) {
                 return a.projection.distance < b.projection.distance;
@@ -352,9 +359,8 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
   query_stats_->candidates.fetch_add(
       static_cast<int64_t>(gathered.size()),
       std::memory_order_relaxed);
-  query_stats_->hits.fetch_add(static_cast<int64_t>(out.size()),
+  query_stats_->hits.fetch_add(static_cast<int64_t>(out->size()),
                                std::memory_order_relaxed);
-  return out;
 }
 
 std::optional<EdgeCandidate> SpatialIndex::Nearest(

@@ -68,6 +68,11 @@ class SpatialIndex {
   std::vector<EdgeCandidate> Nearby(const geo::EnPoint& p,
                                     double radius_m) const;
 
+  /// Same as above, written into `*out` (cleared first) so a caller
+  /// looping over many points can reuse one vector's storage.
+  void Nearby(const geo::EnPoint& p, double radius_m,
+              std::vector<EdgeCandidate>* out) const;
+
   /// The closest edge within `max_radius_m`, if any; none for a point
   /// Nearby() cannot search.
   std::optional<EdgeCandidate> Nearest(const geo::EnPoint& p,

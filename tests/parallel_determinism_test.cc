@@ -345,7 +345,8 @@ TEST(ParallelDeterminismTest, RouterCountersDeterministicAcrossWorkers) {
   const std::vector<obs::CounterSample>& counters =
       ObservedSerialReference().observability.counters;
   for (const char* name :
-       {"roadnet.router.searches", "roadnet.router.heap_pops",
+       {"roadnet.router.searches", "roadnet.router.direct_connections",
+        "roadnet.router.heap_pops",
         "roadnet.router.settled_vertices",
         "roadnet.router.goal_directed_searches",
         "mapmatch.route_cache.hits", "mapmatch.route_cache.misses",

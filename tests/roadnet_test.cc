@@ -793,6 +793,32 @@ TEST(RoadNetworkCsrTest, OutArcsFollowsBuilderGrowth) {
 
 // --- Seed dedupe ------------------------------------------------------------
 
+// A NaN arc used to key the search heap with NaN (reported as "no
+// drivable path") and an infinite one was clamped to an edge end; both
+// are now rejected before the direct check and before any search.
+TEST_F(RouterTest, NonFiniteArcRejected) {
+  const EdgeId e = net_.edge(0).id;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(router_.ShortestPathBetween(EdgePosition{e, bad},
+                                            EdgePosition{e, 10.0})
+                    .status()
+                    .IsInvalidArgument())
+        << bad;
+    EXPECT_TRUE(router_.ShortestPathBetween(EdgePosition{e, 10.0},
+                                            EdgePosition{e, bad})
+                    .status()
+                    .IsInvalidArgument())
+        << bad;
+    EXPECT_EQ(router_.NetworkDistance(EdgePosition{e, bad},
+                                      EdgePosition{e, 10.0}),
+              std::numeric_limits<double>::infinity());
+  }
+  EXPECT_EQ(router_.stats().searches, 0);
+  EXPECT_EQ(router_.stats().direct_connections, 0);
+}
+
 // Regression: a loop edge hands Search two seeds naming the same vertex
 // (both endpoints are the hub). The seed phase must keep the cheaper
 // cost and push one heap entry — with the old duplicate push the search
