@@ -95,9 +95,14 @@ inline PointProjection ProjectOntoSegment(const EnPoint& p,
 std::optional<EnPoint> SegmentIntersection(const Segment& s1,
                                            const Segment& s2);
 
-/// Smallest absolute angle between two headings, in [0, pi].
+/// Smallest absolute angle between two headings, in [0, pi]. fmod is
+/// exact and returns its argument below the modulus, so it runs only
+/// when |h1 - h2| is not below 2 pi (NaN and infinities included): the
+/// result is fmod's bit for bit, without the libm call for headings
+/// already in (-pi, pi].
 inline double AngleBetweenHeadings(double h1, double h2) {
-  double d = std::fmod(std::abs(h1 - h2), 2.0 * M_PI);
+  double d = std::abs(h1 - h2);
+  if (!(d < 2.0 * M_PI)) d = std::fmod(d, 2.0 * M_PI);
   if (d > M_PI) d = 2.0 * M_PI - d;
   return d;
 }

@@ -2,9 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+
+#include "taxitrace/common/check.h"
 
 namespace taxitrace {
 namespace geo {
+namespace {
+
+// Length of segment i of `pts`: the caller's precomputed entry, or the
+// same Distance computed here.
+double SegmentLength(const std::vector<EnPoint>& pts,
+                     std::span<const double> segment_lengths, size_t i) {
+  return segment_lengths.empty() ? Distance(pts[i], pts[i + 1])
+                                 : segment_lengths[i];
+}
+
+}  // namespace
 
 Polyline::Polyline(std::vector<EnPoint> points) : points_(std::move(points)) {}
 
@@ -18,11 +32,14 @@ double Polyline::Length() const {
   return total;
 }
 
-EnPoint Polyline::Interpolate(double s) const {
+EnPoint Polyline::Interpolate(double s,
+                              std::span<const double> segment_lengths) const {
+  TT_DCHECK(segment_lengths.empty() ||
+            segment_lengths.size() + 1 == points_.size());
   if (points_.empty()) return EnPoint{};
   if (s <= 0.0) return points_.front();
   for (size_t i = 1; i < points_.size(); ++i) {
-    const double seg = Distance(points_[i - 1], points_[i]);
+    const double seg = SegmentLength(points_, segment_lengths, i - 1);
     if (s <= seg) {
       if (seg == 0.0) return points_[i];
       const double t = s / seg;
@@ -33,7 +50,10 @@ EnPoint Polyline::Interpolate(double s) const {
   return points_.back();
 }
 
-PolylineProjection Polyline::Project(const EnPoint& p) const {
+PolylineProjection Polyline::Project(
+    const EnPoint& p, std::span<const double> segment_lengths) const {
+  TT_DCHECK(segment_lengths.empty() ||
+            segment_lengths.size() + 1 == points_.size());
   PolylineProjection best;
   best.distance = std::numeric_limits<double>::infinity();
   if (points_.empty()) return best;
@@ -43,16 +63,17 @@ PolylineProjection Polyline::Project(const EnPoint& p) const {
   }
   double arc = 0.0;
   for (size_t i = 0; i + 1 < points_.size(); ++i) {
-    const Segment seg{points_[i], points_[i + 1]};
-    const PointProjection proj = ProjectOntoSegment(p, seg);
+    const PointProjection proj =
+        ProjectOntoSegment(p, Segment{points_[i], points_[i + 1]});
+    const double len = SegmentLength(points_, segment_lengths, i);
     if (proj.distance < best.distance) {
       best.point = proj.point;
       best.segment_index = i;
       best.t = proj.t;
-      best.arc_length = arc + proj.t * seg.Length();
+      best.arc_length = arc + proj.t * len;
       best.distance = proj.distance;
     }
-    arc += seg.Length();
+    arc += len;
   }
   return best;
 }
@@ -82,31 +103,39 @@ void Polyline::Extend(const Polyline& other) {
   }
 }
 
-Polyline Polyline::SubLine(double s0, double s1) const {
+Polyline Polyline::SubLine(double s0, double s1,
+                           std::span<const double> segment_lengths) const {
+  TT_DCHECK(segment_lengths.empty() ||
+            segment_lengths.size() + 1 == points_.size());
   if (points_.size() < 2) return *this;
   const bool reversed = s0 > s1;
   if (reversed) std::swap(s0, s1);
-  const double total = Length();
+  // In-order sum either way, so the total is Length() bit for bit.
+  const double total =
+      segment_lengths.empty()
+          ? Length()
+          : std::accumulate(segment_lengths.begin(), segment_lengths.end(),
+                            0.0);
   s0 = std::clamp(s0, 0.0, total);
   s1 = std::clamp(s1, 0.0, total);
 
   std::vector<EnPoint> out;
-  out.push_back(Interpolate(s0));
+  out.push_back(Interpolate(s0, segment_lengths));
   double arc = 0.0;
   for (size_t i = 0; i + 1 < points_.size(); ++i) {
-    const double seg = Distance(points_[i], points_[i + 1]);
-    const double vertex_arc = arc + seg;  // arc length of vertex i+1
+    const double vertex_arc =  // arc length of vertex i+1
+        arc + SegmentLength(points_, segment_lengths, i);
     if (vertex_arc > s0 + 1e-9 && vertex_arc < s1 - 1e-9) {
       out.push_back(points_[i + 1]);
     }
     arc = vertex_arc;
   }
-  const EnPoint end = Interpolate(s1);
+  const EnPoint end = Interpolate(s1, segment_lengths);
   if (out.empty() || Distance(out.back(), end) > 1e-9 || out.size() == 1) {
     out.push_back(end);
   }
-  Polyline result(std::move(out));
-  return reversed ? result.Reversed() : result;
+  if (reversed) std::reverse(out.begin(), out.end());
+  return Polyline(std::move(out));
 }
 
 Polyline Polyline::Resample(double max_spacing) const {

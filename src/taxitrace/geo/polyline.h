@@ -1,8 +1,16 @@
 // Polylines: the geometry of traffic elements, edges and driven routes.
+//
+// Project, Interpolate and SubLine walk the line segment by segment and
+// need each segment's length. A caller that keeps them precomputed (the
+// road network's per-edge tables) passes them as `segment_lengths`:
+// entry i must be Distance(points()[i], points()[i + 1]), the exact
+// value the walk would compute, so the result is bit-identical either
+// way. An empty span means "compute them here".
 
 #ifndef TAXITRACE_GEO_POLYLINE_H_
 #define TAXITRACE_GEO_POLYLINE_H_
 
+#include <span>
 #include <vector>
 
 #include "taxitrace/geo/geometry.h"
@@ -38,10 +46,15 @@ class Polyline {
   [[nodiscard]] double Length() const;
 
   /// Point at arc length `s` from the start, clamped to the line ends.
-  [[nodiscard]] EnPoint Interpolate(double s) const;
+  /// `segment_lengths`: empty, or size() - 1 precomputed lengths (see
+  /// the file comment).
+  [[nodiscard]] EnPoint Interpolate(
+      double s, std::span<const double> segment_lengths = {}) const;
 
   /// Nearest location on the line to `p`. Requires a non-empty line.
-  [[nodiscard]] PolylineProjection Project(const EnPoint& p) const;
+  /// `segment_lengths` as for Interpolate.
+  [[nodiscard]] PolylineProjection Project(
+      const EnPoint& p, std::span<const double> segment_lengths = {}) const;
 
   /// Heading of the segment at index `i` (radians CCW from east).
   [[nodiscard]] double SegmentHeading(size_t i) const;
@@ -60,9 +73,14 @@ class Polyline {
   /// apart. Always keeps the original endpoints.
   [[nodiscard]] Polyline Resample(double max_spacing) const;
 
-  /// The part of the line between arc lengths `s0` and `s1` (clamped).
-  /// When s0 > s1 the result runs backwards along the line.
-  [[nodiscard]] Polyline SubLine(double s0, double s1) const;
+  /// The part of the line between arc lengths `s0` and `s1` (clamped to
+  /// [0, Length()]; the total is the in-order sum of the segment
+  /// lengths, so it equals Length() bit for bit). When s0 > s1 the
+  /// result runs backwards along the line. `segment_lengths` as for
+  /// Interpolate.
+  [[nodiscard]] Polyline SubLine(
+      double s0, double s1,
+      std::span<const double> segment_lengths = {}) const;
 
  private:
   std::vector<EnPoint> points_;

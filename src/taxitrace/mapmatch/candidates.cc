@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace taxitrace {
 namespace mapmatch {
@@ -12,23 +13,23 @@ double DistanceScore(double distance_m, const ScoreOptions& options) {
 }
 
 double HeadingScore(double movement_heading_rad, bool has_heading,
-                    const roadnet::Edge& edge, size_t segment_index,
-                    const ScoreOptions& options) {
+                    roadnet::TravelDirection direction,
+                    double segment_heading_rad, const ScoreOptions& options) {
   if (!has_heading) return 0.0;
-  const double edge_heading = edge.geometry.SegmentHeading(segment_index);
   double angle;
-  switch (edge.direction) {
+  switch (direction) {
     case roadnet::TravelDirection::kForward:
-      angle = geo::AngleBetweenHeadings(movement_heading_rad, edge_heading);
+      angle = geo::AngleBetweenHeadings(movement_heading_rad,
+                                        segment_heading_rad);
       break;
     case roadnet::TravelDirection::kBackward:
       angle = geo::AngleBetweenHeadings(movement_heading_rad,
-                                        edge_heading + M_PI);
+                                        segment_heading_rad + M_PI);
       break;
     case roadnet::TravelDirection::kBoth:
     default:
       angle = geo::UndirectedAngleBetweenHeadings(movement_heading_rad,
-                                                  edge_heading);
+                                                  segment_heading_rad);
       break;
   }
   return options.heading_mu * std::cos(angle);
@@ -51,6 +52,7 @@ void FindCandidates(const roadnet::SpatialIndex& index,
                     std::vector<roadnet::EdgeCandidate>* nearby,
                     std::vector<MatchCandidate>* out) {
   index.Nearby(point, options.search_radius_m, nearby);
+  const roadnet::RoadNetwork& network = index.network();
   out->clear();
   out->reserve(nearby->size());
   for (const roadnet::EdgeCandidate& cand : *nearby) {
@@ -58,10 +60,15 @@ void FindCandidates(const roadnet::SpatialIndex& index,
     mc.edge = cand.edge;
     mc.projection = cand.projection;
     mc.distance_score = DistanceScore(cand.projection.distance, options);
-    mc.heading_score =
-        HeadingScore(movement_heading_rad, has_heading,
-                     index.network().edge(cand.edge),
-                     cand.projection.segment_index, options);
+    const std::span<const double> headings =
+        network.SegmentHeadings(cand.edge);
+    const size_t segment = cand.projection.segment_index;
+    if (segment < headings.size()) {
+      mc.heading_score =
+          HeadingScore(movement_heading_rad, has_heading,
+                       network.edge(cand.edge).direction, headings[segment],
+                       options);
+    }
     out->push_back(mc);
   }
   std::sort(out->begin(), out->end(),

@@ -39,15 +39,20 @@ struct MatchCandidate {
 double DistanceScore(double distance_m, const ScoreOptions& options);
 
 /// Orientation score mu_a * cos(angle between the movement heading and
-/// the edge direction). For two-way edges the better of the two edge
-/// directions is used; for one-way edges only the drivable direction.
-/// `has_heading` disables the term (returns 0) for stationary points.
+/// the edge direction), where `segment_heading_rad` is the heading of
+/// the matched edge segment in edge orientation (from -> to). For
+/// two-way edges the better of the two edge directions is used; for
+/// one-way edges only the drivable direction. `has_heading` disables the
+/// term (returns 0) for stationary points.
 double HeadingScore(double movement_heading_rad, bool has_heading,
-                    const roadnet::Edge& edge, size_t segment_index,
-                    const ScoreOptions& options);
+                    roadnet::TravelDirection direction,
+                    double segment_heading_rad, const ScoreOptions& options);
 
 /// Finds and scores candidates for one point. Sorted by descending total
-/// score.
+/// score. Each candidate's heading is read from the network's segment
+/// table (RoadNetwork::SegmentHeadings), not recomputed; an edge with
+/// no segment (a one-point geometry) has no heading and scores 0 on
+/// the heading term, as a point without a heading does.
 std::vector<MatchCandidate> FindCandidates(
     const roadnet::SpatialIndex& index, const geo::EnPoint& point,
     double movement_heading_rad, bool has_heading,

@@ -64,13 +64,6 @@ size_t RoadNetwork::VertexOrdinal(VertexId id) const {
          static_cast<size_t>(LocalIdOf(id));
 }
 
-size_t RoadNetwork::EdgeOrdinal(EdgeId id) const {
-  TT_DCHECK(HasEdge(id));
-  if (ordinals_stale()) RebuildOrdinalBases();
-  return edge_base_[static_cast<size_t>(TileIndexOf(id))] +
-         static_cast<size_t>(LocalIdOf(id));
-}
-
 VertexId RoadNetwork::VertexIdAt(size_t ordinal) const {
   TT_DCHECK(ordinal < num_vertices_);
   if (ordinals_stale()) RebuildOrdinalBases();
@@ -149,6 +142,21 @@ void RoadNetwork::RebuildAdjacency() const {
         }
       }
     }
+    // Segment tables: each entry computed exactly as Polyline computes
+    // it, so readers get the same doubles without the sqrt / atan2.
+    t.segment_offsets.assign(t.edges.size() + 1, 0);
+    t.segment_lengths.clear();
+    t.segment_headings.clear();
+    for (size_t i = 0; i < t.edges.size(); ++i) {
+      const std::vector<geo::EnPoint>& pts = t.edges[i].geometry.points();
+      for (size_t k = 0; k + 1 < pts.size(); ++k) {
+        t.segment_lengths.push_back(geo::Distance(pts[k], pts[k + 1]));
+        t.segment_headings.push_back(
+            geo::Segment{pts[k], pts[k + 1]}.Heading());
+      }
+      t.segment_offsets[i + 1] =
+          static_cast<int32_t>(t.segment_lengths.size());
+    }
   }
   RebuildOrdinalBases();
   csr_vertex_count_ = num_vertices_;
@@ -207,6 +215,9 @@ size_t RoadNetwork::ApproxMemoryBytes() const {
     bytes += t.csr_offsets.capacity() * sizeof(int32_t);
     bytes += t.csr_arcs.capacity() * sizeof(HalfEdge);
     bytes += t.boundary.capacity() * sizeof(BoundaryArc);
+    bytes += t.segment_offsets.capacity() * sizeof(int32_t);
+    bytes += t.segment_lengths.capacity() * sizeof(double);
+    bytes += t.segment_headings.capacity() * sizeof(double);
     bytes += t.incident.capacity() * sizeof(std::vector<EdgeId>);
     for (const std::vector<EdgeId>& inc : t.incident) {
       bytes += inc.capacity() * sizeof(EdgeId);

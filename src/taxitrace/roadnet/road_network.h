@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "taxitrace/common/check.h"
 #include "taxitrace/common/hash.h"
 #include "taxitrace/common/result.h"
 #include "taxitrace/geo/coordinates.h"
@@ -125,6 +126,13 @@ struct GraphTile {
   std::vector<HalfEdge> csr_arcs;
   /// Arcs whose head vertex lies in a different tile, in CSR order.
   std::vector<BoundaryArc> boundary;
+
+  // Per-edge segment tables, rebuilt with the CSR: local edge i's
+  // segments are entries [segment_offsets[i], segment_offsets[i + 1])
+  // of both arrays (see RoadNetwork::SegmentLengths).
+  std::vector<int32_t> segment_offsets;
+  std::vector<double> segment_lengths;
+  std::vector<double> segment_headings;
 };
 
 /// The prepared road network. Construct through `PrepareRoadNetwork()`
@@ -170,7 +178,9 @@ class RoadNetwork {
 
   /// Dense ordinal of a vertex / edge in tile-major order: tile index
   /// first, local ordinal second. Stable for a finished network; equal
-  /// to the id itself in single-tile maps.
+  /// to the id itself in single-tile maps. EdgeOrdinal is defined
+  /// inline below the class: the spatial index calls it per gathered
+  /// candidate.
   [[nodiscard]] size_t VertexOrdinal(VertexId id) const;
   [[nodiscard]] size_t EdgeOrdinal(EdgeId id) const;
 
@@ -235,9 +245,24 @@ class RoadNetwork {
   /// Defined inline below the class: it sits in every search's hot loop.
   [[nodiscard]] std::span<const HalfEdge> OutArcs(VertexId v) const;
 
-  /// Builds the CSR adjacency now if it is stale (idempotent). Call
-  /// after the last builder mutation when the network is about to be
-  /// read from multiple threads.
+  /// Per-segment tables of edge `e`, one entry per segment i (between
+  /// geometry points i and i + 1), so the matcher's per-point work reads
+  /// them instead of recomputing a square root or an atan2 per segment:
+  /// - SegmentLengths: geo::Distance(p[i], p[i + 1]), the exact value
+  ///   Polyline computes, so passing it as `segment_lengths` keeps
+  ///   Project / Interpolate / SubLine bit-identical, and its in-order
+  ///   sum is `length_m`;
+  /// - SegmentHeadings: geo::Segment{p[i], p[i + 1]}.Heading(), i.e.
+  ///   geometry.SegmentHeading(i) (0 for a zero-length segment).
+  /// An edge with fewer than two geometry points has no segment, so both
+  /// spans are empty. Built with the CSR adjacency and under the same
+  /// threading contract as OutArcs. 16 bytes per segment.
+  [[nodiscard]] std::span<const double> SegmentLengths(EdgeId e) const;
+  [[nodiscard]] std::span<const double> SegmentHeadings(EdgeId e) const;
+
+  /// Builds the CSR adjacency and the segment tables now if they are
+  /// stale (idempotent). Call after the last builder mutation when the
+  /// network is about to be read from multiple threads.
   void WarmAdjacency() const;
 
   /// True when the edge may be driven in the given orientation
@@ -284,6 +309,9 @@ class RoadNetwork {
  private:
   void RebuildAdjacency() const;
   void RebuildOrdinalBases() const;
+  /// Edge `e`'s entries in one of its tile's segment tables.
+  [[nodiscard]] std::span<const double> EdgeSegments(
+      EdgeId e, std::vector<double> GraphTile::*table) const;
   [[nodiscard]] bool adjacency_stale() const {
     return csr_vertex_count_ != num_vertices_ ||
            csr_edge_count_ != num_edges_;
@@ -320,6 +348,13 @@ class RoadNetwork {
   mutable size_t ordinal_edge_count_ = 0;    ///< at last ordinal rebuild
 };
 
+inline size_t RoadNetwork::EdgeOrdinal(EdgeId id) const {
+  TT_DCHECK(HasEdge(id));
+  if (ordinals_stale()) RebuildOrdinalBases();
+  return edge_base_[static_cast<size_t>(TileIndexOf(id))] +
+         static_cast<size_t>(LocalIdOf(id));
+}
+
 inline std::span<const HalfEdge> RoadNetwork::OutArcs(VertexId v) const {
   if (adjacency_stale()) RebuildAdjacency();
   const GraphTile& t = tiles_[static_cast<size_t>(TileIndexOf(v))];
@@ -327,6 +362,25 @@ inline std::span<const HalfEdge> RoadNetwork::OutArcs(VertexId v) const {
   const auto begin = static_cast<size_t>(t.csr_offsets[local]);
   const auto end = static_cast<size_t>(t.csr_offsets[local + 1]);
   return {t.csr_arcs.data() + begin, end - begin};
+}
+
+inline std::span<const double> RoadNetwork::EdgeSegments(
+    EdgeId e, std::vector<double> GraphTile::*table) const {
+  TT_DCHECK(HasEdge(e));
+  if (adjacency_stale()) RebuildAdjacency();
+  const GraphTile& t = tiles_[static_cast<size_t>(TileIndexOf(e))];
+  const auto local = static_cast<size_t>(LocalIdOf(e));
+  const auto begin = static_cast<size_t>(t.segment_offsets[local]);
+  const auto end = static_cast<size_t>(t.segment_offsets[local + 1]);
+  return {(t.*table).data() + begin, end - begin};
+}
+
+inline std::span<const double> RoadNetwork::SegmentLengths(EdgeId e) const {
+  return EdgeSegments(e, &GraphTile::segment_lengths);
+}
+
+inline std::span<const double> RoadNetwork::SegmentHeadings(EdgeId e) const {
+  return EdgeSegments(e, &GraphTile::segment_headings);
 }
 
 }  // namespace roadnet

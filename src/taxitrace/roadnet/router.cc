@@ -329,7 +329,8 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
     Path path;
     path.length_m = direct_cost;
     path.steps.push_back(PathStep{from.edge, direct_forward});
-    path.geometry = fe.geometry.SubLine(from_arc, to_arc);
+    path.geometry = fe.geometry.SubLine(from_arc, to_arc,
+                                        network_->SegmentLengths(from.edge));
     return path;
   };
 
@@ -411,7 +412,8 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
   const bool leave_forward = seed_vertex == fe.to;
   path.steps.push_back(PathStep{from.edge, leave_forward});
   path.geometry =
-      fe.geometry.SubLine(from_arc, leave_forward ? fe.length_m : 0.0);
+      fe.geometry.SubLine(from_arc, leave_forward ? fe.length_m : 0.0,
+                          network_->SegmentLengths(from.edge));
 
   for (auto it = rev.rbegin(); it != rev.rend(); ++it) {
     path.steps.push_back(PathStep{it->first, it->second});
@@ -422,8 +424,9 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
   // Partial destination edge from the entry vertex to the end position.
   const bool enter_forward = entry == te.from;
   path.steps.push_back(PathStep{to.edge, enter_forward});
-  path.geometry.Extend(
-      te.geometry.SubLine(enter_forward ? 0.0 : te.length_m, to_arc));
+  path.geometry.Extend(te.geometry.SubLine(
+      enter_forward ? 0.0 : te.length_m, to_arc,
+      network_->SegmentLengths(to.edge)));
   return path;
 }
 

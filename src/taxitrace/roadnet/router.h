@@ -89,8 +89,8 @@ class EdgeCostModel {
 
 /// Length-minimising router honouring one-way constraints. Holds a
 /// pointer to the network, which must outlive it. Constructing a Router
-/// warms the network's CSR adjacency, so build Routers before sharing
-/// the network across threads.
+/// warms the network's CSR adjacency and segment tables, so build
+/// Routers before sharing the network across threads.
 class Router {
  public:
   explicit Router(const RoadNetwork* network);
@@ -123,7 +123,9 @@ class Router {
 
   /// Shortest drivable path between two positions on edges (as produced
   /// by map matching). Includes the partial first and last edges in the
-  /// returned geometry/length. Arcs are clamped to their edge. When both
+  /// returned geometry/length, cut with the edges' precomputed segment
+  /// lengths (RoadNetwork::SegmentLengths; bit-identical to cutting
+  /// without them). Arcs are clamped to their edge. When both
   /// positions lie on one edge, the direct sub-edge path wins every
   /// exact tie with a route that leaves the edge and re-enters it. It
   /// is returned without a search (counted in direct_connections)

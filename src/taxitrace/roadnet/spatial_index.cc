@@ -105,8 +105,9 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
       tile_size_m_(network->tiling().tile_size_m),
       scratch_(std::make_shared<WorkerLocal<QueryScratch>>()),
       query_stats_(std::make_shared<AtomicStats>()) {
-  // Queries translate edge ids to ordinals; warm the mapping (and the
-  // CSR it shares staleness with) on the constructing thread.
+  // Queries translate edge ids to ordinals and project with the edges'
+  // segment lengths; warm the mapping and the tables (they share the
+  // CSR's staleness) on the constructing thread.
   network_->WarmAdjacency();
 
   // Build pass: collect each edge's cells into a keyed map first (the
@@ -335,8 +336,8 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
     const double ddx = std::max({b.min_x - p.x, 0.0, p.x - b.max_x});
     const double ddy = std::max({b.min_y - p.y, 0.0, p.y - b.max_y});
     if (ddx * ddx + ddy * ddy > limit_sq) continue;
-    const geo::PolylineProjection proj =
-        network_->edge(id).geometry.Project(p);
+    const geo::PolylineProjection proj = network_->edge(id).geometry.Project(
+        p, network_->SegmentLengths(id));
     if (proj.distance <= radius_m) {
       out->push_back(EdgeCandidate{id, proj});
     }

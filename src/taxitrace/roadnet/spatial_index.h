@@ -62,7 +62,8 @@ class SpatialIndex {
   explicit SpatialIndex(const RoadNetwork* network, double cell_size_m = 50.0);
 
   /// All edges with a point within `radius_m` of `p`, one candidate per
-  /// edge (its closest projection), sorted by ascending distance. A
+  /// edge (its closest projection, computed with the edge's precomputed
+  /// segment lengths), sorted by ascending distance. A
   /// point or radius that is not finite, or whose search square leaves
   /// the cell lattice (about +-5e10 m at 50 m cells), finds nothing.
   std::vector<EdgeCandidate> Nearby(const geo::EnPoint& p,

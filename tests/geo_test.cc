@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "taxitrace/common/random.h"
 #include "taxitrace/geo/coordinates.h"
@@ -155,6 +158,39 @@ TEST(GeometryTest, AngleBetweenHeadings) {
   EXPECT_NEAR(AngleBetweenHeadings(0.0, M_PI / 2), M_PI / 2, 1e-12);
   EXPECT_NEAR(AngleBetweenHeadings(0.0, 2 * M_PI), 0.0, 1e-12);
   EXPECT_NEAR(AngleBetweenHeadings(-M_PI + 0.1, M_PI - 0.1), 0.2, 1e-9);
+}
+
+// AngleBetweenHeadings calls fmod only at or above 2 pi; below it fmod
+// would return its argument exactly. The reference takes fmod always,
+// and both must agree bit for bit, NaN payloads included.
+TEST(GeometryTest, AngleBetweenHeadingsMatchesFmodReference) {
+  const auto reference = [](double h1, double h2) {
+    double d = std::fmod(std::abs(h1 - h2), 2.0 * M_PI);
+    if (d > M_PI) d = 2.0 * M_PI - d;
+    return d;
+  };
+  const auto expect_same = [&](double h1, double h2) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(AngleBetweenHeadings(h1, h2)),
+              std::bit_cast<uint64_t>(reference(h1, h2)))
+        << "h1=" << h1 << " h2=" << h2;
+  };
+  Rng rng(20121018);
+  for (int i = 0; i < 10000; ++i) {
+    // Headings in (-pi, pi], the range Segment::Heading returns.
+    const double h1 = -rng.Uniform(-M_PI, M_PI);
+    const double h2 = -rng.Uniform(-M_PI, M_PI);
+    expect_same(h1, h2);
+    expect_same(h1, h2 + M_PI);  // HeadingScore's backward one-way case
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double two_pi = 2.0 * M_PI;
+  for (const double x :
+       {two_pi, std::nextafter(two_pi, 0.0), std::nextafter(two_pi, kInf),
+        1e300, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    expect_same(0.0, x);
+    expect_same(x, 0.0);
+    expect_same(-x, 0.0);
+  }
 }
 
 TEST(GeometryTest, UndirectedAngleTreatsOppositeAsEqual) {

@@ -44,13 +44,12 @@ TEST(ScoreTest, DistanceScoreDecreasesWithDistance) {
 
 TEST(ScoreTest, HeadingScoreFavoursAlignment) {
   const ScoreOptions options;
-  roadnet::Edge edge;
-  edge.geometry = geo::Polyline({{0, 0}, {100, 0}});  // heading east
-  edge.direction = roadnet::TravelDirection::kBoth;
-  const double aligned = HeadingScore(0.0, true, edge, 0, options);
-  const double diagonal = HeadingScore(M_PI / 4, true, edge, 0, options);
+  const auto both = roadnet::TravelDirection::kBoth;
+  const double east = 0.0;  // segment heading
+  const double aligned = HeadingScore(0.0, true, both, east, options);
+  const double diagonal = HeadingScore(M_PI / 4, true, both, east, options);
   const double perpendicular =
-      HeadingScore(M_PI / 2, true, edge, 0, options);
+      HeadingScore(M_PI / 2, true, both, east, options);
   EXPECT_GT(aligned, diagonal);
   EXPECT_GT(diagonal, perpendicular);
   EXPECT_NEAR(aligned, options.heading_mu, 1e-9);
@@ -59,33 +58,28 @@ TEST(ScoreTest, HeadingScoreFavoursAlignment) {
 
 TEST(ScoreTest, TwoWayEdgeAcceptsOppositeHeading) {
   const ScoreOptions options;
-  roadnet::Edge edge;
-  edge.geometry = geo::Polyline({{0, 0}, {100, 0}});
-  edge.direction = roadnet::TravelDirection::kBoth;
-  EXPECT_NEAR(HeadingScore(M_PI, true, edge, 0, options),
+  EXPECT_NEAR(HeadingScore(M_PI, true, roadnet::TravelDirection::kBoth, 0.0,
+                           options),
               options.heading_mu, 1e-9);
 }
 
 TEST(ScoreTest, OneWayEdgePenalisesWrongWay) {
   const ScoreOptions options;
-  roadnet::Edge edge;
-  edge.geometry = geo::Polyline({{0, 0}, {100, 0}});
-  edge.direction = roadnet::TravelDirection::kForward;
-  EXPECT_NEAR(HeadingScore(0.0, true, edge, 0, options),
+  const auto forward = roadnet::TravelDirection::kForward;
+  EXPECT_NEAR(HeadingScore(0.0, true, forward, 0.0, options),
               options.heading_mu, 1e-9);
-  EXPECT_NEAR(HeadingScore(M_PI, true, edge, 0, options),
+  EXPECT_NEAR(HeadingScore(M_PI, true, forward, 0.0, options),
               -options.heading_mu, 1e-9);
-
-  edge.direction = roadnet::TravelDirection::kBackward;
-  EXPECT_NEAR(HeadingScore(M_PI, true, edge, 0, options),
+  EXPECT_NEAR(HeadingScore(M_PI, true, roadnet::TravelDirection::kBackward,
+                           0.0, options),
               options.heading_mu, 1e-9);
 }
 
 TEST(ScoreTest, NoHeadingDisablesTerm) {
   const ScoreOptions options;
-  roadnet::Edge edge;
-  edge.geometry = geo::Polyline({{0, 0}, {100, 0}});
-  EXPECT_DOUBLE_EQ(HeadingScore(1.0, false, edge, 0, options), 0.0);
+  EXPECT_DOUBLE_EQ(
+      HeadingScore(1.0, false, roadnet::TravelDirection::kBoth, 0.0, options),
+      0.0);
 }
 
 TEST(CandidatesTest, SortedByTotalScore) {
@@ -95,6 +89,29 @@ TEST(CandidatesTest, SortedByTotalScore) {
   for (size_t i = 1; i < candidates.size(); ++i) {
     EXPECT_GE(candidates[i - 1].TotalScore(), candidates[i].TotalScore());
   }
+}
+
+// A one-point edge has no segment and so no heading: its candidate
+// scores 0 on the heading term instead of reading the segment heading
+// past the end of its geometry (caught by the ASan/UBSan leg).
+TEST(CandidatesTest, OnePointEdgeHasNoHeadingScore) {
+  roadnet::RoadNetwork net(geo::LatLon{65.0121, 25.4682});
+  const roadnet::VertexId v = net.AddVertex({500, 500}, false);
+  roadnet::Edge lone;
+  lone.from = v;
+  lone.to = v;
+  lone.geometry = geo::Polyline({{500, 500}});
+  const roadnet::EdgeId lone_id = net.AddEdge(std::move(lone));
+  const roadnet::SpatialIndex index(&net);
+
+  const ScoreOptions options;
+  const std::vector<MatchCandidate> candidates =
+      FindCandidates(index, EnPoint{497, 496}, 0.3, true, options);
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0].edge, lone_id);
+  EXPECT_EQ(candidates[0].projection.segment_index, 0u);
+  EXPECT_EQ(candidates[0].heading_score, 0.0);
+  EXPECT_EQ(candidates[0].distance_score, DistanceScore(5.0, options));
 }
 
 TEST(CandidatesTest, EmptyWhenFarFromRoads) {

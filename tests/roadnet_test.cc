@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "taxitrace/common/random.h"
@@ -515,6 +518,131 @@ TEST(SpatialIndexEquivalenceTest, TiledMetroMatchesBruteForce) {
       synth::GenerateMetroMap(synth::MetroPreset(0)).value();
   ASSERT_GT(map.network.tiling().tile_size_m, 0.0);
   ExpectNearbyMatchesBruteForce(map.network, 43);
+}
+
+// --- Segment tables ---------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool SamePoint(const EnPoint& a, const EnPoint& b) {
+  return SameBits(a.x, b.x) && SameBits(a.y, b.y);
+}
+
+bool SameLine(const geo::Polyline& a, const geo::Polyline& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SamePoint(a.points()[i], b.points()[i])) return false;
+  }
+  return true;
+}
+
+// Every edge's segment tables hold exactly the doubles the geometry
+// computes, and the Polyline walks given them return the same bits as
+// without: projections at random and far-away points, Interpolate and
+// SubLine at arcs -1, 0, random, L and L + 1 in both directions.
+void ExpectSegmentTablesMatchGeometry(const RoadNetwork& net, uint64_t seed) {
+  Rng rng(seed);
+  size_t edges = 0;
+  net.ForEachEdge([&](const Edge& e) {
+    ++edges;
+    const std::vector<EnPoint>& pts = e.geometry.points();
+    const std::span<const double> lengths = net.SegmentLengths(e.id);
+    const std::span<const double> headings = net.SegmentHeadings(e.id);
+    const size_t segments = pts.empty() ? 0 : pts.size() - 1;
+    ASSERT_EQ(lengths.size(), segments) << "edge " << e.id;
+    ASSERT_EQ(headings.size(), segments) << "edge " << e.id;
+    double sum = 0.0;
+    for (size_t i = 0; i < segments; ++i) {
+      sum += lengths[i];
+      EXPECT_TRUE(SameBits(lengths[i], geo::Distance(pts[i], pts[i + 1])))
+          << "edge " << e.id << " segment " << i;
+      EXPECT_TRUE(SameBits(headings[i], e.geometry.SegmentHeading(i)))
+          << "edge " << e.id << " segment " << i;
+    }
+    EXPECT_TRUE(SameBits(sum, e.length_m)) << "edge " << e.id;
+
+    const geo::Bbox box = e.geometry.Bounds().Inflated(100.0);
+    std::vector<EnPoint> queries = {{box.max_x + 1e6, box.max_y - 3e5}};
+    for (int k = 0; k < 3; ++k) {
+      queries.push_back({rng.Uniform(box.min_x, box.max_x),
+                         rng.Uniform(box.min_y, box.max_y)});
+    }
+    for (const EnPoint& q : queries) {
+      const geo::PolylineProjection want = e.geometry.Project(q);
+      const geo::PolylineProjection got = e.geometry.Project(q, lengths);
+      EXPECT_TRUE(SamePoint(got.point, want.point)) << "edge " << e.id;
+      EXPECT_EQ(got.segment_index, want.segment_index) << "edge " << e.id;
+      EXPECT_TRUE(SameBits(got.t, want.t)) << "edge " << e.id;
+      EXPECT_TRUE(SameBits(got.arc_length, want.arc_length))
+          << "edge " << e.id;
+      EXPECT_TRUE(SameBits(got.distance, want.distance)) << "edge " << e.id;
+    }
+
+    const double length = e.length_m;
+    const double arcs[] = {-1.0, 0.0, rng.Uniform(0.0, length), length,
+                           length + 1.0};
+    for (const double s0 : arcs) {
+      EXPECT_TRUE(SamePoint(e.geometry.Interpolate(s0, lengths),
+                            e.geometry.Interpolate(s0)))
+          << "edge " << e.id << " s=" << s0;
+      for (const double s1 : arcs) {
+        EXPECT_TRUE(SameLine(e.geometry.SubLine(s0, s1, lengths),
+                             e.geometry.SubLine(s0, s1)))
+            << "edge " << e.id << " s0=" << s0 << " s1=" << s1;
+      }
+    }
+  });
+  EXPECT_GT(edges, 0u);
+}
+
+TEST(SegmentTableTest, CityMapMatchesGeometry) {
+  const synth::CityMap map = synth::GenerateCityMap().value();
+  ExpectSegmentTablesMatchGeometry(map.network, 47);
+}
+
+TEST(SegmentTableTest, TiledMetroMatchesGeometry) {
+  const synth::MetroMap map =
+      synth::GenerateMetroMap(synth::MetroPreset(0)).value();
+  ASSERT_GT(map.network.num_tiles(), 1u);
+  ExpectSegmentTablesMatchGeometry(map.network, 53);
+}
+
+// The tables follow builder growth like the CSR: an edge added after
+// WarmAdjacency() has its entries on the next read, and a one-point
+// edge has none.
+TEST(SegmentTableTest, RebuildsAfterBuilderGrowth) {
+  RoadNetwork net(kOrigin);
+  const VertexId a = net.AddVertex({0, 0}, false);
+  const VertexId b = net.AddVertex({100, 0}, false);
+  Edge e;
+  e.from = a;
+  e.to = b;
+  e.geometry = geo::Polyline({{0, 0}, {100, 0}});
+  const EdgeId first = net.AddEdge(std::move(e));
+  net.WarmAdjacency();
+  ASSERT_EQ(net.SegmentLengths(first).size(), 1u);
+
+  const VertexId c = net.AddVertex({0, 100}, false);
+  Edge bent;
+  bent.from = b;
+  bent.to = c;
+  bent.geometry = geo::Polyline({{100, 0}, {100, 100}, {0, 100}});
+  const EdgeId second = net.AddEdge(std::move(bent));
+  Edge lone;
+  lone.from = c;
+  lone.to = c;
+  lone.geometry = geo::Polyline({{0, 100}});
+  const EdgeId third = net.AddEdge(std::move(lone));
+
+  ASSERT_EQ(net.SegmentLengths(second).size(), 2u);
+  EXPECT_EQ(net.SegmentLengths(second)[1], 100.0);
+  EXPECT_EQ(net.SegmentHeadings(second)[0], M_PI / 2);
+  EXPECT_EQ(net.SegmentHeadings(second)[1], M_PI);
+  EXPECT_EQ(net.SegmentLengths(first)[0], 100.0);
+  EXPECT_TRUE(net.SegmentLengths(third).empty());
+  EXPECT_TRUE(net.SegmentHeadings(third).empty());
 }
 
 // --- Router -----------------------------------------------------------------------
