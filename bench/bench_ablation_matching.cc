@@ -5,7 +5,6 @@
 #include "bench_util.h"
 #include "taxitrace/clean/order_repair.h"
 #include "taxitrace/clean/outlier_filter.h"
-#include "taxitrace/mapmatch/hmm_matcher.h"
 #include "taxitrace/mapmatch/incremental_matcher.h"
 #include "taxitrace/mapmatch/match_quality.h"
 #include "taxitrace/mapmatch/nearest_edge_matcher.h"
@@ -65,22 +64,20 @@ void PrintAblation() {
   const roadnet::SpatialIndex index(&world.map.network);
   const mapmatch::IncrementalMatcher incremental(&world.map.network,
                                                  &index);
-  const mapmatch::HmmMatcher hmm(&world.map.network, &index);
   const mapmatch::NearestEdgeMatcher baseline(&world.map.network, &index);
 
-  double jaccard[3] = {}, deviation[3] = {}, len_err[3] = {};
+  double jaccard[2] = {}, deviation[2] = {}, len_err[2] = {};
   int n = 0;
   for (const Case& c : world.cases) {
     const auto inc = incremental.Match(c.trip);
-    const auto vit = hmm.Match(c.trip);
     const auto base = baseline.Match(c.trip);
-    if (!inc.ok() || !vit.ok() || !base.ok()) continue;
+    if (!inc.ok() || !base.ok()) continue;
     std::vector<roadnet::EdgeId> truth_edges;
     for (const roadnet::PathStep& s : c.truth.steps) {
       truth_edges.push_back(s.edge);
     }
-    const mapmatch::MatchedRoute* routes[3] = {&*inc, &*vit, &*base};
-    for (int m = 0; m < 3; ++m) {
+    const mapmatch::MatchedRoute* routes[2] = {&*inc, &*base};
+    for (int m = 0; m < 2; ++m) {
       jaccard[m] +=
           mapmatch::EdgeJaccard(routes[m]->DistinctEdges(), truth_edges);
       deviation[m] += mapmatch::MeanGeometryDeviation(routes[m]->geometry,
@@ -91,22 +88,20 @@ void PrintAblation() {
     ++n;
   }
   std::printf(
-      "ABLATION: incremental matcher (Section IV-E) vs HMM/Viterbi vs "
-      "nearest-edge baseline, %d simulated drives\n",
+      "ABLATION: incremental matcher (Section IV-E) vs nearest-edge "
+      "baseline, %d simulated drives\n",
       n);
+  std::printf("  metric                 incremental   nearest-edge\n");
+  std::printf("  edge Jaccard              %8.3f      %8.3f\n",
+              jaccard[0] / n, jaccard[1] / n);
+  std::printf("  mean deviation (m)        %8.1f      %8.1f\n",
+              deviation[0] / n, deviation[1] / n);
+  std::printf("  route length error        %8.3f      %8.3f\n",
+              len_err[0] / n, len_err[1] / n);
   std::printf(
-      "  metric                 incremental       HMM   nearest-edge\n");
-  std::printf("  edge Jaccard              %8.3f  %8.3f      %8.3f\n",
-              jaccard[0] / n, jaccard[1] / n, jaccard[2] / n);
-  std::printf("  mean deviation (m)        %8.1f  %8.1f      %8.1f\n",
-              deviation[0] / n, deviation[1] / n, deviation[2] / n);
-  std::printf("  route length error        %8.3f  %8.3f      %8.3f\n",
-              len_err[0] / n, len_err[1] / n, len_err[2] / n);
-  std::printf(
-      "Check: connectivity-aware matchers dominate the baseline on edge "
-      "recovery -> %s\n\n",
-      (jaccard[0] > jaccard[2] && jaccard[1] > jaccard[2]) ? "HOLDS"
-                                                           : "VIOLATED");
+      "Check: the connectivity-aware matcher dominates the baseline on "
+      "edge recovery -> %s\n\n",
+      jaccard[0] > jaccard[1] ? "HOLDS" : "VIOLATED");
 }
 
 void BM_IncrementalMatch(benchmark::State& state) {
@@ -121,19 +116,6 @@ void BM_IncrementalMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalMatch)->Unit(benchmark::kMillisecond);
-
-void BM_HmmMatch(benchmark::State& state) {
-  const World& world = TestWorld();
-  const roadnet::SpatialIndex index(&world.map.network);
-  const mapmatch::HmmMatcher matcher(&world.map.network, &index);
-  size_t idx = 0;
-  for (auto _ : state) {
-    auto matched = matcher.Match(world.cases[idx % world.cases.size()].trip);
-    benchmark::DoNotOptimize(matched);
-    ++idx;
-  }
-}
-BENCHMARK(BM_HmmMatch)->Unit(benchmark::kMillisecond);
 
 void BM_NearestEdgeMatch(benchmark::State& state) {
   const World& world = TestWorld();

@@ -2,45 +2,50 @@
 // table and figure artefact into an output directory — the one-command
 // reproduction a downstream user runs first.
 //
-//   $ ./full_study [output_dir] [scenario] [num_cars] [num_days] [seed]
+//   $ ./full_study [output_dir] [paper|small] [num_cars] [num_days] [seed]
 //
-// `scenario` is one of the names in core::ScenarioCatalog() ("paper",
-// "small", "winter-storm", "event-weekend", "degraded-sensors",
-// "dense-city", "no-river"); default "paper".
+// "paper" (the default) is StudyConfig::FullStudy(), 7 taxis over 365
+// days; "small" is StudyConfig::SmallStudy(). Cars and days are whole
+// numbers >= 1 and the seed a whole number >= 0; anything else is a
+// usage error, exit code 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <sys/stat.h>
 
+#include "parse_arg.h"
 #include "taxitrace/analysis/route_stats.h"
 #include "taxitrace/core/figures.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/core/reports.h"
-#include "taxitrace/core/scenarios.h"
 #include "taxitrace/roadnet/map_io.h"
+
+namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: full_study [output_dir] [paper|small] [num_cars] "
+               "[num_days] [seed]\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace taxitrace;
 
   const std::string out_dir = argc > 1 ? argv[1] : "study_output";
   const std::string scenario = argc > 2 ? argv[2] : "paper";
-  const Result<core::StudyConfig> scenario_config =
-      core::MakeScenario(scenario);
-  if (!scenario_config.ok()) {
-    std::fprintf(stderr, "%s\navailable scenarios:\n",
-                 scenario_config.status().ToString().c_str());
-    for (const core::ScenarioInfo& info : core::ScenarioCatalog()) {
-      std::fprintf(stderr, "  %-16s %s\n", info.name.c_str(),
-                   info.description.c_str());
-    }
-    return 2;
+  if (scenario != "paper" && scenario != "small") return Usage();
+  core::StudyConfig config = scenario == "paper"
+                                 ? core::StudyConfig::FullStudy()
+                                 : core::StudyConfig::SmallStudy();
+  if ((argc > 3 && !ParseArg(argv[3], &config.fleet.num_cars, 1)) ||
+      (argc > 4 && !ParseArg(argv[4], &config.fleet.num_days, 1)) ||
+      (argc > 5 && !ParseArg(argv[5], &config.fleet.seed))) {
+    return Usage();
   }
-  core::StudyConfig config = *scenario_config;
-  if (argc > 3) config.fleet.num_cars = std::atoi(argv[3]);
-  if (argc > 4) config.fleet.num_days = std::atoi(argv[4]);
   if (argc > 5) {
-    config.fleet.seed = std::strtoull(argv[5], nullptr, 10);
     config.map.seed = config.fleet.seed + 1;
     config.weather_seed = config.fleet.seed + 2;
   }

@@ -4,10 +4,13 @@
 // and map-matches it, and prints the route's map context.
 //
 //   $ ./route_inspector [seed]
+//
+// The seed is a whole number >= 0; anything else is a usage error, exit
+// code 2.
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "parse_arg.h"
 #include "taxitrace/clean/order_repair.h"
 #include "taxitrace/clean/outlier_filter.h"
 #include "taxitrace/mapattr/attribute_fetcher.h"
@@ -22,8 +25,11 @@
 int main(int argc, char** argv) {
   using namespace taxitrace;
 
-  const uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2012;
+  uint64_t seed = 2012;
+  if (argc > 1 && !ParseArg(argv[1], &seed)) {
+    std::fprintf(stderr, "usage: route_inspector [seed]\n");
+    return 2;
+  }
   Rng rng(seed);
 
   // 1. World: map, weather, driver, sensor.

@@ -42,10 +42,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
-#include <utility>
 
+#include "parse_arg.h"
 #include "taxitrace/analysis/grid.h"
 #include "taxitrace/analysis/od_matrix.h"
 #include "taxitrace/analysis/temporal.h"
@@ -77,21 +76,6 @@ const geo::LatLon kOrigin{65.0121, 25.4682};
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-// Parses a whole decimal integer argument into `*out`. False when the
-// text is malformed, the value does not fit T, or it is below `min`;
-// callers then exit with the usage code 2.
-template <typename T>
-bool ParseArg(const char* text, T* out,
-              T min = std::numeric_limits<T>::min()) {
-  const Result<int64_t> value = ParseInt64(text);
-  if (!value.ok() || !std::in_range<T>(*value) ||
-      static_cast<T>(*value) < min) {
-    return false;
-  }
-  *out = static_cast<T>(*value);
-  return true;
 }
 
 int GenerateMap(int argc, char** argv) {

@@ -145,10 +145,22 @@ def run_analysis(files: list[SourceFile], repo_root: Path,
         raw.extend(rule.check_repo(ctx))
 
     by_rel = {f.rel: f for f in files}
+
+    def source_for(rel: str) -> SourceFile | None:
+        # A repo-scope finding may name a file outside the lint targets;
+        # load it so its suppressions still apply. Its own unused
+        # suppressions are not reported: its file rules never ran.
+        if rel not in by_rel:
+            path = repo_root / rel
+            if path.suffix not in SRC_SUFFIXES or not path.is_file():
+                return None
+            by_rel[rel] = SourceFile(path, repo_root)
+        return by_rel[rel]
+
     reported: list[Finding] = []
     suppressed = 0
     for finding in raw:
-        sf = by_rel.get(finding.path)
+        sf = source_for(finding.path)
         sup = sf.suppression_for(finding.rule, finding.line) \
             if sf is not None else None
         if sup is not None:

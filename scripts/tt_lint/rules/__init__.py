@@ -98,7 +98,7 @@ def all_rules():
         determinism.ParallelAccumulation(),
         determinism.RelaxedAtomic(),
     ]
-    repo_rules = [repo.UnregisteredTest()]
+    repo_rules = [repo.UnregisteredTest(), repo.TestOnlyModule()]
     return file_rules, repo_rules
 
 

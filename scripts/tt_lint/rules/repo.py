@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import re
 
-from ..engine import Finding, RepoContext
+from ..engine import SRC_SUFFIXES, Finding, RepoContext
 from .base import RepoRule
+
+_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"(taxitrace/[^"]+)"',
+                         re.MULTILINE)
 
 
 class UnregisteredTest(RepoRule):
@@ -42,3 +45,45 @@ class UnregisteredTest(RepoRule):
                 message=f"{what} is not referenced by "
                         f"{dirname}/CMakeLists.txt, so it never builds "
                         "or runs")
+
+
+class TestOnlyModule(RepoRule):
+    """Every src/taxitrace/**/*.h must be included by code that ships: a
+    file under src/, examples/, bench/ or perfbench/ other than the
+    header's own .cc. A header that only its own .cc and the tests
+    include is a module nothing in the system runs; delete it, or
+    exempt it with a reasoned allow-file comment."""
+
+    name = "test-only-module"
+    short = ("a src/taxitrace header that nothing outside its own .cc "
+             "and the tests includes is a module nothing runs")
+
+    USER_DIRS = ("src", "examples", "bench", "perfbench")
+
+    def check_repo(self, ctx: RepoContext):
+        src = ctx.repo_root / "src" / "taxitrace"
+        if not src.is_dir():
+            return
+        includers: dict[str, set[str]] = {}
+        for dirname in self.USER_DIRS:
+            d = ctx.repo_root / dirname
+            if not d.is_dir():
+                continue
+            for path in sorted(d.rglob("*")):
+                if path.suffix not in SRC_SUFFIXES:
+                    continue
+                rel = path.relative_to(ctx.repo_root).as_posix()
+                text = path.read_text(encoding="utf-8", errors="replace")
+                for m in _INCLUDE_RE.finditer(text):
+                    includers.setdefault("src/" + m.group(1),
+                                         set()).add(rel)
+        for header in sorted(src.rglob("*.h")):
+            rel = header.relative_to(ctx.repo_root).as_posix()
+            own_cc = rel[:-len(".h")] + ".cc"
+            if includers.get(rel, set()) - {own_cc}:
+                continue
+            yield Finding(
+                path=rel, line=1, rule=self.name,
+                message="no file under src/, examples/, bench/ or "
+                        "perfbench/ includes this header except its own "
+                        ".cc, so only tests use the module")

@@ -1,13 +1,11 @@
 #include "taxitrace/mapmatch/gap_filler.h"
 
-#include <limits>
-
 namespace taxitrace {
 namespace mapmatch {
 
 GapFiller::GapFiller(const roadnet::RoadNetwork* network,
                      GapFillOptions options)
-    : network_(network), router_(network), options_(options) {}
+    : router_(network), options_(options) {}
 
 Result<roadnet::Path> GapFiller::Connect(const roadnet::EdgePosition& from,
                                          const roadnet::EdgePosition& to,
@@ -17,16 +15,8 @@ Result<roadnet::Path> GapFiller::Connect(const roadnet::EdgePosition& from,
     return *cached;
   }
   Result<roadnet::Path> path = router_.ShortestPathBetween(from, to);
-  cache->Insert(from, to, path);
+  if (!path.ok() || IsGap(path->length_m)) cache->Insert(from, to, path);
   return path;
-}
-
-double GapFiller::NetworkDistance(const roadnet::EdgePosition& from,
-                                  const roadnet::EdgePosition& to,
-                                  RouteCache* cache) const {
-  const Result<roadnet::Path> path = Connect(from, to, cache);
-  return path.ok() ? path->length_m
-                   : std::numeric_limits<double>::infinity();
 }
 
 bool GapFiller::IsPlausible(double network_length_m,

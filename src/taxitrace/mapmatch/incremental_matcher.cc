@@ -45,28 +45,6 @@ void AppendSteps(std::vector<roadnet::PathStep>* steps,
   }
 }
 
-// GapFiller::Connect through the trip's cache under Match's storage
-// rule: every connection is looked up, but only gap fills and failed
-// connections are stored. Short successful connections are almost
-// never asked for twice in one trip (about 0.3% of lookups hit on the
-// paper's study), so storing them cost a list node, a hash node and a
-// path copy per candidate for nothing.
-Result<roadnet::Path> ConnectCached(const GapFiller& gap_filler,
-                                    const roadnet::EdgePosition& from,
-                                    const roadnet::EdgePosition& to,
-                                    RouteCache* cache) {
-  if (cache != nullptr) {
-    if (const Result<roadnet::Path>* cached = cache->Find(from, to)) {
-      return *cached;
-    }
-  }
-  Result<roadnet::Path> path = gap_filler.Connect(from, to);
-  if (cache != nullptr && (!path.ok() || gap_filler.IsGap(path->length_m))) {
-    cache->Insert(from, to, path);
-  }
-  return path;
-}
-
 }  // namespace
 
 std::vector<roadnet::EdgeId> MatchedRoute::DistinctEdges() const {
@@ -137,7 +115,7 @@ Result<MatchedRoute> IncrementalMatcher::Match(const trace::Trip& trip,
       const roadnet::EdgePosition cand_pos{cand.edge,
                                            cand.projection.arc_length};
       Result<roadnet::Path> path =
-          ConnectCached(gap_filler_, current, cand_pos, cache);
+          gap_filler_.Connect(current, cand_pos, cache);
       if (!path.ok()) continue;
       if (gap_filler_.IsPlausible(path->length_m, straight)) {
         chosen = &cand;

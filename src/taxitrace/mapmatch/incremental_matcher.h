@@ -53,12 +53,10 @@ class IncrementalMatcher {
                      MatcherOptions options = {});
 
   /// Matches a trip's points onto the network. Fails when fewer than two
-  /// points can be matched at all. `cache`, when given, memoizes this
-  /// trip's gap fills (connections longer than the gap threshold) and
-  /// failed connections; every connection looks it up, but short
-  /// successful ones are not stored. Pass one cache per trip (never
-  /// shared across parallel work items) so results and cache counters
-  /// stay independent of worker count.
+  /// points can be matched at all. `cache`, when given, is threaded
+  /// through GapFiller::Connect, which decides what it stores. Pass one
+  /// cache per trip (never shared across parallel work items) so
+  /// results and cache counters stay independent of worker count.
   Result<MatchedRoute> Match(const trace::Trip& trip,
                              RouteCache* cache = nullptr) const;
 

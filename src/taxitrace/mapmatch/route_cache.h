@@ -1,12 +1,11 @@
 // A small LRU memo for gap-fill routing queries.
 //
-// Map matching asks the router for the same (from, to) edge-position
-// pair more than once — most prominently when an HMM backtrack
-// reconstructs a transition whose distance the forward pass already
-// computed — and each repeat is a full shortest-path search. The cache
-// keys on the exact bit pattern of both positions, so a hit is
-// guaranteed to return the byte-identical Result the router produced
-// (NotFound outcomes are cached too).
+// Map matching can ask the router for the same (from, to) edge-position
+// pair more than once within a trip, and each repeat is a full
+// shortest-path search. GapFiller::Connect decides which results are
+// stored. The cache keys on the exact bit pattern of both positions, so
+// a hit is guaranteed to return the byte-identical Result the router
+// produced (NotFound outcomes are cached too).
 //
 // Determinism contract: a RouteCache must be confined to one
 // deterministic unit of work — one trip's Match call — and never shared

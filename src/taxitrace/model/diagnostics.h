@@ -1,6 +1,10 @@
 // Residual diagnostics for the fitted mixed model: normality of the
 // within-cell residuals and variance stability across fitted values —
 // the model-checking companion to the Fig. 7 intercept QQ plot.
+//
+// tt-lint: allow-file(test-only-module): the model-fit diagnostics are
+// the planned run output for "how good is the answer?"; until a run
+// reports them, only their tests call them.
 
 #ifndef TAXITRACE_MODEL_DIAGNOSTICS_H_
 #define TAXITRACE_MODEL_DIAGNOSTICS_H_

@@ -2,6 +2,10 @@
 // the undirected graph and strong connectivity under the one-way
 // constraints (a drivable network must let every street reach every
 // other street).
+//
+// tt-lint: allow-file(test-only-module): the check that the generated
+// city is drivable (ConnectivityTest.GeneratedCityIsDrivable) guards
+// every study's input map.
 
 #ifndef TAXITRACE_ROADNET_CONNECTIVITY_H_
 #define TAXITRACE_ROADNET_CONNECTIVITY_H_

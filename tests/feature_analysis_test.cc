@@ -1,16 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "taxitrace/analysis/feature_model.h"
-#include <cmath>
-
-#include "taxitrace/analysis/hotspot_detector.h"
 #include "taxitrace/common/random.h"
 
 namespace taxitrace {
 namespace analysis {
 namespace {
-
-// --- Feature model --------------------------------------------------------
 
 // Synthetic world where traffic lights slow cells by a known amount.
 struct SyntheticWorld {
@@ -79,94 +74,6 @@ TEST(FeatureModelTest, RejectsTinyInput) {
   EXPECT_TRUE(FitFeatureModel({}, {}, Grid(200.0))
                   .status()
                   .IsFailedPrecondition());
-}
-
-// --- Hotspot detector ------------------------------------------------------
-
-std::vector<CellRecord> DetectorCells() {
-  // 20 normal cells at ~30 km/h; one slow cell with lights (explained)
-  // and one slow cell without features (crowd candidate).
-  std::vector<CellRecord> cells;
-  for (int i = 0; i < 20; ++i) {
-    CellRecord c;
-    c.cell = CellId{i, 0};
-    c.num_points = 50;
-    c.mean_speed_kmh = 29.0 + (i % 5);
-    cells.push_back(c);
-  }
-  CellRecord lit;
-  lit.cell = CellId{0, 1};
-  lit.num_points = 50;
-  lit.mean_speed_kmh = 15.0;
-  lit.features.traffic_lights = 3;
-  cells.push_back(lit);
-  CellRecord crowd;
-  crowd.cell = CellId{1, 1};
-  crowd.num_points = 50;
-  crowd.mean_speed_kmh = 14.0;
-  cells.push_back(crowd);
-  return cells;
-}
-
-TEST(HotspotDetectorTest, FindsAndClassifiesSlowCells) {
-  const std::vector<DetectedHotspot> hits = DetectHotspots(DetectorCells());
-  ASSERT_EQ(hits.size(), 2u);
-  // Slowest first.
-  EXPECT_EQ(hits[0].cell.cell, (CellId{1, 1}));
-  EXPECT_FALSE(hits[0].explained_by_features);
-  EXPECT_EQ(hits[1].cell.cell, (CellId{0, 1}));
-  EXPECT_TRUE(hits[1].explained_by_features);
-  EXPECT_LT(hits[0].z_score, hits[1].z_score);
-  EXPECT_LT(hits[1].z_score, -1.0);
-}
-
-TEST(HotspotDetectorTest, CrowdCandidatesOnly) {
-  const auto candidates = DetectCrowdCandidates(DetectorCells());
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].cell.cell, (CellId{1, 1}));
-}
-
-TEST(HotspotDetectorTest, MinPointsFilter) {
-  std::vector<CellRecord> cells = DetectorCells();
-  cells[21].num_points = 3;  // the crowd cell loses its support
-  HotspotDetectorOptions options;
-  options.min_points = 10;
-  const auto hits = DetectHotspots(cells, options);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_TRUE(hits[0].explained_by_features);
-}
-
-TEST(HotspotDetectorTest, DegenerateInputs) {
-  EXPECT_TRUE(DetectHotspots({}).empty());
-  std::vector<CellRecord> uniform(5);
-  for (int i = 0; i < 5; ++i) {
-    uniform[static_cast<size_t>(i)].num_points = 20;
-    uniform[static_cast<size_t>(i)].mean_speed_kmh = 25.0;  // zero sd
-  }
-  EXPECT_TRUE(DetectHotspots(uniform).empty());
-}
-
-TEST(HotspotDetectorTest, ThresholdRespected) {
-  HotspotDetectorOptions strict;
-  strict.slow_z_threshold = 10.0;  // nothing is that slow
-  EXPECT_TRUE(DetectHotspots(DetectorCells(), strict).empty());
-}
-
-
-TEST(HotspotDetectorTest, RegionOutlineCoversDetectedCells) {
-  const auto hits = DetectHotspots(DetectorCells());
-  ASSERT_EQ(hits.size(), 2u);
-  const Grid grid(200.0);
-  const geo::Polygon outline = HotspotRegionOutline(hits, grid);
-  ASSERT_FALSE(outline.empty());
-  for (const DetectedHotspot& hit : hits) {
-    EXPECT_TRUE(outline.Contains(grid.CellCenter(hit.cell.cell)));
-  }
-  EXPECT_GE(std::abs(outline.SignedArea()), 200.0 * 200.0);
-}
-
-TEST(HotspotDetectorTest, RegionOutlineEmptyForNoHits) {
-  EXPECT_TRUE(HotspotRegionOutline({}, Grid(200.0)).empty());
 }
 
 }  // namespace

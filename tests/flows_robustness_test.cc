@@ -11,7 +11,6 @@
 #include "taxitrace/roadnet/map_io.h"
 #include "taxitrace/synth/fleet_simulator.h"
 #include "taxitrace/trace/trace_io.h"
-#include "taxitrace/trace/trip_stats.h"
 
 namespace taxitrace {
 namespace {
@@ -59,37 +58,6 @@ TEST(OdMatrixTest, IgnoresDegenerateTrips) {
   tiny.points.resize(1);
   EXPECT_TRUE(analysis::BuildOdMatrix({&tiny, nullptr}, proj).empty());
   EXPECT_DOUBLE_EQ(analysis::IntraZoneShare({}), 0.0);
-}
-
-// --- Trip stats --------------------------------------------------------------
-
-TEST(TripStatsTest, Aggregates) {
-  const geo::LocalProjection proj(geo::LatLon{65.0, 25.47});
-  std::vector<trace::Trip> trips = {
-      TripBetween(proj, {0, 0}, {1000, 0}),          // 1 km, 4 min
-      TripBetween(proj, {0, 0}, {3000, 0}, 1000.0),  // 3 km, 4 min
-  };
-  for (auto& t : trips) {
-    for (auto& p : t.points) p.fuel_delta_ml = 50.0;
-  }
-  const trace::TripCollectionStats stats =
-      trace::ComputeTripStats(trips);
-  EXPECT_EQ(stats.trips, 2);
-  EXPECT_EQ(stats.points, 10);
-  EXPECT_NEAR(stats.total_distance_km, 4.0, 0.01);
-  EXPECT_NEAR(stats.mean_distance_km, 2.0, 0.01);
-  EXPECT_NEAR(stats.max_distance_km, 3.0, 0.01);
-  EXPECT_NEAR(stats.mean_duration_min, 4.0, 1e-6);
-  EXPECT_NEAR(stats.total_fuel_l, 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(stats.mean_points_per_trip, 5.0);
-  const std::string text = trace::FormatTripStats(stats);
-  EXPECT_NE(text.find("trips: 2"), std::string::npos);
-}
-
-TEST(TripStatsTest, EmptyCollection) {
-  const trace::TripCollectionStats stats = trace::ComputeTripStats({});
-  EXPECT_EQ(stats.trips, 0);
-  EXPECT_DOUBLE_EQ(stats.mean_distance_km, 0.0);
 }
 
 // --- Match report --------------------------------------------------------------

@@ -29,7 +29,7 @@ FINDING_RE = re.compile(r"^(.+?):(\d+): \[([a-z0-9-]+)\]")
 
 # Rules whose findings anchor to line 1 of the named file, not to the
 # line carrying the marker.
-FILE_ANCHORED = {"unregistered-test"}
+FILE_ANCHORED = {"unregistered-test", "test-only-module"}
 
 failures: list[str] = []
 
@@ -185,6 +185,7 @@ def check_list_rules() -> None:
         "parallel-accumulation", "relaxed-atomic", "bare-assert",
         "raw-thread", "adhoc-timing", "linear-reset", "result-ok-status",
         "include-path", "ignored-status", "unregistered-test",
+        "test-only-module",
         "suppression-reason", "unused-suppression",
     }
     for rule in sorted(required - listed):
