@@ -2,12 +2,9 @@
 // grows from ~1k to >= 100k vertices — build time, resident bytes per
 // vertex, tiles touched per routing query, and ShortestPath / Nearest
 // throughput. The sweep drives the metro generator presets
-// (synth/metro_map_generator.h); results land in BENCH_map_scale.json.
+// (synth/metro_map_generator.h).
 
 #include <chrono>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "taxitrace/roadnet/router.h"
@@ -17,6 +14,9 @@
 namespace taxitrace {
 namespace {
 
+constexpr int kRouteQueries = 128;
+constexpr int kNearestQueries = 2048;
+
 double NowMs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -24,33 +24,14 @@ double NowMs() {
          1e6;
 }
 
-struct SweepRow {
-  int preset = 0;
-  size_t vertices = 0;
-  size_t edges = 0;
-  size_t tiles = 0;
-  double build_ms = 0.0;
-  double bytes_per_vertex = 0.0;
-  double tiles_touched_per_route = 0.0;
-  double tiles_probed_per_nearby = 0.0;
-  double route_us = 0.0;
-  double nearest_us = 0.0;
-};
-
-SweepRow RunPreset(int level, int route_queries, int nearest_queries) {
-  SweepRow row;
-  row.preset = level;
-
+void RunPreset(int level) {
   const double t0 = NowMs();
   const synth::MetroMap map =
       synth::GenerateMetroMap(synth::MetroPreset(level)).value();
-  row.build_ms = NowMs() - t0;
+  const double build_ms = NowMs() - t0;
 
   const roadnet::RoadNetwork& net = map.network;
-  row.vertices = net.num_vertices();
-  row.edges = net.num_edges();
-  row.tiles = net.num_tiles();
-  row.bytes_per_vertex =
+  const double bytes_per_vertex =
       static_cast<double>(net.ApproxMemoryBytes()) /
       static_cast<double>(net.num_vertices());
 
@@ -60,7 +41,7 @@ SweepRow RunPreset(int level, int route_queries, int nearest_queries) {
   const auto n = static_cast<int64_t>(net.num_vertices());
   int routed = 0;
   const double r0 = NowMs();
-  for (int q = 0; q < route_queries; ++q) {
+  for (int q = 0; q < kRouteQueries; ++q) {
     const roadnet::VertexId a =
         net.VertexIdAt(static_cast<size_t>(rng.UniformInt(0, n - 1)));
     const roadnet::VertexId b =
@@ -68,10 +49,9 @@ SweepRow RunPreset(int level, int route_queries, int nearest_queries) {
     const Result<roadnet::Path> path = router.ShortestPath(a, b);
     routed += path.ok() ? 1 : 0;
   }
-  const double route_ms = NowMs() - r0;
+  const double route_us = (NowMs() - r0) * 1e3 / kRouteQueries;
   const roadnet::RouterStats rstats = router.stats();
-  row.route_us = route_ms * 1e3 / std::max(1, route_queries);
-  row.tiles_touched_per_route =
+  const double tiles_touched_per_route =
       static_cast<double>(rstats.tiles_touched) /
       static_cast<double>(std::max<int64_t>(1, rstats.searches));
 
@@ -80,68 +60,30 @@ SweepRow RunPreset(int level, int route_queries, int nearest_queries) {
   const geo::Bbox bounds = net.Bounds();
   int found = 0;
   const double s0 = NowMs();
-  for (int q = 0; q < nearest_queries; ++q) {
+  for (int q = 0; q < kNearestQueries; ++q) {
     const geo::EnPoint p{rng.Uniform(bounds.min_x, bounds.max_x),
                          rng.Uniform(bounds.min_y, bounds.max_y)};
     found += index.Nearest(p, 400.0).has_value() ? 1 : 0;
   }
-  const double nearest_ms = NowMs() - s0;
+  const double nearest_us = (NowMs() - s0) * 1e3 / kNearestQueries;
   const roadnet::SpatialIndexStats sstats = index.stats();
-  row.nearest_us = nearest_ms * 1e3 / std::max(1, nearest_queries);
-  row.tiles_probed_per_nearby =
+  const double tiles_probed_per_nearby =
       static_cast<double>(sstats.tiles_probed) /
       static_cast<double>(std::max<int64_t>(1, sstats.queries));
 
   std::printf(
       "  preset %d: %7zu vertices %7zu edges %4zu tiles | build %8.1f ms "
       "%6.0f B/vertex | route %8.1f us (%4.1f tiles) | nearest %6.1f us "
-      "(%d/%d routed, %d/%d found)\n",
-      level, row.vertices, row.edges, row.tiles, row.build_ms,
-      row.bytes_per_vertex, row.route_us, row.tiles_touched_per_route,
-      row.nearest_us, routed, route_queries, found, nearest_queries);
-  return row;
-}
-
-std::string RowJson(const SweepRow& r) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "    {\"preset\": %d, \"vertices\": %zu, \"edges\": %zu,\n"
-      "     \"tiles\": %zu, \"build_ms\": %.2f, \"bytes_per_vertex\": %.1f,\n"
-      "     \"tiles_touched_per_route\": %.2f, "
-      "\"tiles_probed_per_nearby\": %.2f,\n"
-      "     \"route_us\": %.2f, \"nearest_us\": %.2f}",
-      r.preset, r.vertices, r.edges, r.tiles, r.build_ms, r.bytes_per_vertex,
-      r.tiles_touched_per_route, r.tiles_probed_per_nearby, r.route_us,
-      r.nearest_us);
-  return buf;
+      "(%3.1f tiles) | %d/%d routed, %d/%d found\n",
+      level, net.num_vertices(), net.num_edges(), net.num_tiles(), build_ms,
+      bytes_per_vertex, route_us, tiles_touched_per_route, nearest_us,
+      tiles_probed_per_nearby, routed, kRouteQueries, found,
+      kNearestQueries);
 }
 
 void PrintMapScaleSweep() {
-  // CI smoke mode trims the sweep to the two smallest presets so the
-  // bench-smoke step stays cheap; the committed BENCH_map_scale.json is
-  // produced by a full (non-smoke) run reaching >= 100k vertices.
-  const char* smoke_env = std::getenv("TAXITRACE_BENCH_SMOKE");
-  const bool smoke = smoke_env != nullptr && smoke_env[0] != '\0';
-  const int max_level = smoke ? 1 : 3;
-  const int route_queries = smoke ? 32 : 128;
-  const int nearest_queries = smoke ? 256 : 2048;
-
   std::printf("MAP-SCALE SWEEP (tiled graph storage):\n");
-  std::vector<SweepRow> rows;
-  for (int level = 0; level <= max_level; ++level) {
-    rows.push_back(RunPreset(level, route_queries, nearest_queries));
-  }
-
-  std::string json = "{\n  \"schema\": \"taxitrace-bench-map-scale/1\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  json += "  \"sweep\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    json += RowJson(rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-  benchutil::EmitFigureFile("BENCH_map_scale.json", json);
+  for (int level = 0; level <= 3; ++level) RunPreset(level);
 }
 
 // Google-benchmark legs over the two smallest presets (the big presets

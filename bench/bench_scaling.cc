@@ -1,179 +1,31 @@
 // Performance scaling: how the pipeline's cost grows with study size,
 // network extent and model size — the systems-side companion to the
-// reproduction benches.
-
-#include <chrono>
-#include <cstdlib>
-#include <string>
-#include <thread>
+// reproduction benches. End-to-end timings of record come from
+// perfbench (`python3 perfbench/run.py`); this binary prints the small
+// study's stage timings and runs the google-benchmark legs.
 
 #include "bench_util.h"
-#include "taxitrace/mapmatch/gap_filler.h"
 #include "taxitrace/model/one_way_reml.h"
-#include "taxitrace/obs/observability.h"
 #include "taxitrace/roadnet/router.h"
+#include "taxitrace/roadnet/spatial_index.h"
 
 namespace taxitrace {
 namespace {
 
-void PrintStageTimings(const char* label, const core::StudyResults& r) {
-  std::printf("PIPELINE STAGE TIMINGS (%s):\n", label);
+void PrintStageTimings() {
+  const core::StudyResults& r = benchutil::SmallResults();
+  std::printf("PIPELINE STAGE TIMINGS (small study, %d workers):\n",
+              r.timings.workers);
   std::printf("  map generation       %8.1f ms\n",
               r.timings.map_generation_ms);
-  std::printf("  fleet simulation     %8.1f ms  (%d threads)\n",
-              r.timings.simulation_ms, r.timings.simulation_threads);
-  std::printf("  cleaning             %8.1f ms  (%d threads)\n",
-              r.timings.cleaning_ms, r.timings.cleaning_threads);
-  std::printf("  selection + matching %8.1f ms  (%d threads)\n",
-              r.timings.selection_matching_ms,
-              r.timings.selection_matching_threads);
+  std::printf("  fleet simulation     %8.1f ms\n", r.timings.simulation_ms);
+  std::printf("  cleaning             %8.1f ms\n", r.timings.cleaning_ms);
+  std::printf("  selection + matching %8.1f ms\n",
+              r.timings.selection_matching_ms);
   std::printf("  grid + mixed model   %8.1f ms\n", r.timings.analysis_ms);
   std::printf("  total                %8.1f ms for %lld raw points\n\n",
               r.timings.TotalMs(),
-              static_cast<long long>(
-                  r.cleaning_report.raw_points));
-}
-
-std::string RunJson(const core::StudyResults& r, int configured_threads) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "    {\"threads\": %d, \"workers\": %d,\n"
-      "     \"map_generation_ms\": %.2f, \"simulation_ms\": %.2f,\n"
-      "     \"cleaning_ms\": %.2f, \"selection_matching_ms\": %.2f,\n"
-      "     \"analysis_ms\": %.2f, \"total_ms\": %.2f}",
-      configured_threads, r.timings.simulation_threads,
-      r.timings.map_generation_ms, r.timings.simulation_ms,
-      r.timings.cleaning_ms, r.timings.selection_matching_ms,
-      r.timings.analysis_ms, r.timings.TotalMs());
-  return buf;
-}
-
-// The stage timings the simulation overhaul started from, copied
-// verbatim from the schema/2 BENCH_pipeline.json committed before it
-// (per-drive |E|-sized multiplier refills, per-drive buffer churn, full
-// ShortestPath repositioning probes, copy-based cleaning sweeps). Kept
-// inline so the /3 file always carries its own before/after comparison.
-constexpr const char* kBaselineRunsJson =
-    "    {\"threads\": 0, \"workers\": 0,\n"
-    "     \"map_generation_ms\": 10.87, \"simulation_ms\": 3937.76,\n"
-    "     \"cleaning_ms\": 1602.54, \"selection_matching_ms\": 349.61,\n"
-    "     \"analysis_ms\": 5.10, \"total_ms\": 5905.89},\n"
-    "    {\"threads\": -1, \"workers\": 1,\n"
-    "     \"map_generation_ms\": 6.04, \"simulation_ms\": 3663.44,\n"
-    "     \"cleaning_ms\": 1214.07, \"selection_matching_ms\": 375.81,\n"
-    "     \"analysis_ms\": 4.47, \"total_ms\": 5263.84}";
-constexpr double kBaselineSerialSimulationMs = 3937.76;
-constexpr double kBaselineSerialCleaningMs = 1602.54;
-
-double NowMs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-             .count() /
-         1e6;
-}
-
-// Routing microbench of record: ShortestPath over sampled OD vertex
-// pairs, then the same pairs as edge positions through GapFiller with a
-// cold and then a warm route cache, so search cost and cache payoff are
-// both visible.
-void PrintRoutingBench() {
-  synth::CityMapOptions map_options;
-  const synth::CityMap map = synth::GenerateCityMap(map_options).value();
-  const roadnet::Router router(&map.network);
-  const mapmatch::GapFiller filler(&map.network);
-
-  constexpr int kPairs = 256;
-  const auto num_vertices =
-      static_cast<int64_t>(map.network.num_vertices());
-  const auto num_edges = static_cast<int64_t>(map.network.num_edges());
-  Rng rng(42);
-  std::vector<std::pair<roadnet::VertexId, roadnet::VertexId>> od;
-  std::vector<std::pair<roadnet::EdgePosition, roadnet::EdgePosition>> od_pos;
-  for (int i = 0; i < kPairs; ++i) {
-    od.emplace_back(
-        static_cast<roadnet::VertexId>(rng.UniformInt(0, num_vertices - 1)),
-        static_cast<roadnet::VertexId>(rng.UniformInt(0, num_vertices - 1)));
-    const auto ea =
-        static_cast<roadnet::EdgeId>(rng.UniformInt(0, num_edges - 1));
-    const auto eb =
-        static_cast<roadnet::EdgeId>(rng.UniformInt(0, num_edges - 1));
-    od_pos.emplace_back(
-        roadnet::EdgePosition{ea, 0.5 * map.network.edge(ea).length_m},
-        roadnet::EdgePosition{eb, 0.5 * map.network.edge(eb).length_m});
-  }
-
-  int found = 0;
-  const double sp_t0 = NowMs();
-  for (const auto& [a, b] : od) {
-    if (router.ShortestPath(a, b).ok()) ++found;
-  }
-  const double sp_ms = NowMs() - sp_t0;
-
-  mapmatch::RouteCache cache(kPairs);
-  int connected = 0;
-  const double cold_t0 = NowMs();
-  for (const auto& [a, b] : od_pos) {
-    if (filler.Connect(a, b, &cache).ok()) ++connected;
-  }
-  const double cold_ms = NowMs() - cold_t0;
-  const mapmatch::RouteCache::Stats cold_stats = cache.stats();
-
-  const double warm_t0 = NowMs();
-  for (const auto& [a, b] : od_pos) {
-    (void)filler.Connect(a, b, &cache);
-  }
-  const double warm_ms = NowMs() - warm_t0;
-  const mapmatch::RouteCache::Stats warm_stats = cache.stats();
-
-  const roadnet::RouterStats rt = router.stats();
-  std::string json;
-  char line[512];
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-routing/1\",\n";
-  std::snprintf(line, sizeof line,
-                "  \"network\": {\"vertices\": %lld, \"edges\": %lld},\n",
-                static_cast<long long>(num_vertices),
-                static_cast<long long>(num_edges));
-  json += line;
-  std::snprintf(line, sizeof line, "  \"od_pairs\": %d,\n", kPairs);
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"shortest_path\": {\"total_ms\": %.2f, "
-                "\"per_query_us\": %.1f, \"found\": %d,\n"
-                "    \"heap_pops\": %lld, \"settled_vertices\": %lld, "
-                "\"goal_directed_searches\": %lld},\n",
-                sp_ms, sp_ms * 1000.0 / kPairs, found,
-                static_cast<long long>(rt.heap_pops),
-                static_cast<long long>(rt.settled_vertices),
-                static_cast<long long>(rt.goal_directed_searches));
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"connect_cold_cache\": {\"total_ms\": %.2f, "
-                "\"per_query_us\": %.1f, \"connected\": %d, "
-                "\"hits\": %lld, \"misses\": %lld},\n",
-                cold_ms, cold_ms * 1000.0 / kPairs, connected,
-                static_cast<long long>(cold_stats.hits),
-                static_cast<long long>(cold_stats.misses));
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"connect_warm_cache\": {\"total_ms\": %.2f, "
-                "\"per_query_us\": %.1f, "
-                "\"hits\": %lld, \"misses\": %lld},\n",
-                warm_ms, warm_ms * 1000.0 / kPairs,
-                static_cast<long long>(warm_stats.hits - cold_stats.hits),
-                static_cast<long long>(warm_stats.misses - cold_stats.misses));
-  json += line;
-  std::snprintf(line, sizeof line, "  \"warm_speedup\": %.2f\n",
-                warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
-  json += line;
-  json += "}\n";
-  benchutil::EmitFigureFile("BENCH_routing.json", json);
-  std::printf(
-      "  routing microbench: %d OD pairs, ShortestPath %.1f us/query, "
-      "Connect cold %.1f us / warm %.1f us per query\n\n",
-      kPairs, sp_ms * 1000.0 / kPairs, cold_ms * 1000.0 / kPairs,
-      warm_ms * 1000.0 / kPairs);
+              static_cast<long long>(r.cleaning_report.raw_points));
 }
 
 // Sink for simulation-only benches: counts what streams past and keeps
@@ -188,192 +40,6 @@ struct CountingSink final : public trace::TripSink {
     return Status::OK();
   }
 };
-
-// Simulation bench of record, two legs emitted to BENCH_simulation.json:
-// the paper-scale 7x365 fleet simulated serially (the sim-only cousin
-// of the pipeline bench's simulation_ms), and a 1000-car x 30-day run
-// through the streaming TripSink interface, where the only raw-trip
-// state alive at any moment is the reorder buffer — its high-water mark
-// (`peak_buffered_shards`, ~worker count) is the bounded-memory number,
-// against 30 000 shards total. Smoke mode shrinks both legs and tags
-// the file so the JSON of record is only rewritten by full runs.
-void PrintSimulationBench(bool smoke) {
-  synth::CityMapOptions map_options;
-  const synth::CityMap map = synth::GenerateCityMap(map_options).value();
-
-  synth::FleetOptions serial_options;  // 7 cars x 365 days
-  if (smoke) serial_options.num_days = 30;
-  const synth::WeatherModel weather(19121, serial_options.num_days);
-  const synth::FleetSimulator fleet(&map, &weather, serial_options);
-  CountingSink serial_sink;
-  const double serial_t0 = NowMs();
-  const auto serial_stats = fleet.Run(nullptr, &serial_sink);
-  const double serial_ms = NowMs() - serial_t0;
-  if (!serial_stats.ok()) {
-    std::fprintf(stderr, "[bench] serial simulation failed: %s\n",
-                 serial_stats.status().ToString().c_str());
-    std::exit(EXIT_FAILURE);
-  }
-
-  synth::FleetOptions big_options;
-  big_options.num_cars = smoke ? 50 : 1000;
-  big_options.num_days = smoke ? 5 : 30;
-  const synth::WeatherModel big_weather(19121, big_options.num_days);
-  const synth::FleetSimulator big_fleet(&map, &big_weather, big_options);
-  const Executor pool(Executor::ResolveThreadCount(-1));
-  CountingSink big_sink;
-  const double big_t0 = NowMs();
-  const auto big_stats = big_fleet.Run(&pool, &big_sink);
-  const double big_ms = NowMs() - big_t0;
-  if (!big_stats.ok()) {
-    std::fprintf(stderr, "[bench] streaming simulation failed: %s\n",
-                 big_stats.status().ToString().c_str());
-    std::exit(EXIT_FAILURE);
-  }
-  const int64_t big_shards =
-      static_cast<int64_t>(big_options.num_cars) * big_options.num_days;
-
-  std::string json;
-  char line[512];
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-simulation/1\",\n";
-  std::snprintf(line, sizeof line, "  \"smoke\": %s,\n",
-                smoke ? "true" : "false");
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"serial\": {\"cars\": %d, \"days\": %d, "
-      "\"simulation_ms\": %.2f,\n"
-      "    \"trips\": %lld, \"points\": %lld, "
-      "\"peak_buffered_shards\": %lld},\n",
-      serial_options.num_cars, serial_options.num_days, serial_ms,
-      static_cast<long long>(serial_sink.trips),
-      static_cast<long long>(serial_sink.points),
-      static_cast<long long>(serial_stats->peak_buffered_shards));
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"streaming\": {\"cars\": %d, \"days\": %d, \"workers\": %d,\n"
-      "    \"wall_ms\": %.2f, \"trips\": %lld, \"points\": %lld,\n"
-      "    \"shards\": %lld, \"peak_buffered_shards\": %lld}\n",
-      big_options.num_cars, big_options.num_days, pool.num_threads(),
-      big_ms, static_cast<long long>(big_sink.trips),
-      static_cast<long long>(big_sink.points),
-      static_cast<long long>(big_shards),
-      static_cast<long long>(big_stats->peak_buffered_shards));
-  json += line;
-  json += "}\n";
-  benchutil::EmitFigureFile("BENCH_simulation.json", json);
-  std::printf(
-      "  simulation bench: %dx%d serial %.1f ms (%lld points); "
-      "%dx%d streamed %.1f ms, peak %lld/%lld shards buffered\n\n",
-      serial_options.num_cars, serial_options.num_days, serial_ms,
-      static_cast<long long>(serial_sink.points), big_options.num_cars,
-      big_options.num_days, big_ms,
-      static_cast<long long>(big_stats->peak_buffered_shards),
-      static_cast<long long>(big_shards));
-}
-
-// The perf trajectory of record: serial vs parallel full-study stage
-// timings, machine-readable so successive PRs can be compared.
-void PrintScaling() {
-  // CI smoke mode: swap the two multi-second full-study runs for one
-  // small study so the bench-smoke step stays cheap. The routing and
-  // simulation microbenches still run (the latter shrunk and tagged
-  // "smoke") and emit BENCH_routing.json / BENCH_simulation.json; the
-  // pipeline JSON of record is only rewritten by full runs.
-  const char* smoke = std::getenv("TAXITRACE_BENCH_SMOKE");
-  if (smoke != nullptr && smoke[0] != '\0' && smoke[0] != '0') {
-    PrintStageTimings("small study, bench smoke", benchutil::SmallResults());
-    PrintRoutingBench();
-    PrintSimulationBench(/*smoke=*/true);
-    return;
-  }
-
-  core::StudyConfig serial_config = core::StudyConfig::FullStudy();
-  serial_config.num_threads = 0;
-  const core::StudyResults serial =
-      benchutil::RunStudyOrExit(serial_config, "serial full study");
-  PrintStageTimings("full 7-car, 365-day study, serial", serial);
-
-  core::StudyConfig parallel_config = core::StudyConfig::FullStudy();
-  parallel_config.num_threads = -1;  // TAXITRACE_THREADS / all hardware
-  const core::StudyResults parallel =
-      benchutil::RunStudyOrExit(parallel_config, "parallel full study");
-  PrintStageTimings("full 7-car, 365-day study, parallel", parallel);
-
-  const double speedup =
-      parallel.timings.TotalMs() > 0.0
-          ? serial.timings.TotalMs() / parallel.timings.TotalMs()
-          : 0.0;
-  std::string json;
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-pipeline/3\",\n";
-  json += "  \"study\": {\"cars\": 7, \"days\": 365},\n";
-  char line[256];
-  std::snprintf(
-      line, sizeof line, "  \"hardware_threads\": %u,\n",
-      // tt-lint: allow(raw-thread): thread-count probe for the report header
-      std::thread::hardware_concurrency());
-  json += line;
-  std::snprintf(line, sizeof line, "  \"raw_points\": %lld,\n",
-                static_cast<long long>(serial.cleaning_report.raw_points));
-  json += line;
-  json += "  \"baseline\": {\n";
-  json += "    \"note\": \"schema/2 numbers from before the simulation "
-          "& cleaning streaming overhaul\",\n";
-  json += "    \"runs\": [\n  ";
-  json += kBaselineRunsJson;
-  json += "\n    ]\n  },\n";
-  json += "  \"runs\": [\n";
-  json += RunJson(serial, 0) + ",\n";
-  json += RunJson(parallel, -1) + "\n";
-  json += "  ],\n";
-  std::snprintf(line, sizeof line,
-                "  \"parallel_speedup_total\": %.3f,\n", speedup);
-  json += line;
-  const double simulation_speedup =
-      serial.timings.simulation_ms > 0.0
-          ? kBaselineSerialSimulationMs / serial.timings.simulation_ms
-          : 0.0;
-  std::snprintf(line, sizeof line,
-                "  \"serial_simulation_speedup_vs_baseline\": %.2f,\n",
-                simulation_speedup);
-  json += line;
-  const double cleaning_speedup =
-      serial.timings.cleaning_ms > 0.0
-          ? kBaselineSerialCleaningMs / serial.timings.cleaning_ms
-          : 0.0;
-  std::snprintf(line, sizeof line,
-                "  \"serial_cleaning_speedup_vs_baseline\": %.2f\n",
-                cleaning_speedup);
-  json += line;
-  json += "}\n";
-  benchutil::EmitFigureFile("BENCH_pipeline.json", json);
-  std::printf("  parallel speedup (total wall-clock): %.2fx on %d workers\n",
-              speedup, parallel.timings.simulation_threads);
-  std::printf("  serial simulation vs pre-overhaul baseline: "
-              "%.2fx (%.1f ms -> %.1f ms)\n",
-              simulation_speedup, kBaselineSerialSimulationMs,
-              serial.timings.simulation_ms);
-  std::printf("  serial cleaning vs pre-overhaul baseline: "
-              "%.2fx (%.1f ms -> %.1f ms)\n\n",
-              cleaning_speedup, kBaselineSerialCleaningMs,
-              serial.timings.cleaning_ms);
-
-  PrintRoutingBench();
-  PrintSimulationBench(/*smoke=*/false);
-
-  // Metrics snapshot from a separate observability-enabled small study.
-  // The two timed full-study runs above keep observability off, so the
-  // wall times of record always benchmark the disabled (no-op) path.
-  core::StudyConfig metrics_config = core::StudyConfig::SmallStudy();
-  metrics_config.observability.enabled = true;
-  const core::StudyResults observed =
-      benchutil::RunStudyOrExit(metrics_config, "metrics small study");
-  benchutil::EmitFigureFile("BENCH_metrics.json",
-                            obs::SnapshotJson(observed.observability));
-}
 
 void BM_PipelineByThreads(benchmark::State& state) {
   core::StudyConfig config = core::StudyConfig::SmallStudy();
@@ -498,4 +164,4 @@ BENCHMARK(BM_SpatialIndexBuild)
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintScaling)
+TAXITRACE_BENCH_MAIN(taxitrace::PrintStageTimings)

@@ -1,12 +1,8 @@
-// Online ingestion bench: per-point release latency percentiles and
-// window-flush throughput of the stream_ingestion path, plus the
-// batch-vs-online wall-clock comparison on the same study. Emits
-// BENCH_streaming.json (schema taxitrace-bench-streaming/1); smoke
-// mode shrinks the study and tags the file so the JSON of record is
-// only rewritten by full runs.
+// Online ingestion bench: per-point release latency percentiles, peak
+// buffer and window-flush throughput of the stream_ingestion path on
+// the paper-scale study. perfbench's `study_ingest` and `study_batch`
+// workloads give the online-vs-batch wall-clock comparison.
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -22,41 +18,22 @@ namespace {
 constexpr int64_t kLag = 64;
 constexpr int64_t kShuffle = kLag / 2;  // The lossless bound.
 
-core::StudyConfig StreamingConfig(bool smoke) {
-  core::StudyConfig config =
-      smoke ? core::StudyConfig::SmallStudy() : core::StudyConfig::FullStudy();
+void PrintStreaming() {
+  // Online run: every point arrives up to kShuffle slots out of order
+  // and the ingester repairs, cleans and matches per closed window.
+  core::StudyConfig config = core::StudyConfig::FullStudy();
   config.stream_ingestion = true;
   config.ingest.reorder_lag = kLag;
   config.ingest.arrival_shuffle_window = kShuffle;
-  return config;
-}
-
-void PrintStreaming() {
-  const char* smoke_env = std::getenv("TAXITRACE_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
-
-  // Online run: every point arrives up to kShuffle slots out of order
-  // and the ingester repairs, cleans and matches per closed window.
-  const core::StudyConfig config = StreamingConfig(smoke);
-  const core::StudyResults online = benchutil::RunStudyOrExit(
-      config, smoke ? "streamed small study" : "streamed full study");
+  const core::StudyResults online =
+      benchutil::RunStudyOrExit(config, "streamed full study");
   const stream::IngestStats& s = online.ingest_stats;
-
-  // The batch run over the identical trace, for the wall-clock
-  // comparison (results are byte-identical by the equivalence tests).
-  core::StudyConfig batch_config = config;
-  batch_config.stream_ingestion = false;
-  const core::StudyResults batch =
-      benchutil::RunStudyOrExit(batch_config, "batch comparison study");
 
   const int64_t p50 = stream::IngestLatencyQuantile(s, 0.50);
   const int64_t p90 = stream::IngestLatencyQuantile(s, 0.90);
   const int64_t p99 = stream::IngestLatencyQuantile(s, 0.99);
   const int64_t max = stream::IngestLatencyMax(s);
   const double ingest_ms = online.timings.stream_ingest_ms;
-  const double batch_ms =
-      batch.timings.cleaning_ms + batch.timings.selection_matching_ms;
   const double points_per_ms =
       ingest_ms > 0.0 ? static_cast<double>(s.points_released) / ingest_ms
                       : 0.0;
@@ -64,71 +41,21 @@ void PrintStreaming() {
       ingest_ms > 0.0
           ? static_cast<double>(s.windows_closed) * 1000.0 / ingest_ms
           : 0.0;
-
-  std::string json;
-  char line[512];
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-streaming/1\",\n";
-  std::snprintf(line, sizeof line, "  \"smoke\": %s,\n",
-                smoke ? "true" : "false");
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"study\": {\"cars\": %d, \"days\": %d},\n",
-                config.fleet.num_cars, config.fleet.num_days);
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"ingest\": {\"reorder_lag\": %lld, \"shuffle_window\": %lld,\n"
-      "    \"points_offered\": %lld, \"points_released\": %lld, "
-      "\"points_dropped_late\": %lld,\n"
-      "    \"windows_closed\": %lld, \"peak_buffered_records\": %lld},\n",
-      static_cast<long long>(kLag), static_cast<long long>(kShuffle),
-      static_cast<long long>(s.points_offered),
-      static_cast<long long>(s.points_released),
-      static_cast<long long>(s.points_dropped_late),
-      static_cast<long long>(s.windows_closed),
-      static_cast<long long>(s.peak_buffered_records));
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"latency_slots\": {\"p50\": %lld, \"p90\": %lld, \"p99\": %lld, "
-      "\"max\": %lld,\n    \"within_configured_lag\": %s},\n",
-      static_cast<long long>(p50), static_cast<long long>(p90),
-      static_cast<long long>(p99), static_cast<long long>(max),
-      p99 <= kLag ? "true" : "false");
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"throughput\": {\"stream_ingest_ms\": %.2f, "
-      "\"points_per_ms\": %.1f, \"window_flushes_per_s\": %.1f},\n",
-      ingest_ms, points_per_ms, windows_per_s);
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"batch_comparison\": {\"cleaning_ms\": %.2f, "
-      "\"selection_matching_ms\": %.2f, \"batch_total_ms\": %.2f,\n"
-      "    \"online_vs_batch\": %.2f}\n",
-      batch.timings.cleaning_ms, batch.timings.selection_matching_ms,
-      batch_ms, batch_ms > 0.0 ? ingest_ms / batch_ms : 0.0);
-  json += line;
-  json += "}\n";
-  benchutil::EmitFigureFile("BENCH_streaming.json", json);
-
   std::printf(
-      "STREAMING INGESTION (%s, lag %lld, shuffle %lld):\n"
+      "STREAMING INGESTION (%d cars x %d days, %d workers, lag %lld, "
+      "shuffle %lld):\n"
       "  %lld points in %lld windows, ingest %.1f ms "
       "(%.0f points/ms, %.0f window flushes/s)\n"
       "  latency p50/p90/p99/max = %lld/%lld/%lld/%lld slots "
-      "(p99 within lag: %s), peak buffer %lld\n"
-      "  batch clean+match on the same trace: %.1f ms\n\n",
-      smoke ? "smoke" : "full", static_cast<long long>(kLag),
-      static_cast<long long>(kShuffle),
+      "(p99 within lag: %s), peak buffer %lld\n\n",
+      config.fleet.num_cars, config.fleet.num_days, online.timings.workers,
+      static_cast<long long>(kLag), static_cast<long long>(kShuffle),
       static_cast<long long>(s.points_released),
       static_cast<long long>(s.windows_closed), ingest_ms, points_per_ms,
       windows_per_s, static_cast<long long>(p50),
       static_cast<long long>(p90), static_cast<long long>(p99),
       static_cast<long long>(max), p99 <= kLag ? "yes" : "NO",
-      static_cast<long long>(s.peak_buffered_records), batch_ms);
+      static_cast<long long>(s.peak_buffered_records));
 }
 
 // The raw session in isolation: one car's shuffled arrival stream

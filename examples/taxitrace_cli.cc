@@ -12,8 +12,7 @@
 //   taxitrace_cli study [--metrics-json <out.json>] [--stream-ingest]
 //                 [--ingest-lag <slots>] [--ingest-shuffle <slots>]
 //                 [cars] [days]
-//   taxitrace_cli serve [--bench] [--queries <n>] [--full]
-//                 [--bench-json <out.json>] [cars] [days]
+//   taxitrace_cli serve [--bench] [--queries <n>] [cars] [days]
 //
 // Numeric arguments are whole decimal integers in range (cars, days,
 // queries >= 1; lags and shuffle windows >= 0); anything else is a
@@ -32,15 +31,13 @@
 // `serve` runs a study, freezes it into a taxitrace-snapshot/1 buffer,
 // and answers demonstration point/bbox/scenario-slice queries over it.
 // --bench replays a hot-cell Zipf workload (1M queries unless
-// --queries overrides it) through the executor and writes QPS and
-// latency percentiles to BENCH_serve.json (--full benches the
-// paper-scale study; TAXITRACE_BENCH_SMOKE=1 tags the JSON so smoke
-// runs never pass for full numbers).
+// --queries overrides it) through the executor and prints the query
+// funnel, QPS and latency percentiles (`serve --bench 7 365` benches
+// the paper-scale study).
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -350,32 +347,21 @@ int Study(int argc, char** argv) {
 
 int Serve(int argc, char** argv) {
   bool bench = false;
-  bool full = false;
   int64_t queries = 1'000'000;
-  const char* bench_json = "BENCH_serve.json";
   std::vector<const char*> positional;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--bench") == 0) {
       bench = true;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
     } else if (std::strcmp(argv[i], "--queries") == 0) {
       if (i + 1 >= argc || !ParseArg(argv[++i], &queries, int64_t{1})) {
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-      if (i + 1 >= argc) return 2;
-      bench_json = argv[++i];
     } else {
       positional.push_back(argv[i]);
     }
   }
-  core::StudyConfig config = full ? core::StudyConfig::FullStudy()
-                                  : core::StudyConfig::SmallStudy();
+  core::StudyConfig config = core::StudyConfig::SmallStudy();
   if (!ParseStudySize(positional, &config)) return 2;
-  const char* smoke_env = std::getenv("TAXITRACE_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
 
   const core::Pipeline pipeline(config);
   const Result<core::StudyResults> results = pipeline.Run();
@@ -466,61 +452,6 @@ int Serve(int argc, char** argv) {
       replay->wall_ms, replay->qps, replay->p50_us, replay->p90_us,
       replay->p99_us, replay->max_us,
       static_cast<unsigned long long>(replay->digest));
-
-  std::string json;
-  char line[512];
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-serve/1\",\n";
-  std::snprintf(line, sizeof line, "  \"smoke\": %s,\n",
-                smoke ? "true" : "false");
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"study\": {\"cars\": %d, \"days\": %d},\n",
-                config.fleet.num_cars, config.fleet.num_days);
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"snapshot\": {\"bytes\": %zu, \"cells\": %lld, "
-                "\"slices\": %lld, \"build_ms\": %.2f},\n",
-                snapshot->bytes().size(),
-                static_cast<long long>(meta.num_cells),
-                static_cast<long long>(meta.num_slices), build_ms);
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"workload\": {\"queries\": %lld, \"zipf_exponent\": %.2f,\n"
-      "    \"point_share\": %.2f, \"bbox_share\": %.2f, "
-      "\"slice_share\": %.2f, \"shards\": %d},\n",
-      static_cast<long long>(workload.num_queries), workload.zipf_exponent,
-      workload.point_share, workload.bbox_share, workload.slice_share,
-      workload.num_shards);
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"funnel\": {\"offered\": %lld, \"answered\": %lld,\n"
-      "    \"out_of_bounds\": %lld, \"empty_cell\": %lld},\n",
-      static_cast<long long>(replay->stats.offered),
-      static_cast<long long>(replay->stats.answered),
-      static_cast<long long>(replay->stats.out_of_bounds),
-      static_cast<long long>(replay->stats.empty_cell));
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"latency_us\": {\"p50\": %.2f, \"p90\": %.2f, "
-                "\"p99\": %.2f, \"max\": %.2f},\n",
-                replay->p50_us, replay->p90_us, replay->p99_us,
-                replay->max_us);
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"throughput\": {\"wall_ms\": %.2f, \"qps\": %.0f, "
-                "\"workers\": %d},\n",
-                replay->wall_ms, replay->qps, executor.num_threads());
-  json += line;
-  std::snprintf(line, sizeof line, "  \"digest\": \"0x%016llx\"\n",
-                static_cast<unsigned long long>(replay->digest));
-  json += line;
-  json += "}\n";
-  const Status st = core::WriteTextFile(bench_json, json);
-  if (!st.ok()) return Fail(st);
-  std::printf("bench data -> %s\n", bench_json);
   return 0;
 }
 

@@ -470,9 +470,7 @@ Result<StudyResults> Pipeline::Run() const {
 
   // Back-compat StageTimings, derived from the top-level stage spans.
   StageTimings timings;
-  timings.simulation_threads = executor.num_threads();
-  timings.cleaning_threads = executor.num_threads();
-  timings.selection_matching_threads = executor.num_threads();
+  timings.workers = executor.num_threads();
   for (const obs::SpanRecord& r : trace.records()) {
     if (r.name == "map_generation") {
       timings.map_generation_ms = r.duration_ms;

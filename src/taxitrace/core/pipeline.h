@@ -25,9 +25,10 @@ namespace taxitrace {
 namespace core {
 
 /// Wall-clock cost of each pipeline stage, milliseconds, plus the
-/// worker-thread count each parallel stage ran with (0 = serial).
-/// Derived from the run's obs::Trace stage spans; kept as a flat
-/// struct for the existing report/bench call sites.
+/// worker count every parallel stage ran with (0 = serial). Derived
+/// from the run's top-level obs::Trace stage spans (`fault_injection`
+/// has no field of its own); kept as a flat struct for the bench call
+/// sites.
 ///
 /// The fused clean + match unit lands in one span per source: in
 /// `cleaning_ms` on a batch run, in `simulation_ms` on a streamed run
@@ -43,9 +44,7 @@ struct StageTimings {
   /// Online ingestion (stream_ingestion runs only).
   double stream_ingest_ms = 0.0;
 
-  int simulation_threads = 0;
-  int cleaning_threads = 0;
-  int selection_matching_threads = 0;
+  int workers = 0;
 
   [[nodiscard]] double TotalMs() const {
     return map_generation_ms + simulation_ms + cleaning_ms +

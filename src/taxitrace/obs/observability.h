@@ -28,7 +28,8 @@ namespace obs {
 struct ObservabilityOptions {
   /// Collect the funnel ledger, metrics registry and span trace into
   /// StudyResults::observability. Off by default: the pipeline then
-  /// records only the five stage spans it always kept (StageTimings).
+  /// records only its top-level stage spans, seven at most, for
+  /// StageTimings.
   bool enabled = false;
 };
 
@@ -43,7 +44,7 @@ struct StudySnapshot {
 };
 
 /// One JSON document with funnel, counters, gauges, histograms and
-/// spans (the --metrics-json / BENCH_metrics.json payload).
+/// spans (the `taxitrace_cli study --metrics-json` payload).
 std::string SnapshotJson(const StudySnapshot& snapshot);
 
 /// Human-readable rendering: funnel table plus span tree.

@@ -430,11 +430,5 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
   return path;
 }
 
-double Router::NetworkDistance(const EdgePosition& from,
-                               const EdgePosition& to) const {
-  Result<Path> path = ShortestPathBetween(from, to);
-  return path.ok() ? path->length_m : kInf;
-}
-
 }  // namespace roadnet
 }  // namespace taxitrace

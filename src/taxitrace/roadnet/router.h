@@ -140,12 +140,6 @@ class Router {
   Result<Path> ShortestPathBetween(const EdgePosition& from,
                                    const EdgePosition& to) const;
 
-  /// Network distance (metres) between two positions; infinity when
-  /// unreachable. Cheaper than ShortestPathBetween when only the distance
-  /// is needed.
-  double NetworkDistance(const EdgePosition& from,
-                         const EdgePosition& to) const;
-
   [[nodiscard]] const RoadNetwork& network() const { return *network_; }
 
   /// Snapshot of the search counters accumulated so far.

@@ -1,6 +1,6 @@
 // tt-lint: allow-file(adhoc-timing): the replay driver *is* the timing
 //   instrument — it measures per-query service latency for the
-//   BENCH_serve percentiles, which obs::StageSpan (one span per stage)
+//   replay percentiles, which obs::StageSpan (one span per stage)
 //   cannot express. Latencies feed gauges only, never results.
 // tt-lint: allow-file(ambient-entropy): the steady_clock::now() reads
 //   here are the latency measurement itself; every random choice in

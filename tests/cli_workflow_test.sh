@@ -34,6 +34,12 @@ test -s metrics.json
 grep -q '"funnel"' metrics.json
 grep -q '"counters"' metrics.json
 
+# The query-replay bench prints the reconciled query funnel and its
+# throughput and latency line.
+"$CLI" serve --bench --queries 20000 2 7 > serve.txt
+grep -q "serve.queries" serve.txt
+grep -q "qps" serve.txt
+
 # Malformed or out-of-range numbers are usage errors (exit code 2), never
 # silently read as 0 or ignored.
 expect_usage_error() {
@@ -56,6 +62,9 @@ expect_usage_error simulate elements.csv features.csv t.csv 1 3 9999999999999999
 expect_usage_error serve --queries abc 1 1
 expect_usage_error serve --queries 0 1 1
 expect_usage_error serve 1 1.5
+# Options that no longer exist are usage errors too.
+expect_usage_error serve --full 1 1
+expect_usage_error serve --bench-json out.json 1 1
 
 # Unknown commands fail cleanly.
 if "$CLI" frobnicate 2>/dev/null; then

@@ -402,11 +402,10 @@ TEST(ParallelDeterminismTest, ReplayStatsAndDigestIdenticalAcrossWorkers) {
 }
 
 TEST(ParallelDeterminismTest, ThreadCountsAreRecorded) {
-  const core::StudyResults results = RunWithThreads(2);
-  EXPECT_EQ(results.timings.simulation_threads, 2);
-  EXPECT_EQ(results.timings.cleaning_threads, 2);
-  EXPECT_EQ(results.timings.selection_matching_threads, 2);
-  EXPECT_EQ(SerialReference().timings.simulation_threads, 0);
+  EXPECT_EQ(RunWithThreads(1).timings.workers, 1);
+  EXPECT_EQ(RunWithThreads(2).timings.workers, 2);
+  EXPECT_EQ(RunWithThreads(8).timings.workers, 8);
+  EXPECT_EQ(SerialReference().timings.workers, 0);
 }
 
 }  // namespace

@@ -789,14 +789,6 @@ TEST_F(RouterTest, PositionToPositionAcrossGraph) {
   EXPECT_NEAR(path->geometry.Length(), path->length_m, 1e-6);
 }
 
-TEST_F(RouterTest, NetworkDistanceMatchesPathLength) {
-  const EdgePosition a{net_.edge(0).id, 20.0};
-  const EdgePosition b{net_.edge(3).id, 40.0};
-  const Result<Path> path = router_.ShortestPathBetween(a, b);
-  ASSERT_TRUE(path.ok());
-  EXPECT_NEAR(router_.NetworkDistance(a, b), path->length_m, 1e-9);
-}
-
 TEST(RouterOneWayTest, OneWayForcesDetour) {
   // Two parallel streets connected at both ends; the direct one is
   // one-way against the travel direction. Stub elements keep the loop
@@ -939,9 +931,6 @@ TEST_F(RouterTest, NonFiniteArcRejected) {
                     .status()
                     .IsInvalidArgument())
         << bad;
-    EXPECT_EQ(router_.NetworkDistance(EdgePosition{e, bad},
-                                      EdgePosition{e, 10.0}),
-              std::numeric_limits<double>::infinity());
   }
   EXPECT_EQ(router_.stats().searches, 0);
   EXPECT_EQ(router_.stats().direct_connections, 0);
