@@ -164,6 +164,19 @@ class WorkerLocal {
     return *p;
   }
 
+  /// Calls `fn(slot)` once for every slot created so far, in slot
+  /// order. Call it only between batches — e.g. to fold per-worker
+  /// partial results after ParallelFor returned — never while a batch
+  /// still writes the slots: ParallelFor's completion is what orders
+  /// the workers' writes before this read.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (auto& slot : slots_) {
+      T* p = slot.load(std::memory_order_acquire);
+      if (p != nullptr) fn(*p);
+    }
+  }
+
  private:
   mutable std::array<std::atomic<T*>, kMaxExecutorWorkers + 1> slots_{};
 };

@@ -367,9 +367,12 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
 std::optional<EdgeCandidate> SpatialIndex::Nearest(
     const geo::EnPoint& p, double max_radius_m) const {
   // Expand the search ring until a hit is found or the cap is reached.
+  // Each ring refills this worker's reusable list, so a warm Nearest()
+  // allocates nothing.
+  std::vector<EdgeCandidate>& found = scratch_->Local().ring_hits;
   double radius = cell_size_m_;
   while (radius < max_radius_m * 2) {
-    std::vector<EdgeCandidate> found = Nearby(p, std::min(radius, max_radius_m));
+    Nearby(p, std::min(radius, max_radius_m), &found);
     if (!found.empty()) return found.front();
     if (radius >= max_radius_m) break;
     radius *= 2;

@@ -149,7 +149,8 @@ class SpatialIndex {
   // Per-worker query scratch: the gathered-candidate list and a
   // generation-stamped seen marker per edge ordinal (same trick as the
   // router's SearchScratch), so a query deduplicates with one array
-  // read per gathered id and allocates nothing in steady state. Purely
+  // read per gathered id and allocates nothing in steady state, and
+  // the candidate list Nearest() reuses across its search rings. Purely
   // an execution detail — the deduplicated set is what the old
   // per-query sort produced, and the output is fully re-ordered
   // afterwards.
@@ -157,6 +158,7 @@ class SpatialIndex {
     std::vector<EdgeId> gathered;
     std::vector<uint32_t> seen_stamp;
     uint32_t generation = 0;
+    std::vector<EdgeCandidate> ring_hits;
   };
   std::shared_ptr<WorkerLocal<QueryScratch>> scratch_;
   std::shared_ptr<AtomicStats> query_stats_;

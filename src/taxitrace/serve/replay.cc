@@ -23,16 +23,16 @@ namespace taxitrace {
 namespace serve {
 namespace {
 
-// One shard's deterministic outputs plus its (run-dependent) latency
-// samples, merged in shard order after the parallel loop. Each worker
-// updates its shard's tallies on every query, so a shard gets cache
-// lines of its own: without the alignment, neighbouring shards in the
-// array share a line and the replay's speed depends on where the heap
-// happened to place it.
+// One shard's deterministic outputs, merged in shard order after the
+// parallel loop. Each worker updates its shard's tallies on every
+// query, so a shard gets cache lines of its own: without the
+// alignment, neighbouring shards in the array share a line and the
+// replay's speed depends on where the heap happened to place it.
+// Latencies are not per shard: each worker counts its own in a
+// LatencyTable slot.
 struct alignas(64) ShardResult {
   QueryStats stats;
   uint64_t digest = 0;
-  std::vector<uint32_t> latency_ns;
 };
 static_assert(alignof(ShardResult) == 64);
 
@@ -94,6 +94,36 @@ uint64_t FoldOutcome(uint64_t digest, QueryOutcome outcome,
 
 }  // namespace
 
+void LatencyTable::Add(const LatencyTable& other) {
+  for (size_t ns = 0; ns < counts_.size(); ++ns) {
+    counts_[ns] += other.counts_[ns];
+  }
+  slow_.insert(slow_.end(), other.slow_.begin(), other.slow_.end());
+}
+
+int64_t LatencyTable::count() const {
+  int64_t n = static_cast<int64_t>(slow_.size());
+  for (const int64_t c : counts_) n += c;
+  return n;
+}
+
+int64_t LatencyTable::Quantile(double q) const {
+  const int64_t n = count();
+  if (n == 0) return 0;
+  const int64_t k =
+      std::min(n - 1, static_cast<int64_t>(q * static_cast<double>(n)));
+  int64_t below = 0;  // Samples in the buckets scanned so far.
+  for (size_t ns = 0; ns < counts_.size(); ++ns) {
+    below += counts_[ns];
+    if (k < below) return static_cast<int64_t>(ns);
+  }
+  // Rank k lies among the slow samples, after the `below` fast ones.
+  std::vector<int64_t> slow = slow_;
+  const auto kth = slow.begin() + (k - below);
+  std::nth_element(slow.begin(), kth, slow.end());
+  return *kth;
+}
+
 Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
                                     const WorkloadOptions& options,
                                     const Executor* executor,
@@ -120,6 +150,7 @@ Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
       std::min<int64_t>(options.num_shards,
                         std::max<int64_t>(num_queries, 1));
   std::vector<ShardResult> shards(static_cast<size_t>(num_shards));
+  const WorkerLocal<LatencyTable> latency_tables;
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point wall_begin = Clock::now();
@@ -128,7 +159,7 @@ Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
         ShardResult& out = shards[static_cast<size_t>(shard)];
         const int64_t begin = shard * num_queries / num_shards;
         const int64_t end = (shard + 1) * num_queries / num_shards;
-        out.latency_ns.reserve(static_cast<size_t>(end - begin));
+        LatencyTable& latency = latency_tables.Local();
         out.digest = 0x74617869ull;  // Shared fold seed.
         QueryEngine engine(&snapshot);
         CellStats stats;
@@ -185,11 +216,9 @@ Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
           }
           const Clock::time_point t1 = Clock::now();
           out.digest = FoldOutcome(out.digest, outcome, stats);
-          const int64_t ns =
+          latency.Record(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count();
-          out.latency_ns.push_back(static_cast<uint32_t>(
-              std::clamp<int64_t>(ns, 0, UINT32_MAX)));
+                  .count());
         }
         out.stats = engine.stats();
         return Status::OK();
@@ -201,13 +230,9 @@ Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
   ReplayResult result;
   result.num_queries = num_queries;
   result.digest = 0;
-  std::vector<uint32_t> latencies;
-  latencies.reserve(static_cast<size_t>(num_queries));
   for (const ShardResult& shard : shards) {
     result.stats.Add(shard.stats);
     result.digest = SplitMix64(result.digest ^ shard.digest);
-    latencies.insert(latencies.end(), shard.latency_ns.begin(),
-                     shard.latency_ns.end());
   }
   TT_CHECK(result.stats.offered == result.stats.answered +
                                        result.stats.out_of_bounds +
@@ -219,23 +244,13 @@ Result<ReplayResult> ReplayWorkload(const Snapshot& snapshot,
   result.qps = result.wall_ms > 0.0
                    ? static_cast<double>(num_queries) * 1000.0 / result.wall_ms
                    : 0.0;
-  if (!latencies.empty()) {
-    auto percentile = [&latencies](double q) {
-      const size_t k = std::min(
-          latencies.size() - 1,
-          static_cast<size_t>(q * static_cast<double>(latencies.size())));
-      std::nth_element(latencies.begin(),
-                       latencies.begin() + static_cast<int64_t>(k),
-                       latencies.end());
-      return static_cast<double>(latencies[k]) / 1000.0;
-    };
-    result.p50_us = percentile(0.50);
-    result.p90_us = percentile(0.90);
-    result.p99_us = percentile(0.99);
-    result.max_us = static_cast<double>(*std::max_element(
-                        latencies.begin(), latencies.end())) /
-                    1000.0;
-  }
+  LatencyTable latency;
+  latency_tables.ForEach(
+      [&latency](const LatencyTable& worker) { latency.Add(worker); });
+  result.p50_us = static_cast<double>(latency.Quantile(0.50)) / 1000.0;
+  result.p90_us = static_cast<double>(latency.Quantile(0.90)) / 1000.0;
+  result.p99_us = static_cast<double>(latency.Quantile(0.99)) / 1000.0;
+  result.max_us = static_cast<double>(latency.Quantile(1.0)) / 1000.0;
 
   if (metrics != nullptr) {
     metrics->counter("serve.query.offered")->Add(result.stats.offered);

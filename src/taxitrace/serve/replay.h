@@ -9,12 +9,15 @@
 // byte-identical at any worker count, while shards run concurrently
 // through common/executor. Latency percentiles and QPS are
 // observations of the run (gauges, never inputs to anything
-// deterministic).
+// deterministic). Each worker counts its latencies in a LatencyTable
+// of its own, so their memory grows with the workers, not the queries.
 
 #ifndef TAXITRACE_SERVE_REPLAY_H_
 #define TAXITRACE_SERVE_REPLAY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "taxitrace/common/executor.h"
 #include "taxitrace/common/result.h"
@@ -40,6 +43,45 @@ struct WorkloadOptions {
   int32_t bbox_max_span_cells = 6;
   /// Fixed query shards; independent of worker count.
   int num_shards = 64;
+};
+
+/// Exact latency counts: one bucket per nanosecond below
+/// kBucketCount ns, and every slower sample kept verbatim (rare: the
+/// replay's p99 is under 1 µs). Memory is the fixed 512 KiB table plus
+/// the slow samples, however many samples are recorded. Counts are
+/// int64_t, so no bucket overflows below INT64_MAX samples.
+class LatencyTable {
+ public:
+  static constexpr int64_t kBucketCount = int64_t{1} << 16;
+
+  LatencyTable() : counts_(static_cast<size_t>(kBucketCount), 0) {}
+
+  /// Records one sample; a negative one counts as 0 ns.
+  void Record(int64_t ns) {
+    if (ns < kBucketCount) {
+      ++counts_[static_cast<size_t>(std::max<int64_t>(ns, 0))];
+    } else {
+      slow_.push_back(ns);
+    }
+  }
+
+  /// Adds `other`'s samples to this table. The fold only adds integers
+  /// and appends, so folding tables in any order gives the same
+  /// quantiles.
+  void Add(const LatencyTable& other);
+
+  /// Number of samples recorded.
+  [[nodiscard]] int64_t count() const;
+
+  /// For q in [0, 1], the sample of ascending rank
+  /// k = min(n - 1, floor(q * n)) — what std::nth_element places at k
+  /// over all n samples — in ns; 0 for an empty table. q = 1 is the
+  /// maximum.
+  [[nodiscard]] int64_t Quantile(double q) const;
+
+ private:
+  std::vector<int64_t> counts_;  ///< counts_[ns], ns < kBucketCount.
+  std::vector<int64_t> slow_;    ///< Samples >= kBucketCount ns.
 };
 
 struct ReplayResult {

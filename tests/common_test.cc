@@ -512,6 +512,51 @@ TEST(ReorderBufferTest, ConsumerErrorStopsDrainingWithoutRedelivery) {
   EXPECT_EQ(delivered, (std::vector<int64_t>{0, 1, 2}));
 }
 
+// ---------------------------------------------------------------------------
+// WorkerLocal
+
+// One worker's slot: the items it ran, the worker that created it, and
+// how many times ForEach has visited it.
+struct WorkerSlot {
+  int worker = Executor::CurrentWorkerIndex();
+  int64_t items = 0;
+  int visits = 0;
+};
+
+TEST(WorkerLocalTest, ForEachVisitsEveryCreatedSlotOnce) {
+  constexpr int64_t kItems = 5000;
+  const Executor executor(8);
+  const WorkerLocal<WorkerSlot> slots;
+  // Each item also records which worker ran it, in an element of its
+  // own, so the expected slot set needs no shared state.
+  std::vector<int> ran_on(static_cast<size_t>(kItems), -2);
+  ASSERT_TRUE(executor
+                  .ParallelFor(0, kItems,
+                               [&](int64_t i) -> Status {
+                                 ++slots.Local().items;
+                                 ran_on[static_cast<size_t>(i)] =
+                                     Executor::CurrentWorkerIndex();
+                                 return Status::OK();
+                               })
+                  .ok());
+
+  std::vector<int> visited;
+  int64_t total = 0;
+  slots.ForEach([&](WorkerSlot& slot) {
+    ++slot.visits;
+    visited.push_back(slot.worker);
+    total += slot.items;
+  });
+  EXPECT_EQ(total, kItems);
+  // Slot order is worker order, and the created slots are exactly the
+  // workers that ran an item: all pool workers, none off-pool.
+  const std::set<int> workers(ran_on.begin(), ran_on.end());
+  EXPECT_EQ(visited, std::vector<int>(workers.begin(), workers.end()));
+  EXPECT_GE(*workers.begin(), 0);
+  EXPECT_LT(*workers.rbegin(), 8);
+  slots.ForEach([](const WorkerSlot& slot) { EXPECT_EQ(slot.visits, 1); });
+}
+
 TEST(LoggingTest, LevelFilterRoundTrip) {
   const LogLevel before = GetLogLevel();
   SetLogLevel(LogLevel::kError);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -518,6 +519,56 @@ TEST(SpatialIndexEquivalenceTest, TiledMetroMatchesBruteForce) {
       synth::GenerateMetroMap(synth::MetroPreset(0)).value();
   ASSERT_GT(map.network.tiling().tile_size_m, 0.0);
   ExpectNearbyMatchesBruteForce(map.network, 43);
+}
+
+// Nearest() searches rings of the index's 50 m cell size, doubled each
+// time and capped at the maximum radius; its answer is the front of
+// Nearby() at the first ring that finds an edge.
+TEST(SpatialIndexNearestTest, CityMapReturnsFrontOfFirstHittingRing) {
+  const synth::CityMap map = synth::GenerateCityMap().value();
+  const SpatialIndex index(&map.network);
+  constexpr double kMaxRadius = 300.0;
+  const geo::Bbox box = map.network.Bounds();
+  Rng rng(47);
+  int hits = 0;
+  int misses = 0;
+  for (int i = 0; i < 400; ++i) {
+    const EnPoint p{rng.Uniform(box.min_x - 400.0, box.max_x + 400.0),
+                    rng.Uniform(box.min_y - 400.0, box.max_y + 400.0)};
+    std::optional<EdgeCandidate> want;
+    for (double ring = 50.0;; ring *= 2.0) {
+      const std::vector<EdgeCandidate> found =
+          index.Nearby(p, std::min(ring, kMaxRadius));
+      if (!found.empty()) {
+        want = found.front();
+        break;
+      }
+      if (ring >= kMaxRadius) break;
+    }
+    const std::optional<EdgeCandidate> got = index.Nearest(p, kMaxRadius);
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << "at (" << p.x << ", " << p.y << ")";
+    if (!got) {
+      ++misses;
+      continue;
+    }
+    ++hits;
+    EXPECT_EQ(got->edge, want->edge);
+    EXPECT_EQ(got->projection.distance, want->projection.distance);
+    EXPECT_EQ(got->projection.arc_length, want->projection.arc_length);
+  }
+  // The margin leaves points in both outcomes.
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+
+  // Beyond the maximum radius of every edge, and a point no ring can
+  // search.
+  const EnPoint far{box.max_x + 2 * kMaxRadius, box.max_y + 2 * kMaxRadius};
+  EXPECT_TRUE(index.Nearby(far, kMaxRadius).empty());
+  EXPECT_FALSE(index.Nearest(far, kMaxRadius).has_value());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(index.Nearest(EnPoint{nan, box.min_y}, kMaxRadius).has_value());
+  EXPECT_FALSE(index.Nearest(EnPoint{nan, nan}, kMaxRadius).has_value());
 }
 
 // --- Segment tables ---------------------------------------------------------

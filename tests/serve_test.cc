@@ -1,6 +1,7 @@
 // The serve layer: snapshot format round-trip and validation, query
-// semantics against brute-force ground truth, the query funnel, and the
-// replay harness's determinism contract.
+// semantics against brute-force ground truth, the query funnel, the
+// replay's exact latency quantiles, and the replay harness's
+// determinism contract.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,12 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "taxitrace/common/check.h"
 #include "taxitrace/common/executor.h"
+#include "taxitrace/common/random.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/obs/funnel.h"
 #include "taxitrace/obs/metrics.h"
@@ -353,6 +356,93 @@ TEST(QueryEngineTest, OutOfBoundsAndEmptyCellBuckets) {
   EXPECT_EQ(engine.stats().offered, engine.stats().answered +
                                         engine.stats().out_of_bounds +
                                         engine.stats().empty_cell);
+}
+
+// The order statistic the replay reports, taken the direct way: rank
+// k = min(n - 1, floor(q * n)) of the samples, via std::nth_element.
+int64_t NthElementQuantile(std::vector<int64_t> samples, double q) {
+  const size_t k = std::min(
+      samples.size() - 1,
+      static_cast<size_t>(q * static_cast<double>(samples.size())));
+  std::nth_element(samples.begin(),
+                   samples.begin() + static_cast<int64_t>(k), samples.end());
+  return samples[k];
+}
+
+// Fixed edge samples — 0 ns, duplicates, both sides of the 2^16 ns
+// bucket limit, samples far above it — among `fast` and `slow`
+// uniform draws below and above the limit.
+std::vector<int64_t> LatencySamples(int fast, int slow, uint64_t seed) {
+  std::vector<int64_t> samples = {0,     0,      7,         7,
+                                  7,     65'535, 65'535,    65'536,
+                                  65'536, 100'000, 3'000'000, 5'000'000'000};
+  Rng rng(seed);
+  for (int i = 0; i < fast; ++i) samples.push_back(rng.UniformInt(0, 2000));
+  for (int i = 0; i < slow; ++i) {
+    samples.push_back(rng.UniformInt(65'536, 10'000'000));
+  }
+  return samples;
+}
+
+void ExpectQuantilesMatchNthElement(const LatencyTable& table,
+                                    const std::vector<int64_t>& samples) {
+  ASSERT_EQ(table.count(), static_cast<int64_t>(samples.size()));
+  // Every q in steps of 0.001, p50/p90/p99 and the maximum included.
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    EXPECT_EQ(table.Quantile(q), NthElementQuantile(samples, q))
+        << "q=" << q;
+  }
+  EXPECT_EQ(table.Quantile(1.0),
+            *std::max_element(samples.begin(), samples.end()));
+}
+
+TEST(LatencyTableTest, QuantilesEqualNthElementOrderStatistic) {
+  // Mostly fast samples (p99 still in the table), then mostly slow
+  // ones (p50 among the verbatim samples).
+  for (const auto& [fast, slow] : {std::pair{5000, 20}, std::pair{30, 400}}) {
+    const std::vector<int64_t> samples = LatencySamples(fast, slow, 17);
+    LatencyTable table;
+    for (const int64_t ns : samples) table.Record(ns);
+    ExpectQuantilesMatchNthElement(table, samples);
+  }
+}
+
+TEST(LatencyTableTest, EmptyTableReadsZero) {
+  const LatencyTable table;
+  EXPECT_EQ(table.count(), 0);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(table.Quantile(q), 0) << "q=" << q;
+  }
+}
+
+TEST(LatencyTableTest, NegativeSampleCountsAsZero) {
+  LatencyTable table;
+  table.Record(-5);
+  table.Record(3);
+  EXPECT_EQ(table.Quantile(0.0), 0);
+  EXPECT_EQ(table.Quantile(1.0), 3);
+}
+
+TEST(LatencyTableTest, FoldedWorkerTablesEqualOneTable) {
+  const std::vector<int64_t> samples = LatencySamples(3000, 60, 23);
+  LatencyTable one;
+  LatencyTable first;
+  LatencyTable second;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    one.Record(samples[i]);
+    (i % 3 == 0 ? first : second).Record(samples[i]);
+  }
+  // Fold in both orders into an empty table, as the replay does.
+  LatencyTable folded;
+  folded.Add(first);
+  folded.Add(second);
+  LatencyTable reversed;
+  reversed.Add(second);
+  reversed.Add(first);
+  ExpectQuantilesMatchNthElement(one, samples);
+  ExpectQuantilesMatchNthElement(folded, samples);
+  ExpectQuantilesMatchNthElement(reversed, samples);
 }
 
 TEST(ReplayTest, FunnelReconcilesAndMetricsPublished) {
