@@ -2,7 +2,7 @@
 #
 # Supported values (semicolon- or comma-separated):
 #   address    AddressSanitizer
-#   undefined  UndefinedBehaviorSanitizer
+#   undefined  UndefinedBehaviorSanitizer, plus float-cast-overflow
 #   thread     ThreadSanitizer
 #   leak       LeakSanitizer (implied by address on Linux)
 #
@@ -36,6 +36,9 @@ if(TAXITRACE_SANITIZE)
   string(REPLACE ";" "," _tt_fsan "${_tt_sanitizers}")
   set(_tt_san_flags -fsanitize=${_tt_fsan} -fno-omit-frame-pointer)
   if("undefined" IN_LIST _tt_sanitizers)
+    # GCC's `undefined` group leaves out float-to-int casts out of range
+    # (NaN, infinities, huge values), which are undefined behaviour too.
+    list(APPEND _tt_san_flags -fsanitize=float-cast-overflow)
     # Abort on UB instead of printing and continuing, so ctest fails.
     list(APPEND _tt_san_flags -fno-sanitize-recover=all)
   endif()

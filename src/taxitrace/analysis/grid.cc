@@ -12,6 +12,18 @@ CellId Grid::CellOf(const geo::EnPoint& p) const {
                 static_cast<int32_t>(std::floor(p.y / cell_size_m_))};
 }
 
+std::optional<CellId> Grid::TryCellOf(const geo::EnPoint& p) const {
+  const double fx = std::floor(p.x / cell_size_m_);
+  const double fy = std::floor(p.y / cell_size_m_);
+  // Written so that NaN fails too: the cast below is defined only for
+  // values inside int32 range.
+  const auto fits = [](double f) {
+    return f >= -2147483648.0 && f < 2147483648.0;
+  };
+  if (!fits(fx) || !fits(fy)) return std::nullopt;
+  return CellId{static_cast<int32_t>(fx), static_cast<int32_t>(fy)};
+}
+
 geo::EnPoint Grid::CellCenter(const CellId& c) const {
   return geo::EnPoint{(c.cx + 0.5) * cell_size_m_,
                       (c.cy + 0.5) * cell_size_m_};

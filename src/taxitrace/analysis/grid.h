@@ -6,6 +6,7 @@
 #define TAXITRACE_ANALYSIS_GRID_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -41,8 +42,14 @@ class Grid {
 
   [[nodiscard]] double cell_size_m() const { return cell_size_m_; }
 
-  /// Cell containing a point.
+  /// Cell containing a point. Each coordinate divided by the cell size
+  /// must floor into int32 range; use TryCellOf for untrusted points.
   [[nodiscard]] CellId CellOf(const geo::EnPoint& p) const;
+
+  /// Cell containing a point, or none when a coordinate is NaN or
+  /// infinite or lies beyond the int32 cell lattice (its floor of
+  /// coordinate / cell size outside [-2^31, 2^31)).
+  [[nodiscard]] std::optional<CellId> TryCellOf(const geo::EnPoint& p) const;
 
   /// Centre point of a cell.
   [[nodiscard]] geo::EnPoint CellCenter(const CellId& c) const;

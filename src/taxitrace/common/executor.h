@@ -32,6 +32,10 @@ namespace taxitrace {
 /// plus the one off-pool slot — has a private, race-free slot.
 inline constexpr int kMaxExecutorWorkers = 256;
 
+/// Alignment that keeps a per-worker block of fields on cache lines of
+/// its own, so workers writing their own blocks never share a line.
+inline constexpr size_t kCacheLineBytes = 64;
+
 /// Load accounting for one Executor, readable via Executor::stats().
 /// Worker attribution and queue wait depend on scheduling, so these
 /// values are run-dependent — publish them as observability *gauges*,
@@ -134,6 +138,11 @@ class Executor {
 /// The scratch must never influence *what* is computed — only how much
 /// allocation/initialisation it costs — or the executor's determinism
 /// contract ("same results at any worker count") breaks.
+///
+/// The same rule keeps per-item work tallies off shared memory: no
+/// object shared across workers is written per item. A class that
+/// counts its work per call keeps the counts in its slot as
+/// WorkerTally fields and sums the slots with ForEach when asked.
 template <typename T>
 class WorkerLocal {
  public:
@@ -168,7 +177,9 @@ class WorkerLocal {
   /// order. Call it only between batches — e.g. to fold per-worker
   /// partial results after ParallelFor returned — never while a batch
   /// still writes the slots: ParallelFor's completion is what orders
-  /// the workers' writes before this read.
+  /// the workers' writes before this read. The one exception is an
+  /// `fn` that reads nothing but WorkerTally fields: that may run at
+  /// any time, and sees each tally as of some recent Add.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (auto& slot : slots_) {
@@ -179,6 +190,30 @@ class WorkerLocal {
 
  private:
   mutable std::array<std::atomic<T*>, kMaxExecutorWorkers + 1> slots_{};
+};
+
+/// A count kept in a WorkerLocal slot, for work tallies that never feed
+/// a result. Only the thread that owns the slot adds to it, so Add is a
+/// relaxed load and store instead of a locked read-modify-write; keep
+/// a slot's tallies together in an alignas(kCacheLineBytes) block and
+/// the line stays with its owner's core. Any thread may read a tally at
+/// any time. A tally of deterministic per-call work sums, over all
+/// slots, to the same total at any worker count.
+class WorkerTally {
+ public:
+  void Add(int64_t n) {
+    // tt-lint: allow(relaxed-atomic): an owner-only work tally.
+    const int64_t v = value_.load(std::memory_order_relaxed);
+    // tt-lint: allow(relaxed-atomic): an owner-only work tally.
+    value_.store(v + n, std::memory_order_relaxed);
+  }
+  [[nodiscard]] int64_t value() const {
+    // tt-lint: allow(relaxed-atomic): an owner-only work tally.
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<int64_t> value_{0};
 };
 
 }  // namespace taxitrace

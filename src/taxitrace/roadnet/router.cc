@@ -1,10 +1,5 @@
 #include "taxitrace/roadnet/router.h"
 
-// tt-lint: allow-file(relaxed-atomic): search tallies batched into a
-// few relaxed adds per search and exported via stats() for obs
-// metrics; sums of deterministic per-search work, so the totals are
-// worker-count-invariant and never feed StudyResults.
-
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -25,11 +20,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // below any length difference the callers resolve.
 constexpr double kDirectMarginM = 1e-6;
 
+// Adds one finished search's work to its worker's tallies.
+void CountSearch(SearchScratch& scratch, int64_t heap_pops, int64_t settled,
+                 bool goal_directed) {
+  SearchTallies& t = scratch.tallies;
+  t.searches.Add(1);
+  t.heap_pops.Add(heap_pops);
+  t.settled_vertices.Add(settled);
+  t.tiles_touched.Add(static_cast<int64_t>(scratch.tiles_touched()));
+  if (goal_directed) t.goal_directed_searches.Add(1);
+}
+
 }  // namespace
 
 Router::Router(const RoadNetwork* network)
     : network_(network),
-      search_stats_(std::make_shared<AtomicStats>()),
       scratch_(std::make_shared<WorkerLocal<SearchScratch>>()) {
   // First CSR touch happens here, on the constructing thread, so the
   // network can be read concurrently afterwards.
@@ -141,33 +146,21 @@ SearchScratch& Router::SearchImpl(
       }
     }
   }
-  // Batched tallies: a few relaxed adds per search, nothing per pop.
-  search_stats_->searches.fetch_add(1, std::memory_order_relaxed);
-  search_stats_->heap_pops.fetch_add(heap_pops, std::memory_order_relaxed);
-  search_stats_->settled_vertices.fetch_add(settled,
-                                            std::memory_order_relaxed);
-  search_stats_->tiles_touched.fetch_add(
-      static_cast<int64_t>(scratch.tiles_touched()),
-      std::memory_order_relaxed);
-  if (goal_directed) {
-    search_stats_->goal_directed_searches.fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  CountSearch(scratch, heap_pops, settled, goal_directed);
   return scratch;
 }
 
 RouterStats Router::stats() const {
   RouterStats s;
-  s.searches = search_stats_->searches.load(std::memory_order_relaxed);
-  s.heap_pops = search_stats_->heap_pops.load(std::memory_order_relaxed);
-  s.settled_vertices =
-      search_stats_->settled_vertices.load(std::memory_order_relaxed);
-  s.goal_directed_searches =
-      search_stats_->goal_directed_searches.load(std::memory_order_relaxed);
-  s.tiles_touched =
-      search_stats_->tiles_touched.load(std::memory_order_relaxed);
-  s.direct_connections =
-      search_stats_->direct_connections.load(std::memory_order_relaxed);
+  scratch_->ForEach([&s](const SearchScratch& scratch) {
+    const SearchTallies& t = scratch.tallies;
+    s.searches += t.searches.value();
+    s.heap_pops += t.heap_pops.value();
+    s.settled_vertices += t.settled_vertices.value();
+    s.goal_directed_searches += t.goal_directed_searches.value();
+    s.tiles_touched += t.tiles_touched.value();
+    s.direct_connections += t.direct_connections.value();
+  });
   return s;
 }
 
@@ -280,15 +273,7 @@ double Router::BoundedVertexDistance(VertexId from, VertexId to,
       }
     }
   }
-  search_stats_->searches.fetch_add(1, std::memory_order_relaxed);
-  search_stats_->heap_pops.fetch_add(heap_pops, std::memory_order_relaxed);
-  search_stats_->settled_vertices.fetch_add(settled,
-                                            std::memory_order_relaxed);
-  search_stats_->tiles_touched.fetch_add(
-      static_cast<int64_t>(scratch.tiles_touched()),
-      std::memory_order_relaxed);
-  search_stats_->goal_directed_searches.fetch_add(1,
-                                                  std::memory_order_relaxed);
+  CountSearch(scratch, heap_pops, settled, /*goal_directed=*/true);
   return found;
 }
 
@@ -352,8 +337,7 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
         leave_bwd ? from_arc + chord + (fe.length_m - to_arc) : kInf;
     if (direct_cost <= round_forward - kDirectMarginM &&
         direct_cost <= round_backward - kDirectMarginM) {
-      search_stats_->direct_connections.fetch_add(
-          1, std::memory_order_relaxed);
+      scratch_->Local().tallies.direct_connections.Add(1);
       return direct_path();
     }
   }

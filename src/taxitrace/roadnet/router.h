@@ -21,7 +21,6 @@
 #ifndef TAXITRACE_ROADNET_ROUTER_H_
 #define TAXITRACE_ROADNET_ROUTER_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -142,7 +141,8 @@ class Router {
 
   [[nodiscard]] const RoadNetwork& network() const { return *network_; }
 
-  /// Snapshot of the search counters accumulated so far.
+  /// The search counters accumulated so far: the sum of every worker's
+  /// own tallies (SearchTallies), shared with copies of this Router.
   [[nodiscard]] RouterStats stats() const;
 
  private:
@@ -171,21 +171,11 @@ class Router {
   Result<Path> BuildVertexPath(const SearchScratch& res, VertexId from,
                                VertexId to) const;
 
-  // Search counters behind a shared_ptr so the router stays copyable;
-  // each Search() batches its local tallies into a few relaxed adds.
-  struct AtomicStats {
-    std::atomic<int64_t> searches{0};
-    std::atomic<int64_t> heap_pops{0};
-    std::atomic<int64_t> settled_vertices{0};
-    std::atomic<int64_t> goal_directed_searches{0};
-    std::atomic<int64_t> tiles_touched{0};
-    std::atomic<int64_t> direct_connections{0};
-  };
-
   const RoadNetwork* network_;
-  std::shared_ptr<AtomicStats> search_stats_;
-  // Shared across copies: distinct worker threads use distinct slots,
-  // and one thread never runs two searches concurrently.
+  // Shared across copies, and with it the search tallies each slot
+  // keeps: distinct worker threads use distinct slots, and one thread
+  // never runs two searches concurrently. No object shared across
+  // workers is written per search; stats() sums the slots.
   std::shared_ptr<WorkerLocal<SearchScratch>> scratch_;
 };
 

@@ -18,6 +18,8 @@
 // One instance serves one thread at a time (the Router hands each
 // executor worker its own via WorkerLocal); results read through the
 // accessors stay valid until the next BeginSearch on the same instance.
+// The instance also carries its worker's search tallies, which
+// Router::stats() sums over all workers.
 
 #ifndef TAXITRACE_ROADNET_SEARCH_SCRATCH_H_
 #define TAXITRACE_ROADNET_SEARCH_SCRATCH_H_
@@ -27,6 +29,7 @@
 #include <limits>
 #include <vector>
 
+#include "taxitrace/common/executor.h"
 #include "taxitrace/roadnet/road_network.h"
 #include "taxitrace/roadnet/tile.h"
 
@@ -43,6 +46,17 @@ struct SearchHeapEntry {
   bool operator>(const SearchHeapEntry& other) const {
     return key > other.key;
   }
+};
+
+/// One worker's routing work, the per-worker terms of RouterStats. Only
+/// the owning worker writes it, on a cache line of its own.
+struct alignas(kCacheLineBytes) SearchTallies {
+  WorkerTally searches;
+  WorkerTally heap_pops;
+  WorkerTally settled_vertices;
+  WorkerTally goal_directed_searches;
+  WorkerTally tiles_touched;
+  WorkerTally direct_connections;
 };
 
 class SearchScratch {
@@ -133,6 +147,9 @@ class SearchScratch {
   /// BeginSearch). Exposed directly: the Router drives it with
   /// std::push_heap / std::pop_heap.
   std::vector<SearchHeapEntry> heap;
+
+  /// This worker's routing tallies (not reset by BeginSearch).
+  SearchTallies tallies;
 
  private:
   // Per-tile arrays; entry i is valid only when stamp[i] == generation_.

@@ -1,9 +1,5 @@
 #include "taxitrace/roadnet/spatial_index.h"
 
-// tt-lint: allow-file(relaxed-atomic): query tallies batched into a
-// few relaxed adds per query and exported via stats() for obs metrics;
-// sums of deterministic per-query work, never fed into StudyResults.
-
 #include <algorithm>
 #include <cmath>
 #include <optional>
@@ -103,8 +99,7 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
     : network_(network),
       cell_size_m_(cell_size_m),
       tile_size_m_(network->tiling().tile_size_m),
-      scratch_(std::make_shared<WorkerLocal<QueryScratch>>()),
-      query_stats_(std::make_shared<AtomicStats>()) {
+      scratch_(std::make_shared<WorkerLocal<QueryScratch>>()) {
   // Queries translate edge ids to ordinals and project with the edges'
   // segment lengths; warm the mapping and the tables (they share the
   // CSR's staleness) on the constructing thread.
@@ -265,15 +260,15 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
   const double reach = radius_m + kCoverSlackM;
   const std::optional<CellRect> rect =
       CellsCovering(geo::Bbox{p.x, p.y, p.x, p.y}, reach, cell_size_m_);
+  QueryScratch& scratch = scratch_->Local();
   if (!rect) {
-    query_stats_->queries.fetch_add(1, std::memory_order_relaxed);
+    scratch.tallies.queries.Add(1);
     return;
   }
   const auto [lo_cx, hi_cx, lo_cy, hi_cy] = *rect;
   const int64_t cells_probed =
       std::max<int64_t>(0, int64_t{hi_cx} - lo_cx + 1) *
       std::max<int64_t>(0, int64_t{hi_cy} - lo_cy + 1);
-  QueryScratch& scratch = scratch_->Local();
   if (scratch.seen_stamp.size() < edge_bounds_.size()) {
     scratch.seen_stamp.assign(edge_bounds_.size(), 0);
     scratch.generation = 0;
@@ -350,18 +345,14 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
               return a.edge < b.edge;
             });
 
-  // Counters are batched into a few relaxed adds per query; sums over
-  // deterministic per-query work, so totals are thread-count-invariant.
-  query_stats_->queries.fetch_add(1, std::memory_order_relaxed);
-  query_stats_->cells_probed.fetch_add(cells_probed,
-                                       std::memory_order_relaxed);
-  query_stats_->tiles_probed.fetch_add(tiles_probed,
-                                       std::memory_order_relaxed);
-  query_stats_->candidates.fetch_add(
-      static_cast<int64_t>(gathered.size()),
-      std::memory_order_relaxed);
-  query_stats_->hits.fetch_add(static_cast<int64_t>(out->size()),
-                               std::memory_order_relaxed);
+  // This worker's tallies of deterministic per-query work, so their
+  // sum over workers is thread-count-invariant.
+  QueryTallies& t = scratch.tallies;
+  t.queries.Add(1);
+  t.cells_probed.Add(cells_probed);
+  t.tiles_probed.Add(tiles_probed);
+  t.candidates.Add(static_cast<int64_t>(gathered.size()));
+  t.hits.Add(static_cast<int64_t>(out->size()));
 }
 
 std::optional<EdgeCandidate> SpatialIndex::Nearest(
@@ -395,11 +386,14 @@ size_t SpatialIndex::ApproxMemoryBytes() const {
 
 SpatialIndexStats SpatialIndex::stats() const {
   SpatialIndexStats s;
-  s.queries = query_stats_->queries.load(std::memory_order_relaxed);
-  s.cells_probed = query_stats_->cells_probed.load(std::memory_order_relaxed);
-  s.tiles_probed = query_stats_->tiles_probed.load(std::memory_order_relaxed);
-  s.candidates = query_stats_->candidates.load(std::memory_order_relaxed);
-  s.hits = query_stats_->hits.load(std::memory_order_relaxed);
+  scratch_->ForEach([&s](const QueryScratch& scratch) {
+    const QueryTallies& t = scratch.tallies;
+    s.queries += t.queries.value();
+    s.cells_probed += t.cells_probed.value();
+    s.tiles_probed += t.tiles_probed.value();
+    s.candidates += t.candidates.value();
+    s.hits += t.hits.value();
+  });
   s.empty_geometry_edges = empty_geometry_edges_;
   return s;
 }

@@ -4,7 +4,6 @@
 #ifndef TAXITRACE_ROADNET_SPATIAL_INDEX_H_
 #define TAXITRACE_ROADNET_SPATIAL_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -88,7 +87,8 @@ class SpatialIndex {
   /// Approximate resident bytes of the index storage.
   [[nodiscard]] size_t ApproxMemoryBytes() const;
 
-  /// Snapshot of the probe counters accumulated so far.
+  /// The probe counters accumulated so far: the sum of every worker's
+  /// own tallies, shared with copies of this index.
   [[nodiscard]] SpatialIndexStats stats() const;
 
  private:
@@ -124,17 +124,6 @@ class SpatialIndex {
   /// corner. All tiles when tiling is off is the single {0, 0}.
   [[nodiscard]] TileCoord OwnerTileOf(int32_t cx, int32_t cy) const;
 
-  // Query counters live behind a shared_ptr so the index stays
-  // copyable; queries batch their increments (a handful of relaxed
-  // atomic adds per call) to keep the hot path unchanged.
-  struct AtomicStats {
-    std::atomic<int64_t> queries{0};
-    std::atomic<int64_t> cells_probed{0};
-    std::atomic<int64_t> tiles_probed{0};
-    std::atomic<int64_t> candidates{0};
-    std::atomic<int64_t> hits{0};
-  };
-
   const RoadNetwork* network_;
   double cell_size_m_;
   double tile_size_m_;  ///< 0 when the network is single-tile.
@@ -154,14 +143,27 @@ class SpatialIndex {
   // an execution detail — the deduplicated set is what the old
   // per-query sort produced, and the output is fully re-ordered
   // afterwards.
+  //
+  // The scratch also keeps the worker's query tallies, the per-worker
+  // terms of SpatialIndexStats, on a cache line of their own: no
+  // object shared across workers is written per query, and stats()
+  // sums the slots. Copies of the index share the scratch, and so the
+  // tallies.
+  struct alignas(kCacheLineBytes) QueryTallies {
+    WorkerTally queries;
+    WorkerTally cells_probed;
+    WorkerTally tiles_probed;
+    WorkerTally candidates;
+    WorkerTally hits;
+  };
   struct QueryScratch {
     std::vector<EdgeId> gathered;
     std::vector<uint32_t> seen_stamp;
     uint32_t generation = 0;
     std::vector<EdgeCandidate> ring_hits;
+    QueryTallies tallies;
   };
   std::shared_ptr<WorkerLocal<QueryScratch>> scratch_;
-  std::shared_ptr<AtomicStats> query_stats_;
   int64_t empty_geometry_edges_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace taxitrace {
 namespace serve {
@@ -25,9 +26,17 @@ void QueryEngine::Fill(int64_t cell_index, const CellMoments& moments,
   out->model = snapshot_->model(cell_index);
 }
 
+QueryOutcome QueryEngine::OutOfBounds() {
+  ++stats_.offered;
+  ++stats_.out_of_bounds;
+  return QueryOutcome::kOutOfBounds;
+}
+
 QueryOutcome QueryEngine::PointQuery(const geo::EnPoint& position,
                                      int64_t slice_index, CellStats* out) {
-  return CellQuery(grid_.CellOf(position), slice_index, out);
+  const std::optional<analysis::CellId> cell = grid_.TryCellOf(position);
+  if (!cell) return OutOfBounds();
+  return CellQuery(*cell, slice_index, out);
 }
 
 QueryOutcome QueryEngine::CellQuery(const analysis::CellId& cell,
@@ -56,19 +65,21 @@ QueryOutcome QueryEngine::CellQuery(const analysis::CellId& cell,
 QueryOutcome QueryEngine::BboxQuery(const geo::Bbox& box,
                                     int64_t slice_index,
                                     std::vector<CellStats>* out) {
-  ++stats_.offered;
+  const std::optional<analysis::CellId> lo =
+      grid_.TryCellOf(geo::EnPoint{box.min_x, box.min_y});
+  const std::optional<analysis::CellId> hi =
+      grid_.TryCellOf(geo::EnPoint{box.max_x, box.max_y});
+  if (!lo || !hi) return OutOfBounds();
   const SnapshotMeta& meta = snapshot_->meta();
-  const analysis::CellId lo = grid_.CellOf(geo::EnPoint{box.min_x, box.min_y});
-  const analysis::CellId hi = grid_.CellOf(geo::EnPoint{box.max_x, box.max_y});
-  const int32_t cx_lo = std::max(lo.cx, meta.min_cx);
-  const int32_t cx_hi = std::min(hi.cx, meta.max_cx);
-  const int32_t cy_lo = std::max(lo.cy, meta.min_cy);
-  const int32_t cy_hi = std::min(hi.cy, meta.max_cy);
+  const int32_t cx_lo = std::max(lo->cx, meta.min_cx);
+  const int32_t cx_hi = std::min(hi->cx, meta.max_cx);
+  const int32_t cy_lo = std::max(lo->cy, meta.min_cy);
+  const int32_t cy_hi = std::min(hi->cy, meta.max_cy);
   if (cx_lo > cx_hi || cy_lo > cy_hi || slice_index < 0 ||
       slice_index >= snapshot_->num_slices()) {
-    ++stats_.out_of_bounds;
-    return QueryOutcome::kOutOfBounds;
+    return OutOfBounds();
   }
+  ++stats_.offered;
   // Walk each covered column from its first indexed cell >= cy_lo; the
   // index is sorted by (cx, cy), so each column is one contiguous run.
   size_t appended = 0;
@@ -108,8 +119,9 @@ QueryOutcome QueryEngine::BboxQuery(const geo::Bbox& box,
 QueryOutcome QueryEngine::SliceQuery(const geo::EnPoint& position,
                                      SliceKind kind, int32_t param,
                                      CellStats* out) {
-  return CellQuery(grid_.CellOf(position), snapshot_->FindSlice(kind, param),
-                   out);
+  const std::optional<analysis::CellId> cell = grid_.TryCellOf(position);
+  if (!cell) return OutOfBounds();
+  return CellQuery(*cell, snapshot_->FindSlice(kind, param), out);
 }
 
 }  // namespace serve

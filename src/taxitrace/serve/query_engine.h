@@ -7,8 +7,10 @@
 //   queries.offered == answered + out_of_bounds + empty_cell
 //
 // `out_of_bounds` means the query never touched the observed cell-id
-// rectangle; `empty_cell` means it did, but no indexed cell (with
-// points in the requested slice) was there. The per-engine QueryStats
+// rectangle, or gave a coordinate with no cell at all (NaN, infinite,
+// or beyond the int32 cell lattice; see analysis::Grid::TryCellOf);
+// `empty_cell` means it did touch the rectangle, but no indexed cell
+// (with points in the requested slice) was there. The per-engine QueryStats
 // tally is deterministic in the query sequence, so workloads that
 // shard queries over workers fold engine stats in shard order exactly
 // like the pipeline folds its per-trip counters.
@@ -79,7 +81,7 @@ class QueryEngine {
   /// slice, appended to `out` in (cx, cy) order. One funnel event:
   /// answered when at least one cell matched, empty_cell when the box
   /// touched the observed rectangle but matched none, out_of_bounds
-  /// otherwise.
+  /// otherwise, including whenever a corner has no cell.
   QueryOutcome BboxQuery(const geo::Bbox& box, int64_t slice_index,
                          std::vector<CellStats>* out);
 
@@ -93,6 +95,8 @@ class QueryEngine {
 
  private:
   [[nodiscard]] bool InBounds(const analysis::CellId& cell) const;
+  /// Counts one query as offered and out of bounds.
+  QueryOutcome OutOfBounds();
   void Fill(int64_t cell_index, const CellMoments& moments,
             CellStats* out) const;
 

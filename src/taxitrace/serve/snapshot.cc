@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -432,28 +433,49 @@ Result<Snapshot> Snapshot::Validate(Snapshot snapshot) {
   std::memcpy(&snapshot.meta_, data + meta_offset, sizeof snapshot.meta_);
   const SnapshotMeta& meta = snapshot.meta_;
   if (meta.num_cells < 0 || meta.num_slices < 0 ||
-      !(meta.cell_size_m > 0.0)) {
+      !(meta.cell_size_m > 0.0 && std::isfinite(meta.cell_size_m))) {
     return Status::InvalidArgument("snapshot: corrupt meta");
   }
-  if (cell_index_size !=
-          meta.num_cells * static_cast<int64_t>(sizeof(CellEntry)) ||
-      slice_dir_size !=
-          meta.num_slices * static_cast<int64_t>(sizeof(SliceInfo)) ||
-      moments_size != meta.num_slices * meta.num_cells *
-                          static_cast<int64_t>(sizeof(CellMoments)) ||
-      features_size !=
-          meta.num_cells * static_cast<int64_t>(sizeof(CellFeatureRow)) ||
-      model_size !=
-          meta.num_cells * static_cast<int64_t>(sizeof(CellModelRow))) {
+  // True when `size` is exactly `rows` rows of `row_bytes`. The meta's
+  // counts come from the file, so the product must not overflow.
+  const auto holds = [](int64_t size, int64_t rows, size_t row_bytes) {
+    int64_t bytes = 0;
+    return !__builtin_mul_overflow(rows, static_cast<int64_t>(row_bytes),
+                                   &bytes) &&
+           bytes == size;
+  };
+  int64_t moment_rows = 0;
+  if (__builtin_mul_overflow(meta.num_slices, meta.num_cells, &moment_rows) ||
+      !holds(cell_index_size, meta.num_cells, sizeof(CellEntry)) ||
+      !holds(slice_dir_size, meta.num_slices, sizeof(SliceInfo)) ||
+      !holds(moments_size, moment_rows, sizeof(CellMoments)) ||
+      !holds(features_size, meta.num_cells, sizeof(CellFeatureRow)) ||
+      !holds(model_size, meta.num_cells, sizeof(CellModelRow))) {
     return Status::InvalidArgument(
         "snapshot: section sizes disagree with meta counts");
   }
-  for (int64_t i = 1; i < meta.num_cells; ++i) {
-    const analysis::CellId prev = snapshot.cell(i - 1);
+  // The query engine trusts the meta's cell-id bounds, so they must be
+  // the index's exact extremes (0/-1 when empty), as the builder writes.
+  SnapshotMeta bounds;
+  for (int64_t i = 0; i < meta.num_cells; ++i) {
     const analysis::CellId cur = snapshot.cell(i);
+    if (i == 0) {
+      bounds.min_cx = bounds.max_cx = cur.cx;
+      bounds.min_cy = bounds.max_cy = cur.cy;
+      continue;
+    }
+    const analysis::CellId prev = snapshot.cell(i - 1);
     if (prev.cx > cur.cx || (prev.cx == cur.cx && prev.cy >= cur.cy)) {
       return Status::InvalidArgument("snapshot: cell index not sorted");
     }
+    bounds.max_cx = cur.cx;
+    bounds.min_cy = std::min(bounds.min_cy, cur.cy);
+    bounds.max_cy = std::max(bounds.max_cy, cur.cy);
+  }
+  if (meta.min_cx != bounds.min_cx || meta.max_cx != bounds.max_cx ||
+      meta.min_cy != bounds.min_cy || meta.max_cy != bounds.max_cy) {
+    return Status::InvalidArgument(
+        "snapshot: meta cell bounds disagree with the cell index");
   }
   return snapshot;
 }

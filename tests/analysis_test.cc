@@ -32,6 +32,21 @@ TEST(GridTest, CellOfFloorsCoordinates) {
   EXPECT_EQ(grid.CellOf(EnPoint{200, 200}), (CellId{1, 1}));  // boundary
 }
 
+TEST(GridTest, TryCellOfRefusesCellsBeyondInt32) {
+  const Grid grid(1.0);
+  EXPECT_EQ(grid.TryCellOf(EnPoint{399, -1}), (CellId{399, -1}));
+  // The lattice's last cells on each side are still cells.
+  EXPECT_EQ(grid.TryCellOf(EnPoint{2147483647.5, -2147483648.0}),
+            (CellId{INT32_MAX, INT32_MIN}));
+  const double kNaN = std::nan("");
+  const double kInf = HUGE_VAL;
+  for (const double bad : {2147483648.0, -2147483648.5, kNaN, kInf, -kInf,
+                           1e300, -1e300}) {
+    EXPECT_FALSE(grid.TryCellOf(EnPoint{bad, 0.0}).has_value()) << bad;
+    EXPECT_FALSE(grid.TryCellOf(EnPoint{0.0, bad}).has_value()) << bad;
+  }
+}
+
 TEST(GridTest, CenterAndBoundsConsistent) {
   const Grid grid(200.0);
   const CellId c{2, -3};

@@ -9,7 +9,9 @@
 #include <span>
 #include <vector>
 
+#include "taxitrace/common/executor.h"
 #include "taxitrace/common/random.h"
+#include "taxitrace/common/status.h"
 #include "taxitrace/roadnet/map_preparation.h"
 #include "taxitrace/roadnet/road_network.h"
 #include "taxitrace/roadnet/router.h"
@@ -569,6 +571,153 @@ TEST(SpatialIndexNearestTest, CityMapReturnsFrontOfFirstHittingRing) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(index.Nearest(EnPoint{nan, box.min_y}, kMaxRadius).has_value());
   EXPECT_FALSE(index.Nearest(EnPoint{nan, nan}, kMaxRadius).has_value());
+}
+
+// --- Per-worker tallies ------------------------------------------------------
+
+// The index's and the router's counters live in per-worker slots, and
+// stats() sums them. Each call does deterministic work, so the sums
+// over a fixed query set must equal the serial totals at any worker
+// count, and copies, which share the slots, report the same totals.
+class WorkerTallyTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kQueries = 600;
+
+  void SetUp() override {
+    map_.network.ForEachEdge([this](const Edge& e) {
+      if (e.length_m > 1.0) edges_.push_back(e.id);
+    });
+    ASSERT_GT(edges_.size(), 100u);
+  }
+
+  // Query i of the fixed set, by i % 4: Nearby, Nearest, a pair on one
+  // edge (the direct connection when the edge allows the direction),
+  // or a pair across the map (a search).
+  Status RunQuery(const SpatialIndex& index, const Router& router,
+                  int64_t i) const {
+    const geo::Bbox box = map_.network.Bounds();
+    Rng rng(MixSeed(61, static_cast<uint64_t>(i), 0));
+    const EnPoint p{rng.Uniform(box.min_x - 100.0, box.max_x + 100.0),
+                    rng.Uniform(box.min_y - 100.0, box.max_y + 100.0)};
+    const auto edge = [&](int64_t k) {
+      return edges_[static_cast<size_t>(k) % edges_.size()];
+    };
+    switch (i % 4) {
+      case 0:
+        index.Nearby(p, 60.0);
+        break;
+      case 1:
+        index.Nearest(p, 300.0);
+        break;
+      case 2: {
+        const EdgeId e = edge(i);
+        const double len = map_.network.edge(e).length_m;
+        (void)router.ShortestPathBetween(EdgePosition{e, 0.2 * len},
+                                         EdgePosition{e, 0.7 * len});
+        break;
+      }
+      default: {
+        const EdgeId a = edge(i * 7);
+        const EdgeId b = edge(i * 13 + 5);
+        (void)router.ShortestPathBetween(
+            EdgePosition{a, 0.5 * map_.network.edge(a).length_m},
+            EdgePosition{b, 0.5 * map_.network.edge(b).length_m});
+        break;
+      }
+    }
+    return Status::OK();
+  }
+
+  void RunAll(const SpatialIndex& index, const Router& router,
+              const Executor& executor) const {
+    ASSERT_TRUE(executor
+                    .ParallelFor(0, kQueries,
+                                 [&](int64_t i) {
+                                   return RunQuery(index, router, i);
+                                 })
+                    .ok());
+  }
+
+  static void ExpectSame(const SpatialIndexStats& a,
+                         const SpatialIndexStats& b) {
+    EXPECT_EQ(a.queries, b.queries);
+    EXPECT_EQ(a.cells_probed, b.cells_probed);
+    EXPECT_EQ(a.tiles_probed, b.tiles_probed);
+    EXPECT_EQ(a.candidates, b.candidates);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.empty_geometry_edges, b.empty_geometry_edges);
+  }
+  static void ExpectSame(const RouterStats& a, const RouterStats& b) {
+    EXPECT_EQ(a.searches, b.searches);
+    EXPECT_EQ(a.heap_pops, b.heap_pops);
+    EXPECT_EQ(a.settled_vertices, b.settled_vertices);
+    EXPECT_EQ(a.goal_directed_searches, b.goal_directed_searches);
+    EXPECT_EQ(a.tiles_touched, b.tiles_touched);
+    EXPECT_EQ(a.direct_connections, b.direct_connections);
+  }
+
+  const synth::CityMap map_ = synth::GenerateCityMap().value();
+  std::vector<EdgeId> edges_;
+};
+
+TEST_F(WorkerTallyTest, TotalsAtAnyWorkerCountEqualSerial) {
+  const SpatialIndex serial_index(&map_.network);
+  const Router serial_router(&map_.network);
+  RunAll(serial_index, serial_router, Executor(0));
+  const SpatialIndexStats want_index = serial_index.stats();
+  const RouterStats want_router = serial_router.stats();
+  // Every kind of work shows up, so each sum below is a real check.
+  EXPECT_GT(want_index.queries, kQueries / 2);  // Nearest makes several
+  EXPECT_GT(want_index.cells_probed, 0);
+  EXPECT_GT(want_index.tiles_probed, 0);
+  EXPECT_GT(want_index.candidates, 0);
+  EXPECT_GT(want_index.hits, 0);
+  EXPECT_GT(want_router.direct_connections, 0);
+  EXPECT_GT(want_router.searches, 0);
+  EXPECT_GT(want_router.heap_pops, 0);
+  EXPECT_GT(want_router.settled_vertices, 0);
+  EXPECT_GT(want_router.goal_directed_searches, 0);
+  EXPECT_GT(want_router.tiles_touched, 0);
+
+  for (const int workers : {1, 2, 8}) {
+    SCOPED_TRACE(workers);
+    const SpatialIndex index(&map_.network);
+    const Router router(&map_.network);
+    RunAll(index, router, Executor(workers));
+    ExpectSame(index.stats(), want_index);
+    ExpectSame(router.stats(), want_router);
+  }
+}
+
+TEST_F(WorkerTallyTest, CopiesShareOneSetOfTotals) {
+  const SpatialIndex serial_index(&map_.network);
+  const Router serial_router(&map_.network);
+  RunAll(serial_index, serial_router, Executor(0));
+
+  // The same queries, split between the originals and their copies,
+  // with stats() read while the workers still count.
+  const SpatialIndex index(&map_.network);
+  const Router router(&map_.network);
+  const SpatialIndex index_copy = index;
+  const Router router_copy = router;
+  const Executor executor(4);
+  ASSERT_TRUE(executor
+                  .ParallelFor(0, kQueries,
+                               [&](int64_t i) {
+                                 if (i % 50 == 0) {
+                                   (void)index.stats();
+                                   (void)router_copy.stats();
+                                 }
+                                 return i % 2 == 0
+                                            ? RunQuery(index, router, i)
+                                            : RunQuery(index_copy,
+                                                       router_copy, i);
+                               })
+                  .ok());
+  ExpectSame(router_copy.stats(), router.stats());
+  ExpectSame(router.stats(), serial_router.stats());
+  ExpectSame(index_copy.stats(), index.stats());
+  ExpectSame(index.stats(), serial_index.stats());
 }
 
 // --- Segment tables ---------------------------------------------------------

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -170,6 +173,98 @@ TEST(SnapshotTest, RejectsCorruptBytes) {
                   offsetof(SectionEntry, offset),
               &huge, sizeof(huge));
   EXPECT_FALSE(Snapshot::FromBytes(bad_section).ok());
+}
+
+// Byte offset of the kMeta payload in a built snapshot.
+size_t MetaOffset(const std::string& bytes) {
+  SnapshotHeader header;
+  std::memcpy(&header, bytes.data(), sizeof header);
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry entry;
+    std::memcpy(&entry,
+                bytes.data() + sizeof(SnapshotHeader) +
+                    i * sizeof(SectionEntry),
+                sizeof entry);
+    if (entry.id == static_cast<uint32_t>(SectionId::kMeta)) {
+      return static_cast<size_t>(entry.offset);
+    }
+  }
+  ADD_FAILURE() << "no meta section";
+  return 0;
+}
+
+// The small snapshot with one field of its meta overwritten.
+template <typename T>
+std::string WithMetaField(size_t field_offset, T value) {
+  std::string bytes = SmallSnapshotBytes();
+  std::memcpy(bytes.data() + MetaOffset(bytes) + field_offset, &value,
+              sizeof value);
+  return bytes;
+}
+
+TEST(SnapshotTest, RejectsCellSizeThatIsNotPositiveAndFinite) {
+  for (const double bad : {HUGE_VAL, -HUGE_VAL, std::nan(""), 0.0, -200.0}) {
+    const Result<Snapshot> loaded = Snapshot::FromBytes(
+        WithMetaField(offsetof(SnapshotMeta, cell_size_m), bad));
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // The edit itself is sound: writing the real value back loads.
+  EXPECT_TRUE(Snapshot::FromBytes(
+                  WithMetaField(offsetof(SnapshotMeta, cell_size_m),
+                                SmallSnapshot().meta().cell_size_m))
+                  .ok());
+}
+
+TEST(SnapshotTest, RejectsMetaCountsWhoseSectionSizesOverflow) {
+  // 2^61 cells of 8 bytes, or 2^61 slices × 2^61 cells of moments,
+  // overflow int64: the check must reject them, not compute them.
+  const int64_t huge = int64_t{1} << 61;
+  std::string bytes = WithMetaField(offsetof(SnapshotMeta, num_cells), huge);
+  std::memcpy(bytes.data() + MetaOffset(bytes) +
+                  offsetof(SnapshotMeta, num_slices),
+              &huge, sizeof huge);
+  for (const std::string& edited :
+       {WithMetaField(offsetof(SnapshotMeta, num_cells), huge),
+        WithMetaField(offsetof(SnapshotMeta, num_slices), huge), bytes}) {
+    const Result<Snapshot> loaded = Snapshot::FromBytes(edited);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SnapshotTest, RejectsMetaBoundsThatDisagreeWithTheIndex) {
+  const SnapshotMeta& meta = SmallSnapshot().meta();
+  ASSERT_GT(meta.num_cells, 0);
+  // The builder wrote the index's exact extremes, so every edit below
+  // moves a bound off them.
+  int32_t min_cy = INT32_MAX;
+  int32_t max_cy = INT32_MIN;
+  for (int64_t i = 0; i < meta.num_cells; ++i) {
+    min_cy = std::min(min_cy, SmallSnapshot().cell(i).cy);
+    max_cy = std::max(max_cy, SmallSnapshot().cell(i).cy);
+  }
+  EXPECT_EQ(meta.min_cx, SmallSnapshot().cell(0).cx);
+  EXPECT_EQ(meta.max_cx, SmallSnapshot().cell(meta.num_cells - 1).cx);
+  EXPECT_EQ(meta.min_cy, min_cy);
+  EXPECT_EQ(meta.max_cy, max_cy);
+  struct Field {
+    size_t offset;
+    int32_t value;
+  };
+  const Field fields[] = {{offsetof(SnapshotMeta, min_cx), meta.min_cx},
+                          {offsetof(SnapshotMeta, min_cy), meta.min_cy},
+                          {offsetof(SnapshotMeta, max_cx), meta.max_cx},
+                          {offsetof(SnapshotMeta, max_cy), meta.max_cy}};
+  for (const Field& f : fields) {
+    for (const int32_t delta : {-1, 1}) {
+      const Result<Snapshot> loaded =
+          Snapshot::FromBytes(WithMetaField(f.offset, f.value + delta));
+      ASSERT_FALSE(loaded.ok()) << f.offset << " " << delta;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_TRUE(Snapshot::FromBytes(WithMetaField(f.offset, f.value)).ok());
+  }
 }
 
 TEST(SnapshotTest, FromFileMatchesFromBytesByteForByte) {
@@ -353,6 +448,54 @@ TEST(QueryEngineTest, OutOfBoundsAndEmptyCellBuckets) {
                               77, &stats),
             QueryOutcome::kEmptyCell);
 
+  EXPECT_EQ(engine.stats().offered, engine.stats().answered +
+                                        engine.stats().out_of_bounds +
+                                        engine.stats().empty_cell);
+}
+
+TEST(QueryEngineTest, HostileCoordinatesAreOutOfBounds) {
+  const Snapshot& snap = SmallSnapshot();
+  const analysis::Grid grid(snap.meta().cell_size_m);
+  QueryEngine engine(&snap);
+  // A real cell and a box over every indexed cell, both answered, so
+  // each hostile variant below differs from an answered query in one
+  // coordinate only.
+  const geo::EnPoint inside = grid.CellCenter(snap.cell(0));
+  const geo::Bbox whole{
+      grid.CellBounds({snap.meta().min_cx, snap.meta().min_cy}).min_x,
+      grid.CellBounds({snap.meta().min_cx, snap.meta().min_cy}).min_y,
+      grid.CellBounds({snap.meta().max_cx, snap.meta().max_cy}).max_x,
+      grid.CellBounds({snap.meta().max_cx, snap.meta().max_cy}).max_y};
+  CellStats stats;
+  std::vector<CellStats> cells;
+  ASSERT_EQ(engine.PointQuery(inside, 0, &stats), QueryOutcome::kAnswered);
+  ASSERT_EQ(engine.BboxQuery(whole, 0, &cells), QueryOutcome::kAnswered);
+
+  int64_t hostile = 0;
+  for (const double bad :
+       {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300, -1e300}) {
+    for (const geo::EnPoint p :
+         {geo::EnPoint{bad, inside.y}, geo::EnPoint{inside.x, bad}}) {
+      EXPECT_EQ(engine.PointQuery(p, 0, &stats), QueryOutcome::kOutOfBounds)
+          << bad;
+      EXPECT_EQ(engine.SliceQuery(p, SliceKind::kAll, 0, &stats),
+                QueryOutcome::kOutOfBounds)
+          << bad;
+      hostile += 2;
+    }
+    for (double geo::Bbox::*corner : {&geo::Bbox::min_x, &geo::Bbox::min_y,
+                                      &geo::Bbox::max_x, &geo::Bbox::max_y}) {
+      geo::Bbox box = whole;
+      box.*corner = bad;
+      cells.clear();
+      EXPECT_EQ(engine.BboxQuery(box, 0, &cells), QueryOutcome::kOutOfBounds)
+          << bad;
+      EXPECT_TRUE(cells.empty());
+      ++hostile;
+    }
+  }
+  EXPECT_EQ(engine.stats().out_of_bounds, hostile);
+  EXPECT_EQ(engine.stats().answered, 2);
   EXPECT_EQ(engine.stats().offered, engine.stats().answered +
                                         engine.stats().out_of_bounds +
                                         engine.stats().empty_cell);
