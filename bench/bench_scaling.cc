@@ -16,14 +16,15 @@ void PrintStageTimings() {
   const core::StudyResults& r = benchutil::SmallResults();
   std::printf("PIPELINE STAGE TIMINGS (small study, %d workers):\n",
               r.timings.workers);
-  std::printf("  map generation       %8.1f ms\n",
+  std::printf("  map generation             %8.1f ms\n",
               r.timings.map_generation_ms);
-  std::printf("  fleet simulation     %8.1f ms\n", r.timings.simulation_ms);
-  std::printf("  cleaning             %8.1f ms\n", r.timings.cleaning_ms);
-  std::printf("  selection + matching %8.1f ms\n",
+  std::printf("  simulation + clean + match %8.1f ms\n",
+              r.timings.simulation_ms);
+  std::printf("  cleaning                   %8.1f ms\n", r.timings.cleaning_ms);
+  std::printf("  selection + matching       %8.1f ms\n",
               r.timings.selection_matching_ms);
-  std::printf("  grid + mixed model   %8.1f ms\n", r.timings.analysis_ms);
-  std::printf("  total                %8.1f ms for %lld raw points\n\n",
+  std::printf("  grid + mixed model         %8.1f ms\n", r.timings.analysis_ms);
+  std::printf("  total                      %8.1f ms for %lld raw points\n\n",
               r.timings.TotalMs(),
               static_cast<long long>(r.cleaning_report.raw_points));
 }

@@ -5,9 +5,9 @@
 // in per-index slots) and load-stat tallies exported for obs metrics;
 // neither can change StudyResults at any worker count.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 
 #include "taxitrace/common/check.h"
 
@@ -175,13 +175,16 @@ int Executor::ResolveThreadCount(int requested) {
     char* parse_end = nullptr;
     const long value = std::strtol(env, &parse_end, 10);
     if (errno == 0 && parse_end != nullptr && *parse_end == '\0' &&
-        value >= 0 && value <= std::numeric_limits<int>::max()) {
+        value >= 0 && value <= kMaxExecutorWorkers) {
       return static_cast<int>(value);
     }
-    // Malformed values fall through to the hardware default.
+    // Malformed values, and counts above the pool cap, fall through to
+    // the hardware default.
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  if (hw == 0) return 1;
+  return static_cast<int>(
+      std::min(hw, static_cast<unsigned>(kMaxExecutorWorkers)));
 }
 
 const Executor& Executor::Serial() {

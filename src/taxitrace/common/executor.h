@@ -84,8 +84,9 @@ class Executor {
   /// Resolves a requested thread count to an actual one:
   ///   requested >= 0  -> used as-is (0 = serial),
   ///   requested  < 0  -> the TAXITRACE_THREADS environment variable if
-  ///                      set to a valid non-negative integer, else all
-  ///                      hardware threads.
+  ///                      set to an integer in [0, kMaxExecutorWorkers],
+  ///                      else all hardware threads, capped at
+  ///                      kMaxExecutorWorkers.
   static int ResolveThreadCount(int requested);
 
   /// A process-wide 0-thread executor for call sites that take an

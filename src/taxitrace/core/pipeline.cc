@@ -46,6 +46,11 @@ struct WindowSink final : public trace::TripSink {
 }  // namespace
 
 Result<StudyResults> Pipeline::Run() const {
+  if (config_.num_threads > kMaxExecutorWorkers) {
+    return Status::InvalidArgument(
+        StrFormat("num_threads must be <= %d, got %d", kMaxExecutorWorkers,
+                  config_.num_threads));
+  }
   if (config_.stream_ingestion && config_.ingest.reorder_lag < 0) {
     return Status::InvalidArgument(
         StrFormat("ingest.reorder_lag must be >= 0, got %lld",
@@ -151,25 +156,25 @@ Result<StudyResults> Pipeline::Run() const {
     }
   };
 
-  // 2. Raw traces, from one of three sources feeding the fold: batch
-  // runs the fused unit per store trip (stage 4), streamed on each
-  // (car, day) shard on the worker that simulated it, so raw points
-  // never all exist at once, and online ingestion per window of each
-  // car's arrival stream (stage 3). Fault plans force the store:
-  // file-level faults corrupt a CSV view of the whole store.
+  // 2. Raw traces. A study runs the fused unit on each (car, day) shard
+  // on the worker that simulated it, so raw points never all exist at
+  // once. Only the two whole-campaign consumers build the raw trace
+  // store: a fault plan (file-level faults corrupt one CSV view of all
+  // trips; the fused unit then runs per store trip in stage 4) and
+  // online ingestion (per window of each car's arrival stream, stage 3).
   obs::StageSpan sim_span(&trace, "simulation");
   const synth::FleetSimulator fleet(&results.map, &results.weather,
                                     config_.fleet, &results.pedestrians);
   const bool stream_ingest = config_.stream_ingestion;
-  const bool streaming =
-      config_.stream_simulation && !config_.faults.Any() && !stream_ingest;
+  const bool faulted = config_.faults.Any();
+  const bool build_store = faulted || stream_ingest;
   clean::CleaningOptions cleaning_options = config_.cleaning;
 
   synth::FleetResult raw;
   int64_t trips_simulated = 0;
   int64_t points_simulated = 0;
   int64_t peak_buffered_shards = 0;
-  if (streaming) {
+  if (!build_store) {
     ReorderBuffer<std::vector<TripMatchOutput>> merge(
         [&](std::vector<TripMatchOutput> shard) -> Status {
           for (TripMatchOutput& trip : shard) fold(trip);
@@ -205,7 +210,7 @@ Result<StudyResults> Pipeline::Run() const {
   // 2.5. Fault injection, skipped entirely on a fault-free plan. The
   // corrupted input calls for the sanitiser, gated to the study region.
   fault::FaultReport injected;
-  if (config_.faults.Any()) {
+  if (faulted) {
     obs::StageSpan fault_span(&trace, "fault_injection");
     TAXITRACE_ASSIGN_OR_RETURN(
         const fault::RegionGate gate,
@@ -220,8 +225,8 @@ Result<StudyResults> Pipeline::Run() const {
     sanitize.lon_max_deg = gate.lon_max_deg;
     fault_span.AddItems(injected.TotalInjected());
   }
-  results.raw_trips =
-      streaming ? trips_simulated : static_cast<int64_t>(raw.store.NumTrips());
+  results.raw_trips = build_store ? static_cast<int64_t>(raw.store.NumTrips())
+                                 : trips_simulated;
   sim_span.AddItems(trips_simulated);
   sim_span.Finish();
 
@@ -229,8 +234,8 @@ Result<StudyResults> Pipeline::Run() const {
   // item, undoing the arrival shuffle under the watermark and running
   // the fused unit on each window the moment it closes. Sessions share
   // no state; their outputs are merged in store order below, so the
-  // results equal batch at any worker count whenever the displacement
-  // fits the lossless bound.
+  // results equal the same study's without ingestion at any worker
+  // count whenever the displacement fits the lossless bound.
   struct CarIngestOutput {
     int car_id = 0;
     std::vector<TripMatchOutput> trips;
@@ -266,10 +271,10 @@ Result<StudyResults> Pipeline::Run() const {
                          results.ingest_stats.trip_markers_offered);
   }
 
-  // 4. Cleaning: the batch source runs the fused unit over the store's
+  // 4. Cleaning: a faulted study runs the fused unit over the store's
   // trips and a reorder buffer releases each output to the fold in store
   // order; the ingest source folds its per-car windows in store order.
-  // A streamed run has nothing left to do here.
+  // A shard-sourced study has nothing left to do here.
   obs::StageSpan clean_span(&trace, "cleaning");
   if (stream_ingest) {
     // Walk the store's trips and pull the matching window from its car's
@@ -291,8 +296,10 @@ Result<StudyResults> Pipeline::Run() const {
     for (CarIngestOutput& c : car_ingest) {
       for (; c.next < c.trips.size(); ++c.next) fold(c.trips[c.next]);
     }
-  } else if (!streaming) {
-    const std::vector<trace::Trip>& trips = raw.store.trips();
+  } else if (faulted) {
+    // Nothing reads the store after this point: each worker takes its
+    // trip out of the vector instead of copying it.
+    std::vector<trace::Trip> trips = std::move(raw.store).TakeTrips();
     ReorderBuffer<TripMatchOutput> merge([&](TripMatchOutput trip) {
       fold(trip);
       return Status::OK();
@@ -300,7 +307,7 @@ Result<StudyResults> Pipeline::Run() const {
     TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
         0, static_cast<int64_t>(trips.size()), [&](int64_t i) -> Status {
           return merge.Deposit(
-              i, CleanAndMatchTrip(trips[static_cast<size_t>(i)],
+              i, CleanAndMatchTrip(std::move(trips[static_cast<size_t>(i)]),
                                    cleaning_options, match_context));
         }));
   }
@@ -437,11 +444,11 @@ Result<StudyResults> Pipeline::Run() const {
     count("pipeline.segments_selected", match_totals.filtered_cleaned);
     count("pipeline.transitions_matched", match_totals.post_filtered);
     count("pipeline.point_speeds", results.total_point_speeds);
-    if (config_.faults.Any()) {
+    if (faulted) {
       count("fault.injected_total", injected.TotalInjected());
       count("fault.dropped_total", report.faults.TotalDropped());
     }
-    if (streaming) {
+    if (!build_store) {
       // How many shards finished ahead of a slower predecessor: set by
       // scheduling, not by the data, hence a gauge.
       registry.gauge("synth.peak_buffered_shards")

@@ -30,11 +30,12 @@ namespace core {
 /// has no field of its own); kept as a flat struct for the bench call
 /// sites.
 ///
-/// The fused clean + match unit lands in one span per source: in
-/// `cleaning_ms` on a batch run, in `simulation_ms` on a streamed run
-/// and in `stream_ingest_ms` on an online-ingest run.
-/// `selection_matching_ms` is left with the Table 3 rows, so it is
-/// near-empty on every source.
+/// The fused clean + match unit lands in one span per source. On a
+/// study without faults or online ingestion it runs on each simulated
+/// shard, so its time is inside `simulation_ms` and `cleaning_ms` is
+/// near zero. A faulted study runs it per store trip in `cleaning_ms`;
+/// an online-ingest run in `stream_ingest_ms`. `selection_matching_ms`
+/// is left with the Table 3 rows, so it is near-empty on every source.
 struct StageTimings {
   double map_generation_ms = 0.0;
   double simulation_ms = 0.0;

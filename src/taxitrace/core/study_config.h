@@ -36,7 +36,9 @@ struct StudyConfig {
   /// Fault-injection plan applied to the raw traces between simulation
   /// and cleaning. All probabilities default to zero (no injection, no
   /// extra work); any nonzero probability also enables the cleaning
-  /// sanitiser so the corrupted study still runs end to end.
+  /// sanitiser so the corrupted study still runs end to end, and makes
+  /// the study build the raw trace store: file-level faults corrupt one
+  /// CSV view of all trips.
   fault::FaultPlan faults;
 
   /// Metrics / tracing / funnel collection. Off by default: a disabled
@@ -44,14 +46,12 @@ struct StudyConfig {
   /// funnel, empty StudyResults::observability).
   obs::ObservabilityOptions observability;
 
-  /// Clean and match each simulated (car, day) shard on the worker that
-  /// simulated it instead of materialising the raw trace store first,
-  /// so peak memory is bounded by per-shard state rather than the
-  /// campaign's point count — what makes 1000-car studies fit.
-  /// StudyResults are byte-identical to the in-memory path at any
-  /// worker count; only StageTimings shift (the work lands in the
-  /// simulation span). An active FaultPlan falls back to the in-memory
-  /// path: file-level faults corrupt one CSV view of the whole store.
+  /// Ignored. Every study without a fault plan or online ingestion
+  /// already cleans and matches each simulated (car, day) shard on the
+  /// worker that simulated it, without building the raw trace store.
+  /// The field stays only because the benchmark driver
+  /// (perfbench/perfbench.cc) still assigns it; the next change to the
+  /// benchmark removes that assignment and this field with it.
   bool stream_simulation = false;
 
   /// Online ingestion: rebuild each car's raw trace as an arrival
@@ -63,16 +63,16 @@ struct StudyConfig {
   /// path at any worker count whenever every arrival displacement fits
   /// the lossless bound (reorder_lag / 2); records beyond it become
   /// counted funnel drops (`points.ingested`), never silent losses.
-  /// Takes precedence over stream_simulation: ingestion consumes the
-  /// materialised (and possibly fault-corrupted) store, exactly what
-  /// batch cleaning would have seen.
+  /// Ingestion consumes the materialised (and possibly fault-corrupted)
+  /// raw trace store, exactly what a store-order run would have seen.
   bool stream_ingestion = false;
   stream::IngestOptions ingest;
 
   /// Worker threads for the parallel stages (simulation, cleaning,
   /// selection + matching): 0 = serial, -1 = resolve from the
   /// TAXITRACE_THREADS environment variable (else all hardware
-  /// threads). Results are byte-identical at any value.
+  /// threads). At most kMaxExecutorWorkers; Pipeline::Run rejects a
+  /// larger count. Results are byte-identical at any value.
   int num_threads = -1;
 
   /// The paper-scale study: 7 taxis, 365 days.

@@ -165,7 +165,7 @@ Result<RegionGate> ApplyFaultPlan(const FaultPlan& plan,
                                   FaultReport* report,
                                   obs::FunnelLedger* funnel) {
   const FaultInjector injector(plan);
-  std::vector<trace::Trip> trips = store->trips();
+  std::vector<trace::Trip> trips = std::move(*store).TakeTrips();
   injector.CorruptTrips(&trips, report);
   if (plan.AnyFileFaults()) {
     trace::TraceIoStats io_stats;

@@ -72,8 +72,9 @@ struct RegionGate {
 
 /// Applies `plan` to a store in place: corrupts its trips, round-trips
 /// them through a corrupted CSV and the lenient reader on file-level
-/// faults, and rebuilds the store dropping duplicate ids. Injections
-/// and drops add to `report`; a non-null `funnel` gets the
+/// faults, and rebuilds the store dropping duplicate ids. The trips are
+/// moved out of the store, not copied; on error it is left empty.
+/// Injections and drops add to `report`; a non-null `funnel` gets the
 /// `rows.csv_lenient_parse` and `trips.store_rebuild` rows. Returns the
 /// sanitiser's region gate: `network_bounds` (metres under `projection`)
 /// inflated by 5 km, far beyond GPS scatter (outliers jump ~450 m), so

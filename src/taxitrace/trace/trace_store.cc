@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "taxitrace/common/strings.h"
 
@@ -17,6 +18,11 @@ Status TraceStore::AddTrip(Trip trip) {
   by_id_[trip.trip_id] = trips_.size();
   trips_.push_back(std::move(trip));
   return Status::OK();
+}
+
+std::vector<Trip> TraceStore::TakeTrips() && {
+  by_id_.clear();
+  return std::exchange(trips_, {});
 }
 
 size_t TraceStore::NumPoints() const {

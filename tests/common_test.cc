@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "taxitrace/common/csv.h"
@@ -555,6 +557,54 @@ TEST(WorkerLocalTest, ForEachVisitsEveryCreatedSlotOnce) {
   EXPECT_GE(*workers.begin(), 0);
   EXPECT_LT(*workers.rbegin(), 8);
   slots.ForEach([](const WorkerSlot& slot) { EXPECT_EQ(slot.visits, 1); });
+}
+
+// Sets TAXITRACE_THREADS for one scope and restores the prior value.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* prior = std::getenv("TAXITRACE_THREADS")) {
+      had_prior_ = true;
+      prior_ = prior;
+    }
+    setenv("TAXITRACE_THREADS", value, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (had_prior_) {
+      setenv("TAXITRACE_THREADS", prior_.c_str(), 1);
+    } else {
+      unsetenv("TAXITRACE_THREADS");
+    }
+  }
+
+ private:
+  bool had_prior_ = false;
+  std::string prior_;
+};
+
+// Only resolves counts; no pool is built, so no thread starts.
+TEST(ExecutorTest, ResolveThreadCountStaysWithinThePoolCap) {
+  int hardware_default = 0;
+  {
+    const ScopedThreadsEnv env("not-a-number");
+    hardware_default = Executor::ResolveThreadCount(-1);
+  }
+  EXPECT_GE(hardware_default, 1);
+  EXPECT_LE(hardware_default, kMaxExecutorWorkers);
+  {
+    const ScopedThreadsEnv env("256");
+    EXPECT_EQ(Executor::ResolveThreadCount(-1), kMaxExecutorWorkers);
+  }
+  // Above the cap is malformed: it falls through to the default.
+  for (const char* too_many : {"257", "2147483647", "2147483648"}) {
+    const ScopedThreadsEnv env(too_many);
+    EXPECT_EQ(Executor::ResolveThreadCount(-1), hardware_default)
+        << too_many;
+  }
+  {
+    const ScopedThreadsEnv env("0");
+    EXPECT_EQ(Executor::ResolveThreadCount(-1), 0);
+  }
 }
 
 TEST(LoggingTest, LevelFilterRoundTrip) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 
 #include "taxitrace/common/check.h"
@@ -254,16 +255,17 @@ TEST(ParallelDeterminismTest, MetricsOnEightWorkersMatchSerial) {
   ExpectIdenticalObservability(ObservedSerialReference(), run);
 }
 
-// Streamed legs: each simulation worker cleans and matches its own
-// shards and a reorder buffer folds them in (car, day, trip) order, so
-// the results, the funnel and every counter equal the batch serial
-// reference at any worker count. The buffer's high-water mark depends
-// on scheduling and is published as a gauge, never a counter.
+// Shard legs: a default-config study never builds the raw trace store.
+// Each simulation worker cleans and matches its own shards and a
+// reorder buffer folds them in (car, day, trip) order, so the results,
+// the funnel and every counter equal the serial reference at any worker
+// count. Only that path publishes the buffer's high-water mark, so the
+// gauge's presence shows no store was built; the mark depends on
+// scheduling and is published as a gauge, never a counter.
 TEST(ParallelDeterminismTest, StreamedMetricsOnMatchBatchAtAnyWorkerCount) {
   for (const int workers : {0, 1, 2, 8}) {
     core::StudyConfig config = core::StudyConfig::SmallStudy();
     config.num_threads = workers;
-    config.stream_simulation = true;
     config.observability.enabled = true;
     auto run = core::Pipeline(config).Run();
     ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -398,6 +400,19 @@ TEST(ParallelDeterminismTest, ReplayStatsAndDigestIdenticalAcrossWorkers) {
     const serve::ReplayResult run = replay_with(num_threads);
     EXPECT_EQ(run.stats, serial.stats) << num_threads << " workers";
     EXPECT_EQ(run.digest, serial.digest) << num_threads << " workers";
+  }
+}
+
+// A worker count above the executor's pool cap is a configuration
+// error, reported before any work; no pool is built, so no thread
+// starts.
+TEST(ParallelDeterminismTest, WorkerCountAboveCapIsInvalidArgument) {
+  for (const int threads : {kMaxExecutorWorkers + 1, INT_MAX}) {
+    core::StudyConfig config = core::StudyConfig::SmallStudy();
+    config.num_threads = threads;
+    const auto run = core::Pipeline(config).Run();
+    ASSERT_FALSE(run.ok()) << threads;
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
   }
 }
 

@@ -1,13 +1,22 @@
-// The streaming pipeline's contract: cleaning and matching each
-// simulated shard on its worker and folding the finished trips in
-// (car, day, trip) order (stream_simulation = true) produces
-// StudyResults byte-identical to the in-memory path — the same trips
-// reach the same per-trip stages, and every counter folds in the same
-// order. Checked on fault-free and faulted studies at 0/1/2/8 workers;
-// doubles compared exactly, plus the golden digest, which hashes the
-// full downstream output.
+// The shard path's contract: a study without a fault plan or online
+// ingestion cleans and matches each simulated shard on its worker and
+// folds the finished trips in (car, day, trip) order, never building
+// the raw trace store, and produces StudyResults byte-identical to a
+// store-order run — the same trips reach the same per-trip stages, and
+// every counter folds in the same order. The one store-order source
+// left for a fault-free study is online ingestion in canonical arrival
+// order (arrival_shuffle_window = 0), which loses nothing
+// (IngestEquivalenceTest.CanonicalOrderHasZeroLatency), so it is the
+// reference here. Faulted studies build the store and clean it in
+// store order; they are held to a faulted canonical-ingest run. Checked
+// at 0/1/2/8 workers on what both runs produce: the golden digest, which
+// hashes the full downstream output, the cleaning report and the
+// funnel stages and counters they share; doubles compared exactly.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "taxitrace/common/check.h"
 #include "taxitrace/core/pipeline.h"
@@ -16,12 +25,17 @@
 namespace taxitrace {
 namespace {
 
-core::StudyResults RunStudy(int num_threads, bool streaming,
+// `store_order` runs online ingestion with no arrival shuffle: the
+// store's trips in store order, one window per trip, nothing buffered
+// or lost. Otherwise the study takes its default source.
+core::StudyResults RunStudy(int num_threads, bool store_order,
                             const fault::FaultPlan& faults = {},
                             bool observability = false) {
   core::StudyConfig config = core::StudyConfig::SmallStudy();
   config.num_threads = num_threads;
-  config.stream_simulation = streaming;
+  config.stream_ingestion = store_order;
+  config.ingest.reorder_lag = 64;
+  config.ingest.arrival_shuffle_window = 0;
   config.faults = faults;
   config.observability.enabled = observability;
   core::Pipeline pipeline(config);
@@ -30,15 +44,15 @@ core::StudyResults RunStudy(int num_threads, bool streaming,
   return std::move(run).value();
 }
 
-const core::StudyResults& InMemoryReference() {
+const core::StudyResults& StoreOrderReference() {
   static const core::StudyResults reference =
-      RunStudy(0, /*streaming=*/false);
+      RunStudy(0, /*store_order=*/true);
   return reference;
 }
 
-const std::string& InMemoryDigest() {
+const std::string& StoreOrderDigest() {
   static const std::string digest =
-      core::StudyDigestJson(InMemoryReference());
+      core::StudyDigestJson(StoreOrderReference());
   return digest;
 }
 
@@ -93,74 +107,89 @@ void ExpectSameReports(const core::StudyResults& a,
 }
 
 TEST(StreamingEquivalenceTest, SerialStreamingMatchesInMemory) {
-  const core::StudyResults run = RunStudy(0, /*streaming=*/true);
-  ExpectSameReports(InMemoryReference(), run);
-  EXPECT_EQ(InMemoryDigest(), core::StudyDigestJson(run));
+  const core::StudyResults run = RunStudy(0, /*store_order=*/false);
+  ExpectSameReports(StoreOrderReference(), run);
+  EXPECT_EQ(StoreOrderDigest(), core::StudyDigestJson(run));
 }
 
 TEST(StreamingEquivalenceTest, OneWorkerStreamingMatchesInMemory) {
-  const core::StudyResults run = RunStudy(1, /*streaming=*/true);
-  ExpectSameReports(InMemoryReference(), run);
-  EXPECT_EQ(InMemoryDigest(), core::StudyDigestJson(run));
+  const core::StudyResults run = RunStudy(1, /*store_order=*/false);
+  ExpectSameReports(StoreOrderReference(), run);
+  EXPECT_EQ(StoreOrderDigest(), core::StudyDigestJson(run));
 }
 
 TEST(StreamingEquivalenceTest, TwoWorkersStreamingMatchesInMemory) {
-  const core::StudyResults run = RunStudy(2, /*streaming=*/true);
-  ExpectSameReports(InMemoryReference(), run);
-  EXPECT_EQ(InMemoryDigest(), core::StudyDigestJson(run));
+  const core::StudyResults run = RunStudy(2, /*store_order=*/false);
+  ExpectSameReports(StoreOrderReference(), run);
+  EXPECT_EQ(StoreOrderDigest(), core::StudyDigestJson(run));
 }
 
 TEST(StreamingEquivalenceTest, EightWorkersStreamingMatchesInMemory) {
-  const core::StudyResults run = RunStudy(8, /*streaming=*/true);
-  ExpectSameReports(InMemoryReference(), run);
-  EXPECT_EQ(InMemoryDigest(), core::StudyDigestJson(run));
+  const core::StudyResults run = RunStudy(8, /*store_order=*/false);
+  ExpectSameReports(StoreOrderReference(), run);
+  EXPECT_EQ(StoreOrderDigest(), core::StudyDigestJson(run));
 }
 
-// A faulted study falls back to the in-memory path (file faults
-// corrupt one CSV view of the whole store), so the flag must be a
-// no-op there — same results at every worker count, not a silently
-// different code path.
+// A faulted study builds the store and runs the fused unit per store
+// trip, moving each trip out of it; a faulted canonical-ingest run
+// replays the same corrupted store window by window. Both must fold to
+// the same results at any worker count.
 const core::StudyResults& FaultedReference() {
   static const core::StudyResults reference =
-      RunStudy(0, /*streaming=*/false, fault::FaultPlan::Uniform(0.02));
+      RunStudy(0, /*store_order=*/true, fault::FaultPlan::Uniform(0.02));
   return reference;
 }
 
-TEST(StreamingEquivalenceTest, FaultedStudyStreamingFlagIsIdentity) {
+TEST(StreamingEquivalenceTest, FaultedSerialMatchesCanonicalIngest) {
   const core::StudyResults run =
-      RunStudy(0, /*streaming=*/true, fault::FaultPlan::Uniform(0.02));
+      RunStudy(0, /*store_order=*/false, fault::FaultPlan::Uniform(0.02));
   ExpectSameReports(FaultedReference(), run);
   EXPECT_GT(run.cleaning_report.faults.TotalDropped(), 0);
   EXPECT_EQ(core::StudyDigestJson(FaultedReference()),
             core::StudyDigestJson(run));
 }
 
-TEST(StreamingEquivalenceTest, FaultedEightWorkersStreamingMatches) {
+TEST(StreamingEquivalenceTest, FaultedEightWorkersMatchCanonicalIngest) {
   const core::StudyResults run =
-      RunStudy(8, /*streaming=*/true, fault::FaultPlan::Uniform(0.02));
+      RunStudy(8, /*store_order=*/false, fault::FaultPlan::Uniform(0.02));
   ExpectSameReports(FaultedReference(), run);
   EXPECT_EQ(core::StudyDigestJson(FaultedReference()),
             core::StudyDigestJson(run));
 }
 
-// Observability must agree too: the funnel ledger (including the new
-// trips.simulated / points.simulated source stages) and every counter
-// — clean.* included, which streaming publishes via the same helper —
-// are deterministic data counts in both modes.
+// Observability must agree on what both runs publish: every funnel
+// stage of the shard run (the trips.simulated / points.simulated source
+// stages included) and every counter — clean.* included, which both
+// publish via the same helper — are deterministic data counts. The
+// reference has only the ingestion stages and stream.* counters on top.
 TEST(StreamingEquivalenceTest, FunnelAndCountersMatchInMemory) {
-  const core::StudyResults in_memory =
-      RunStudy(0, /*streaming=*/false, {}, /*observability=*/true);
-  ASSERT_TRUE(in_memory.observability.enabled);
-  EXPECT_NE(in_memory.observability.funnel.Find("points.simulated"),
-            nullptr);
+  const core::StudyResults store_order =
+      RunStudy(0, /*store_order=*/true, {}, /*observability=*/true);
+  ASSERT_TRUE(store_order.observability.enabled);
+  std::vector<obs::FunnelStage> shared_stages;
+  for (const obs::FunnelStage& stage :
+       store_order.observability.funnel.stages()) {
+    if (stage.name != "points.ingested" && stage.name != "windows.closed" &&
+        stage.name != "segments.emitted_online") {
+      shared_stages.push_back(stage);
+    }
+  }
+  EXPECT_LT(shared_stages.size(),
+            store_order.observability.funnel.stages().size());
+  std::vector<obs::CounterSample> shared_counters;
+  for (const obs::CounterSample& c : store_order.observability.counters) {
+    if (!c.name.starts_with("stream.")) shared_counters.push_back(c);
+  }
   for (const int workers : {2, 8}) {
     const core::StudyResults streamed =
-        RunStudy(workers, /*streaming=*/true, {}, /*observability=*/true);
+        RunStudy(workers, /*store_order=*/false, {},
+                 /*observability=*/true);
     ASSERT_TRUE(streamed.observability.enabled);
-    EXPECT_EQ(in_memory.observability.funnel, streamed.observability.funnel)
+    EXPECT_NE(streamed.observability.funnel.Find("points.simulated"),
+              nullptr);
+    EXPECT_EQ(shared_stages, streamed.observability.funnel.stages())
         << workers << " workers";
-    EXPECT_EQ(in_memory.observability.counters,
-              streamed.observability.counters)
+    EXPECT_EQ(shared_counters, streamed.observability.counters)
         << workers << " workers";
     const Status reconciles =
         streamed.observability.funnel.CheckReconciles();
