@@ -91,7 +91,6 @@ def all_rules():
         idiom.ResultOkStatus(),
         idiom.IncludePath(),
         idiom.IgnoredStatus(),
-        idiom.FlatGraphIndex(),
         determinism.UnorderedIteration(),
         determinism.AmbientEntropy(),
         determinism.PointerKeyedOrder(),

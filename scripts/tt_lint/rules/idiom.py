@@ -300,66 +300,3 @@ class IgnoredStatus(FileRule):
                 f"return value of Status-returning {t.value}() is "
                 "ignored", t.col)
 
-
-_TILED_ACCESSOR_LAYER = (
-    "src/taxitrace/roadnet/road_network.h",
-    "src/taxitrace/roadnet/road_network.cc",
-    "src/taxitrace/roadnet/tile.h",
-)
-
-
-class FlatGraphIndex(FileRule):
-    """The tiled graph storage keeps vertices/edges in per-tile vectors
-    whose position is NOT the public id (ids pack tile + local bits).
-    Subscripting those vectors — `tile.vertices[i]`, `edges_[i]`, or
-    the retired flat accessors `net.vertices()[i]` — outside the
-    accessor layer silently conflates ordinals with packed ids and
-    breaks the moment a second tile appears. Everything else must go
-    through vertex()/edge(), VertexIdAt()/EdgeIdAt(), or ForEach*."""
-
-    name = "flat-graph-index"
-    short = ("graph vertex/edge storage subscripted outside the tiled "
-             "accessor layer; use vertex()/edge()/ForEach* instead")
-
-    _MEMBERS = frozenset({"vertices", "edges"})
-    _LEGACY = frozenset({"vertices_", "edges_"})
-
-    def check_file(self, sf: SourceFile, ctx: RepoContext):
-        if path_is_under(sf.rel, _TILED_ACCESSOR_LAYER):
-            return
-        toks = sf.tokens
-        n = len(toks)
-        for i, t in enumerate(toks):
-            if t.kind != ID:
-                continue
-            # Legacy flat members: `vertices_[i]` anywhere outside the
-            # layer, member access or not.
-            if t.value in self._LEGACY:
-                if i + 1 < n and toks[i + 1].value == "[":
-                    yield self.finding(
-                        sf, t.line,
-                        f"direct subscript of flat graph storage "
-                        f"{t.value}[...]; go through the tiled "
-                        "accessor layer", t.col)
-                continue
-            if t.value not in self._MEMBERS:
-                continue
-            prev = toks[i - 1] if i > 0 else None
-            if prev is None or prev.kind != PUNCT \
-                    or prev.value not in (".", "->"):
-                continue
-            # `x.vertices[i]` — a tile's storage vector subscripted.
-            if i + 1 < n and toks[i + 1].value == "[":
-                yield self.finding(
-                    sf, t.line,
-                    f"tile storage vector .{t.value}[...] subscripted "
-                    "outside the tiled accessor layer", t.col)
-                continue
-            # `x.vertices()[i]` — the retired flat accessor shape.
-            if i + 3 < n and toks[i + 1].value == "(" \
-                    and toks[i + 2].value == ")" \
-                    and toks[i + 3].value == "[":
-                yield self.finding(
-                    sf, t.line,
-                    f"flat accessor .{t.value}()[...] subscripted; "
-                    "use vertex()/edge() with a packed id", t.col)

@@ -25,7 +25,7 @@ inline uint64_t SplitMix64(uint64_t x) {
 }
 
 /// Hash of a signed 2-D lattice coordinate (analysis grid cells,
-/// spatial-index cells, road-graph tiles). Packs both 32-bit words into
+/// spatial-index cells). Packs both 32-bit words into
 /// one SplitMix64 input so the pair is injective before mixing and no
 /// low-bit structure survives power-of-two bucket masking.
 inline uint64_t HashCell2D(int32_t cx, int32_t cy) {

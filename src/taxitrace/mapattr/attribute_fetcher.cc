@@ -36,16 +36,10 @@ bool WithinDistance(const geo::Polyline& line, const geo::EnPoint& p,
 
 AttributeFetcher::AttributeFetcher(const roadnet::RoadNetwork* network,
                                    AttributeFetcherOptions options)
-    : network_(network),
-      options_(options),
-      tile_size_m_(network->tiling().tile_size_m) {
+    : network_(network), options_(options) {
   for (const roadnet::MapFeature& f : network_->features()) {
     if (f.type == roadnet::FeatureType::kTrafficLight) {
-      const roadnet::TileCoord tc =
-          tile_size_m_ > 0.0
-              ? roadnet::TileCoordOfPoint(f.position, tile_size_m_)
-              : roadnet::TileCoord{0, 0};
-      lights_by_tile_[tc].push_back(f.position);
+      lights_.push_back(f.position);
     }
   }
 }
@@ -88,31 +82,11 @@ RouteAttributes AttributeFetcher::Fetch(
 
   const geo::Bbox route_box = route.geometry.Bounds().Inflated(
       options_.traffic_light_radius_m + 10.0);
-  const auto scan_bucket = [&](const std::vector<geo::EnPoint>& lights) {
-    for (const geo::EnPoint& light : lights) {
-      if (!route_box.Contains(light)) continue;
-      if (WithinDistance(route.geometry, light,
-                         options_.traffic_light_radius_m)) {
-        ++attrs.traffic_lights;
-      }
-    }
-  };
-  if (tile_size_m_ <= 0.0) {
-    const auto it = lights_by_tile_.find(roadnet::TileCoord{0, 0});
-    if (it != lights_by_tile_.end()) scan_bucket(it->second);
-  } else {
-    // Only the light buckets of tiles overlapping the (already
-    // radius-inflated) route box can contribute; the count is a sum,
-    // so bucket visiting order cannot affect the result.
-    const roadnet::TileCoord lo = roadnet::TileCoordOfPoint(
-        geo::EnPoint{route_box.min_x, route_box.min_y}, tile_size_m_);
-    const roadnet::TileCoord hi = roadnet::TileCoordOfPoint(
-        geo::EnPoint{route_box.max_x, route_box.max_y}, tile_size_m_);
-    for (int32_t ty = lo.ty; ty <= hi.ty; ++ty) {
-      for (int32_t tx = lo.tx; tx <= hi.tx; ++tx) {
-        const auto it = lights_by_tile_.find(roadnet::TileCoord{tx, ty});
-        if (it != lights_by_tile_.end()) scan_bucket(it->second);
-      }
+  for (const geo::EnPoint& light : lights_) {
+    if (!route_box.Contains(light)) continue;
+    if (WithinDistance(route.geometry, light,
+                       options_.traffic_light_radius_m)) {
+      ++attrs.traffic_lights;
     }
   }
   return attrs;

@@ -7,11 +7,9 @@
 #ifndef TAXITRACE_MAPATTR_ATTRIBUTE_FETCHER_H_
 #define TAXITRACE_MAPATTR_ATTRIBUTE_FETCHER_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "taxitrace/mapmatch/incremental_matcher.h"
-#include "taxitrace/roadnet/tile.h"
 
 namespace taxitrace {
 namespace mapattr {
@@ -53,18 +51,11 @@ class AttributeFetcher {
  private:
   const roadnet::RoadNetwork* network_;
   AttributeFetcherOptions options_;
-  double tile_size_m_;  ///< Network tiling; 0 on single-tile maps.
-  // Traffic lights only, extracted once and bucketed by the network's
-  // tile lattice: Fetch scans lights against every route, and walking
-  // the full feature table per route wastes most of the scan on
-  // crossings and stops that are counted from edge attachment instead.
-  // The tile split bounds each Fetch to the buckets its route's
-  // bounding box overlaps, so per-query work follows the touched tile
-  // working set rather than the map-wide light count. On single-tile
-  // maps everything sits in the {0, 0} bucket (the historical scan).
-  std::unordered_map<roadnet::TileCoord, std::vector<geo::EnPoint>,
-                     roadnet::TileCoordHash>
-      lights_by_tile_;
+  // Traffic light positions, extracted once in feature order: Fetch
+  // scans lights against every route, and walking the full feature
+  // table per route wastes most of the scan on crossings and stops that
+  // are counted from edge attachment instead.
+  std::vector<geo::EnPoint> lights_;
 };
 
 }  // namespace mapattr

@@ -20,21 +20,21 @@ std::vector<VertexId> OutNeighbours(const RoadNetwork& network, VertexId v,
 }
 
 // Iterative DFS collecting vertices in postorder. `visited` is indexed
-// by vertex ordinal (ids are packed and non-dense on tiled maps).
+// by vertex id.
 void PostorderDfs(const RoadNetwork& network, VertexId start,
                   std::vector<bool>* visited,
                   std::vector<VertexId>* postorder) {
   std::vector<std::pair<VertexId, size_t>> stack;
   stack.emplace_back(start, 0);
-  (*visited)[network.VertexOrdinal(start)] = true;
+  (*visited)[static_cast<size_t>(start)] = true;
   while (!stack.empty()) {
     auto& [v, next] = stack.back();
     const std::vector<VertexId> neighbours =
         OutNeighbours(network, v, false);
     if (next < neighbours.size()) {
       const VertexId w = neighbours[next++];
-      if (!(*visited)[network.VertexOrdinal(w)]) {
-        (*visited)[network.VertexOrdinal(w)] = true;
+      if (!(*visited)[static_cast<size_t>(w)]) {
+        (*visited)[static_cast<size_t>(w)] = true;
         stack.emplace_back(w, 0);
       }
     } else {
@@ -52,15 +52,15 @@ std::vector<int> WeakComponents(const RoadNetwork& network) {
   int next_label = 0;
   for (size_t start = 0; start < n; ++start) {
     if (label[start] >= 0) continue;
-    std::vector<VertexId> stack{network.VertexIdAt(start)};
+    std::vector<VertexId> stack{static_cast<VertexId>(start)};
     label[start] = next_label;
     while (!stack.empty()) {
       const VertexId v = stack.back();
       stack.pop_back();
       for (const HalfEdge& arc : network.OutArcs(v)) {
         const VertexId w = arc.head;
-        if (label[network.VertexOrdinal(w)] < 0) {
-          label[network.VertexOrdinal(w)] = next_label;
+        if (label[static_cast<size_t>(w)] < 0) {
+          label[static_cast<size_t>(w)] = next_label;
           stack.push_back(w);
         }
       }
@@ -87,22 +87,22 @@ std::vector<VertexId> LargestStronglyConnectedComponent(
   postorder.reserve(n);
   for (size_t v = 0; v < n; ++v) {
     if (!visited[v]) {
-      PostorderDfs(network, network.VertexIdAt(v), &visited, &postorder);
+      PostorderDfs(network, static_cast<VertexId>(v), &visited, &postorder);
     }
   }
   // Pass 2: traverse the reversed graph in reverse postorder.
   std::vector<int> component(n, -1);
   int next_component = 0;
   for (auto it = postorder.rbegin(); it != postorder.rend(); ++it) {
-    if (component[network.VertexOrdinal(*it)] >= 0) continue;
+    if (component[static_cast<size_t>(*it)] >= 0) continue;
     std::vector<VertexId> stack{*it};
-    component[network.VertexOrdinal(*it)] = next_component;
+    component[static_cast<size_t>(*it)] = next_component;
     while (!stack.empty()) {
       const VertexId v = stack.back();
       stack.pop_back();
       for (VertexId w : OutNeighbours(network, v, true)) {
-        if (component[network.VertexOrdinal(w)] < 0) {
-          component[network.VertexOrdinal(w)] = next_component;
+        if (component[static_cast<size_t>(w)] < 0) {
+          component[static_cast<size_t>(w)] = next_component;
           stack.push_back(w);
         }
       }
@@ -116,7 +116,7 @@ std::vector<VertexId> LargestStronglyConnectedComponent(
       std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
   std::vector<VertexId> out;
   for (size_t v = 0; v < n; ++v) {
-    if (component[v] == best) out.push_back(network.VertexIdAt(v));
+    if (component[v] == best) out.push_back(static_cast<VertexId>(v));
   }
   return out;
 }

@@ -17,9 +17,8 @@
 namespace taxitrace {
 namespace roadnet {
 
-/// Component label per vertex ordinal (RoadNetwork::VertexOrdinal;
-/// equal to the vertex id on single-tile maps), ignoring travel
-/// direction. Labels are 0..k-1 by discovery order.
+/// Component label per vertex id, ignoring travel direction. Labels
+/// are 0..k-1 by discovery order.
 std::vector<int> WeakComponents(const RoadNetwork& network);
 
 /// Number of weakly connected components.

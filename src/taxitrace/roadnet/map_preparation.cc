@@ -33,6 +33,12 @@ PointKey Quantize(const geo::EnPoint& p, double snap) {
                   static_cast<int64_t>(std::llround(p.y / snap))};
 }
 
+// True when both coordinates are finite and within the accepted range.
+bool InMapRange(const geo::EnPoint& p) {
+  return std::abs(p.x) <= kMaxMapCoordinateM &&
+         std::abs(p.y) <= kMaxMapCoordinateM;
+}
+
 // One end of one element.
 struct ElementEnd {
   size_t element_index;
@@ -50,6 +56,20 @@ Result<RoadNetwork> PrepareRoadNetwork(
   }
   std::unordered_set<ElementId> seen_ids;
   for (const TrafficElement& el : elements) {
+    for (const geo::EnPoint& p : el.geometry.points()) {
+      if (!InMapRange(p)) {
+        return Status::InvalidArgument(StrFormat(
+            "element %lld has a coordinate that is not finite or beyond "
+            "%g m",
+            static_cast<long long>(el.id), kMaxMapCoordinateM));
+      }
+    }
+    if (!(std::isfinite(el.speed_limit_kmh) && el.speed_limit_kmh > 0.0)) {
+      return Status::InvalidArgument(
+          StrFormat("element %lld has speed limit %g km/h; it must be "
+                    "finite and positive",
+                    static_cast<long long>(el.id), el.speed_limit_kmh));
+    }
     if (el.geometry.size() < 2) {
       return Status::InvalidArgument(
           StrFormat("element %lld has degenerate geometry",
@@ -64,6 +84,15 @@ Result<RoadNetwork> PrepareRoadNetwork(
       return Status::InvalidArgument(
           StrFormat("duplicate element id %lld",
                     static_cast<long long>(el.id)));
+    }
+  }
+  for (size_t i = 0; i < features.size(); ++i) {
+    if (!InMapRange(features[i].position)) {
+      return Status::InvalidArgument(StrFormat(
+          "feature %zu (%s) has a position that is not finite or beyond "
+          "%g m",
+          i, std::string(FeatureTypeName(features[i].type)).c_str(),
+          kMaxMapCoordinateM));
     }
   }
 
@@ -92,7 +121,7 @@ Result<RoadNetwork> PrepareRoadNetwork(
   //    terminals.
   MapPreparationStats local_stats;
   local_stats.num_elements = static_cast<int>(elements.size());
-  RoadNetwork network(origin, options.tiling);
+  RoadNetwork network(origin);
   std::unordered_map<PointKey, VertexId, PointKeyHash> vertex_at;
   for (const PointKey& key : sorted_keys) {
     const std::vector<ElementEnd>& ends = incidence.at(key);

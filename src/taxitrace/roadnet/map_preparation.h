@@ -31,10 +31,16 @@ struct MapPreparationOptions {
   double endpoint_snap_m = 0.05;
   /// Maximum feature-to-edge attachment distance, metres.
   double feature_attach_radius_m = 40.0;
-  /// Tile partition of the produced network (default: single tile, the
-  /// historical dense-id layout).
-  TilingOptions tiling;
 };
+
+/// Largest coordinate magnitude, metres, that map preparation accepts.
+/// The local frame is a tangent plane about the map's origin, so a
+/// city map lies within a few kilometres of 0, and 1e7 m (a quarter of
+/// the Earth's circumference) is far past any real input. The bound
+/// keeps every int32 cell cast of a map position in range for cells of
+/// 1 m or more, since 1e7 < 2^31: the analysis grid (analysis::Grid)
+/// uses 200 m cells and the spatial index 50 m.
+inline constexpr double kMaxMapCoordinateM = 1e7;
 
 /// One row of the junction-pair table (Table 1).
 struct JunctionPairRow {
@@ -62,8 +68,10 @@ struct MapPreparationStats {
 };
 
 /// Builds the road-network graph from traffic elements and attaches the
-/// given features. Fails on empty input, elements with degenerate
-/// geometry, or duplicate element ids.
+/// given features. Fails with InvalidArgument on empty input, elements
+/// with degenerate geometry, duplicate element ids, a speed limit that
+/// is not finite and positive, or an element or feature coordinate that
+/// is not finite or exceeds kMaxMapCoordinateM in magnitude.
 Result<RoadNetwork> PrepareRoadNetwork(
     const std::vector<TrafficElement>& elements,
     const std::vector<FeatureSpec>& features, const geo::LatLon& origin,

@@ -3,13 +3,9 @@
 // between two vertices (Section IV-A of the paper). Point features are
 // attached to the edge they lie on.
 //
-// Storage is tiled (tile.h): vertices and edges live in fixed-size
-// spatial tiles keyed by the position of the vertex (edges belong to
-// the tile of their `from` endpoint), and every id packs (tile index,
-// local ordinal) into the historical 32-bit VertexId / EdgeId. With the
-// default TilingOptions (tile_size_m == 0) the whole map is one tile
-// and packed ids equal the old dense ids bit-for-bit, so existing maps,
-// serialised snapshots, and id-seeded RNG streams are unchanged.
+// Storage is flat: vertices, edges and incidence lists live in vectors
+// indexed by id, ids are dense insertion indices, and a CSR adjacency
+// plus per-edge segment tables are built from them for the hot loops.
 
 #ifndef TAXITRACE_ROADNET_ROAD_NETWORK_H_
 #define TAXITRACE_ROADNET_ROAD_NETWORK_H_
@@ -17,25 +13,22 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "taxitrace/common/check.h"
-#include "taxitrace/common/hash.h"
 #include "taxitrace/common/result.h"
 #include "taxitrace/geo/coordinates.h"
 #include "taxitrace/geo/polyline.h"
 #include "taxitrace/roadnet/map_features.h"
-#include "taxitrace/roadnet/tile.h"
 #include "taxitrace/roadnet/traffic_element.h"
 
 namespace taxitrace {
 namespace roadnet {
 
-/// Index of a vertex within a RoadNetwork (packed tile/local, tile.h).
+/// Index of a vertex within a RoadNetwork (dense, insertion order).
 using VertexId = int32_t;
-/// Index of an edge within a RoadNetwork (packed tile/local, tile.h).
+/// Index of an edge within a RoadNetwork (dense, insertion order).
 using EdgeId = int32_t;
 
 inline constexpr VertexId kInvalidVertex = -1;
@@ -92,56 +85,12 @@ struct HalfEdge {
   bool forward = false;
 };
 
-/// One arc crossing a tile boundary, recorded in the owning tile's
-/// boundary table during the CSR build: traversals leaving the tile go
-/// through these, and the invariant tests check every such arc is
-/// visible (with symmetric traversability) from both sides.
-struct BoundaryArc {
-  VertexId from = kInvalidVertex;  ///< Base vertex, inside this tile.
-  VertexId head = kInvalidVertex;  ///< Far endpoint, in another tile.
-  EdgeId edge = kInvalidEdge;
-};
-
-/// How the builder partitions the map into tiles. The default (0) keeps
-/// the whole network in one tile, reproducing the historical flat
-/// layout exactly.
-struct TilingOptions {
-  /// Edge length of the square tiles, metres. 0 disables tiling.
-  double tile_size_m = 0.0;
-};
-
-/// One fixed-size spatial tile: a self-contained slab of vertices,
-/// edges, incidence lists and CSR adjacency. Local ordinals index the
-/// vectors directly; globals are packed via tile.h.
-struct GraphTile {
-  TileCoord coord;
-  std::vector<Vertex> vertices;
-  std::vector<Edge> edges;
-  /// Incident edge ids (global) per local vertex, insertion order.
-  std::vector<std::vector<EdgeId>> incident;
-
-  // CSR mirror of `incident`, rebuilt lazily by the owning network
-  // (see RoadNetwork::OutArcs for the threading contract).
-  std::vector<int32_t> csr_offsets;
-  std::vector<HalfEdge> csr_arcs;
-  /// Arcs whose head vertex lies in a different tile, in CSR order.
-  std::vector<BoundaryArc> boundary;
-
-  // Per-edge segment tables, rebuilt with the CSR: local edge i's
-  // segments are entries [segment_offsets[i], segment_offsets[i + 1])
-  // of both arrays (see RoadNetwork::SegmentLengths).
-  std::vector<int32_t> segment_offsets;
-  std::vector<double> segment_lengths;
-  std::vector<double> segment_headings;
-};
-
 /// The prepared road network. Construct through `PrepareRoadNetwork()`
 /// (map_preparation.h) or the builder API below.
 class RoadNetwork {
  public:
   /// Creates an empty network whose local frame is anchored at `origin`.
-  explicit RoadNetwork(const geo::LatLon& origin,
-                       const TilingOptions& tiling = TilingOptions{});
+  explicit RoadNetwork(const geo::LatLon& origin);
 
   /// WGS84 anchor of the local east/north frame.
   [[nodiscard]] const geo::LatLon& origin() const { return origin_; }
@@ -149,58 +98,32 @@ class RoadNetwork {
   [[nodiscard]] const geo::LocalProjection& projection() const {
     return projection_;
   }
-  /// The tiling this network was built with.
-  [[nodiscard]] const TilingOptions& tiling() const { return tiling_; }
 
   // --- Sizes and id enumeration ------------------------------------------
   //
-  // Ids are packed (tile, local) pairs and are NOT dense when the map
-  // has more than one tile; code that needs a dense [0, n) range (CSV
-  // columns, scratch arrays, multiplier tables) must go through the
-  // ordinal mapping below. In single-tile maps id == ordinal.
+  // Ids are dense: vertex ids are [0, num_vertices()) and edge ids
+  // [0, num_edges()), in insertion order, so an id indexes any
+  // per-vertex or per-edge table (CSV columns, scratch arrays,
+  // multiplier vectors) directly.
 
-  [[nodiscard]] size_t num_vertices() const { return num_vertices_; }
-  [[nodiscard]] size_t num_edges() const { return num_edges_; }
-  [[nodiscard]] size_t num_tiles() const { return tiles_.size(); }
+  [[nodiscard]] size_t num_vertices() const { return vertices_.size(); }
+  [[nodiscard]] size_t num_edges() const { return edges_.size(); }
 
   [[nodiscard]] bool HasVertex(VertexId id) const {
-    if (id < 0) return false;
-    const auto t = static_cast<size_t>(TileIndexOf(id));
-    return t < tiles_.size() &&
-           static_cast<size_t>(LocalIdOf(id)) < tiles_[t].vertices.size();
+    return id >= 0 && static_cast<size_t>(id) < vertices_.size();
   }
   [[nodiscard]] bool HasEdge(EdgeId id) const {
-    if (id < 0) return false;
-    const auto t = static_cast<size_t>(TileIndexOf(id));
-    return t < tiles_.size() &&
-           static_cast<size_t>(LocalIdOf(id)) < tiles_[t].edges.size();
+    return id >= 0 && static_cast<size_t>(id) < edges_.size();
   }
 
-  /// Dense ordinal of a vertex / edge in tile-major order: tile index
-  /// first, local ordinal second. Stable for a finished network; equal
-  /// to the id itself in single-tile maps. EdgeOrdinal is defined
-  /// inline below the class: the spatial index calls it per gathered
-  /// candidate.
-  [[nodiscard]] size_t VertexOrdinal(VertexId id) const;
-  [[nodiscard]] size_t EdgeOrdinal(EdgeId id) const;
-
-  /// Inverse of the ordinal mapping.
-  [[nodiscard]] VertexId VertexIdAt(size_t ordinal) const;
-  [[nodiscard]] EdgeId EdgeIdAt(size_t ordinal) const;
-
-  /// Visits every vertex / edge in tile-major (== ordinal, == insertion
-  /// for single-tile maps) order. Deterministic.
+  /// Visits every vertex / edge in id order. Deterministic.
   template <typename Fn>
   void ForEachVertex(Fn&& fn) const {
-    for (const GraphTile& t : tiles_) {
-      for (const Vertex& v : t.vertices) fn(v);
-    }
+    for (const Vertex& v : vertices_) fn(v);
   }
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
-    for (const GraphTile& t : tiles_) {
-      for (const Edge& e : t.edges) fn(e);
-    }
+    for (const Edge& e : edges_) fn(e);
   }
 
   [[nodiscard]] const std::vector<MapFeature>& features() const {
@@ -208,26 +131,14 @@ class RoadNetwork {
   }
 
   /// The vertex / edge / feature with the given id. Passing an invalid
-  /// id is a programming error (TT_DCHECK'd).
+  /// id is a programming error (TT_DCHECK'd). vertex() and edge() are
+  /// defined inline below the class: the search loops call them.
   [[nodiscard]] const Vertex& vertex(VertexId id) const;
   [[nodiscard]] const Edge& edge(EdgeId id) const;
   [[nodiscard]] const MapFeature& feature(FeatureId id) const;
 
-  // --- Tiles -------------------------------------------------------------
-
-  /// The tile with the given dense index.
-  [[nodiscard]] const GraphTile& tile(TileIndex t) const;
-
-  /// Cross-tile arcs leaving tile `t`, in CSR order. Empty until the
-  /// adjacency is built; empty forever on single-tile maps.
-  [[nodiscard]] std::span<const BoundaryArc> BoundaryArcs(TileIndex t) const;
-
-  /// Dense index of the tile whose lattice cell contains `p`, or -1 if
-  /// no vertex was ever added there. Single-tile maps always return 0.
-  [[nodiscard]] TileIndex TileAt(const geo::EnPoint& p) const;
-
   /// Approximate resident bytes of the graph storage (vertices, edges
-  /// incl. geometry, incidence, CSR slabs, boundary tables, directory).
+  /// incl. geometry, incidence, CSR adjacency, segment tables).
   [[nodiscard]] size_t ApproxMemoryBytes() const;
 
   // --- Topology ----------------------------------------------------------
@@ -287,13 +198,11 @@ class RoadNetwork {
 
   // --- Builder API -------------------------------------------------------
 
-  /// Adds a vertex and returns its id (packed to the tile containing
-  /// `position` under the network's tiling).
+  /// Adds a vertex and returns its id, the next dense index.
   VertexId AddVertex(const geo::EnPoint& position, bool is_junction);
 
-  /// Adds an edge; `edge.id` is ignored and assigned (the edge belongs
-  /// to the tile of its `from` vertex). `from`/`to` must be valid.
-  /// Returns the assigned id.
+  /// Adds an edge; `edge.id` is ignored and assigned the next dense
+  /// index. `from`/`to` must be valid. Returns the assigned id.
   EdgeId AddEdge(Edge edge);
 
   /// Adds a point feature, attaching it to the nearest edge within
@@ -302,85 +211,83 @@ class RoadNetwork {
   FeatureId AddFeature(FeatureType type, const geo::EnPoint& position,
                        double attach_radius_m = 40.0);
 
-  /// Structural validation: endpoint/geometry agreement, positive
-  /// lengths, id packing consistency, feature attachment consistency.
+  /// Structural validation: ids equal their indices, endpoint/geometry
+  /// agreement, positive lengths and speed limits, feature attachment
+  /// consistency.
   Status Validate() const;
 
  private:
   void RebuildAdjacency() const;
-  void RebuildOrdinalBases() const;
-  /// Edge `e`'s entries in one of its tile's segment tables.
+  /// Edge `e`'s entries in one of the segment tables.
   [[nodiscard]] std::span<const double> EdgeSegments(
-      EdgeId e, std::vector<double> GraphTile::*table) const;
+      EdgeId e, const std::vector<double>& table) const;
   [[nodiscard]] bool adjacency_stale() const {
-    return csr_vertex_count_ != num_vertices_ ||
-           csr_edge_count_ != num_edges_;
+    return csr_vertex_count_ != vertices_.size() ||
+           csr_edge_count_ != edges_.size();
   }
-  // Ordinal bases go stale with the CSR but rebuild in O(tiles), so
-  // builder code may interleave mutations with ordinal lookups without
-  // paying a full adjacency rebuild each time.
-  [[nodiscard]] bool ordinals_stale() const {
-    return ordinal_vertex_count_ != num_vertices_ ||
-           ordinal_edge_count_ != num_edges_;
-  }
-  /// Dense index of the tile containing `position`, creating it if new.
-  TileIndex TileForPosition(const geo::EnPoint& position);
 
   geo::LatLon origin_;
   geo::LocalProjection projection_;
-  TilingOptions tiling_;
+
+  std::vector<Vertex> vertices_;
+  std::vector<Edge> edges_;
+  /// Incident edge ids per vertex, insertion order.
+  std::vector<std::vector<EdgeId>> incident_;
+  std::vector<MapFeature> features_;
 
   // `mutable` members are lazily rebuilt caches, semantically part of
-  // the const read API (same contract as the CSR before tiling).
-  mutable std::vector<GraphTile> tiles_;
-  std::unordered_map<TileCoord, TileIndex, TileCoordHash> tile_directory_;
-  std::vector<MapFeature> features_;
-  size_t num_vertices_ = 0;
-  size_t num_edges_ = 0;
-
-  // Cumulative vertex/edge counts per tile for the ordinal mapping,
-  // rebuilt alongside the CSR (same staleness check).
-  mutable std::vector<size_t> vertex_base_;
-  mutable std::vector<size_t> edge_base_;
-  mutable size_t csr_vertex_count_ = 0;  ///< num_vertices_ at last build
-  mutable size_t csr_edge_count_ = 0;    ///< num_edges_ at last build
-  mutable size_t ordinal_vertex_count_ = 0;  ///< at last ordinal rebuild
-  mutable size_t ordinal_edge_count_ = 0;    ///< at last ordinal rebuild
+  // the const read API (see OutArcs for the threading contract).
+  //
+  // CSR mirror of `incident_`: vertex v's arcs are
+  // csr_arcs_[csr_offsets_[v] .. csr_offsets_[v + 1]).
+  mutable std::vector<int32_t> csr_offsets_;
+  mutable std::vector<HalfEdge> csr_arcs_;
+  // Per-edge segment tables, rebuilt with the CSR: edge e's segments are
+  // entries [segment_offsets_[e], segment_offsets_[e + 1]) of both
+  // arrays (see SegmentLengths).
+  mutable std::vector<int32_t> segment_offsets_;
+  mutable std::vector<double> segment_lengths_;
+  mutable std::vector<double> segment_headings_;
+  mutable size_t csr_vertex_count_ = 0;  ///< num_vertices() at last build
+  mutable size_t csr_edge_count_ = 0;    ///< num_edges() at last build
 };
 
-inline size_t RoadNetwork::EdgeOrdinal(EdgeId id) const {
+inline const Vertex& RoadNetwork::vertex(VertexId id) const {
+  TT_DCHECK(HasVertex(id));
+  return vertices_[static_cast<size_t>(id)];
+}
+
+inline const Edge& RoadNetwork::edge(EdgeId id) const {
   TT_DCHECK(HasEdge(id));
-  if (ordinals_stale()) RebuildOrdinalBases();
-  return edge_base_[static_cast<size_t>(TileIndexOf(id))] +
-         static_cast<size_t>(LocalIdOf(id));
+  return edges_[static_cast<size_t>(id)];
 }
 
 inline std::span<const HalfEdge> RoadNetwork::OutArcs(VertexId v) const {
+  TT_DCHECK(HasVertex(v));
   if (adjacency_stale()) RebuildAdjacency();
-  const GraphTile& t = tiles_[static_cast<size_t>(TileIndexOf(v))];
-  const auto local = static_cast<size_t>(LocalIdOf(v));
-  const auto begin = static_cast<size_t>(t.csr_offsets[local]);
-  const auto end = static_cast<size_t>(t.csr_offsets[local + 1]);
-  return {t.csr_arcs.data() + begin, end - begin};
+  const auto begin = static_cast<size_t>(csr_offsets_[static_cast<size_t>(v)]);
+  const auto end =
+      static_cast<size_t>(csr_offsets_[static_cast<size_t>(v) + 1]);
+  return {csr_arcs_.data() + begin, end - begin};
 }
 
 inline std::span<const double> RoadNetwork::EdgeSegments(
-    EdgeId e, std::vector<double> GraphTile::*table) const {
+    EdgeId e, const std::vector<double>& table) const {
   TT_DCHECK(HasEdge(e));
   if (adjacency_stale()) RebuildAdjacency();
-  const GraphTile& t = tiles_[static_cast<size_t>(TileIndexOf(e))];
-  const auto local = static_cast<size_t>(LocalIdOf(e));
-  const auto begin = static_cast<size_t>(t.segment_offsets[local]);
-  const auto end = static_cast<size_t>(t.segment_offsets[local + 1]);
-  return {(t.*table).data() + begin, end - begin};
+  const auto begin =
+      static_cast<size_t>(segment_offsets_[static_cast<size_t>(e)]);
+  const auto end =
+      static_cast<size_t>(segment_offsets_[static_cast<size_t>(e) + 1]);
+  return {table.data() + begin, end - begin};
 }
 
 inline std::span<const double> RoadNetwork::SegmentLengths(EdgeId e) const {
-  return EdgeSegments(e, &GraphTile::segment_lengths);
+  return EdgeSegments(e, segment_lengths_);
 }
 
 inline std::span<const double> RoadNetwork::SegmentHeadings(EdgeId e) const {
-  return EdgeSegments(e, &GraphTile::segment_headings);
+  return EdgeSegments(e, segment_headings_);
 }
 
 }  // namespace roadnet

@@ -27,7 +27,6 @@ void CountSearch(SearchScratch& scratch, int64_t heap_pops, int64_t settled,
   t.searches.Add(1);
   t.heap_pops.Add(heap_pops);
   t.settled_vertices.Add(settled);
-  t.tiles_touched.Add(static_cast<int64_t>(scratch.tiles_touched()));
   if (goal_directed) t.goal_directed_searches.Add(1);
 }
 
@@ -62,12 +61,11 @@ SearchScratch& Router::Search(
   }
   return SearchImpl(seeds, stop_at_both_a, stop_at_both_b, goal_directed,
                     /*heuristic_scale=*/1.0, [&](EdgeId edge) {
-                      // Multiplier vectors are dense over edge ordinals
-                      // (== ids on single-tile maps).
+                      // Multiplier vectors are indexed by edge id.
                       return edge_cost_multiplier == nullptr
                                  ? 1.0
-                                 : (*edge_cost_multiplier)[network_
-                                       ->EdgeOrdinal(edge)];
+                                 : (*edge_cost_multiplier)[static_cast<
+                                       size_t>(edge)];
                     });
 }
 
@@ -158,7 +156,6 @@ RouterStats Router::stats() const {
     s.heap_pops += t.heap_pops.value();
     s.settled_vertices += t.settled_vertices.value();
     s.goal_directed_searches += t.goal_directed_searches.value();
-    s.tiles_touched += t.tiles_touched.value();
     s.direct_connections += t.direct_connections.value();
   });
   return s;

@@ -43,9 +43,6 @@ struct RouterStats {
   int64_t settled_vertices = 0;  ///< Vertices finalised (non-stale pops).
   /// Searches that ran goal-directed (A*); the rest were plain Dijkstra.
   int64_t goal_directed_searches = 0;
-  /// Sum over searches of the distinct graph tiles each one relaxed a
-  /// vertex in (always == searches on single-tile maps).
-  int64_t tiles_touched = 0;
   /// ShortestPathBetween calls answered with the direct sub-edge path
   /// without a search; every other call that gets past argument checks
   /// runs exactly one search.

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "taxitrace/common/hash.h"
+
 namespace taxitrace {
 namespace roadnet {
 namespace {
@@ -33,6 +35,18 @@ bool AxisCells(double lo, double hi, double cell, int32_t* first,
   *last = static_cast<int32_t>(l);
   return true;
 }
+
+struct CellKey {
+  int32_t cx;
+  int32_t cy;
+  friend bool operator==(const CellKey&, const CellKey&) = default;
+};
+
+struct CellKeyHash {
+  size_t operator()(const CellKey& k) const {
+    return static_cast<size_t>(HashCell2D(k.cx, k.cy));
+  }
+};
 
 // Inclusive rectangle of cell coordinates.
 struct CellRect {
@@ -98,23 +112,17 @@ void CoverSegment(const geo::EnPoint& a, const geo::EnPoint& b, double cell,
 SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
     : network_(network),
       cell_size_m_(cell_size_m),
-      tile_size_m_(network->tiling().tile_size_m),
       scratch_(std::make_shared<WorkerLocal<QueryScratch>>()) {
-  // Queries translate edge ids to ordinals and project with the edges'
-  // segment lengths; warm the mapping and the tables (they share the
-  // CSR's staleness) on the constructing thread.
+  // Queries project with the edges' segment lengths; warm the tables on
+  // the constructing thread.
   network_->WarmAdjacency();
 
   // Build pass: collect each edge's cells into a keyed map first (the
   // set of cells is sparse and unknown up front), then flatten into the
-  // per-tile dense grids below.
+  // dense grid below.
   std::unordered_map<CellKey, std::vector<EdgeId>, CellKeyHash> cells;
   edge_bounds_.assign(network_->num_edges(), geo::Bbox::Empty());
-  size_t next_ordinal = 0;
   network_->ForEachEdge([&](const Edge& e) {
-    // ForEachEdge runs in tile-major order, so this counter IS the
-    // edge's ordinal (RoadNetwork::EdgeOrdinal).
-    const size_t ordinal = next_ordinal++;
     const std::vector<geo::EnPoint>& pts = e.geometry.points();
     if (pts.empty()) {
       // An edge with no geometry has no position to index; dropping it
@@ -136,7 +144,7 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
       ++empty_geometry_edges_;
       return;
     }
-    edge_bounds_[ordinal] = bounds;
+    edge_bounds_[static_cast<size_t>(e.id)] = bounds;
     std::unordered_set<uint64_t> edge_cells;
     const auto insert_cell = [&](int32_t cx, int32_t cy) {
       const uint64_t packed =
@@ -159,86 +167,38 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
 
   if (cells.empty()) return;
 
-  // Group the occupied cells by owning tile, tracking each tile's cell
-  // extent (hash-map iteration only feeds mins/maxes and counts, so the
-  // result is iteration-order independent).
-  struct Extent {
-    int32_t min_cx = 0;
-    int32_t max_cx = 0;
-    int32_t min_cy = 0;
-    int32_t max_cy = 0;
-    bool init = false;
+  // The grid spans the occupied cells' extent (hash-map iteration only
+  // feeds mins/maxes and counts, so the result is iteration-order
+  // independent).
+  int32_t max_cx = cells.begin()->first.cx;
+  int32_t max_cy = cells.begin()->first.cy;
+  min_cx_ = max_cx;
+  min_cy_ = max_cy;
+  for (const auto& [key, edge_list] : cells) {
+    min_cx_ = std::min(min_cx_, key.cx);
+    max_cx = std::max(max_cx, key.cx);
+    min_cy_ = std::min(min_cy_, key.cy);
+    max_cy = std::max(max_cy, key.cy);
+  }
+  cols_ = max_cx - min_cx_ + 1;
+  rows_ = max_cy - min_cy_ + 1;
+  const auto cell_index = [&](const CellKey& key) {
+    return static_cast<size_t>(key.cy - min_cy_) * static_cast<size_t>(cols_) +
+           static_cast<size_t>(key.cx - min_cx_);
   };
-  std::unordered_map<TileCoord, Extent, TileCoordHash> extents;
+  cell_offsets_.assign(
+      static_cast<size_t>(cols_) * static_cast<size_t>(rows_) + 1, 0);
   for (const auto& [key, edge_list] : cells) {
-    Extent& ex = extents[OwnerTileOf(key.cx, key.cy)];
-    if (!ex.init) {
-      ex = Extent{key.cx, key.cx, key.cy, key.cy, true};
-    } else {
-      ex.min_cx = std::min(ex.min_cx, key.cx);
-      ex.max_cx = std::max(ex.max_cx, key.cx);
-      ex.min_cy = std::min(ex.min_cy, key.cy);
-      ex.max_cy = std::max(ex.max_cy, key.cy);
-    }
+    cell_offsets_[cell_index(key) + 1] = static_cast<int32_t>(edge_list.size());
   }
-  std::vector<TileCoord> coords;
-  coords.reserve(extents.size());
-  for (const auto& [coord, ex] : extents) coords.push_back(coord);
-  std::sort(coords.begin(), coords.end(),
-            [](const TileCoord& a, const TileCoord& b) {
-              return a.ty != b.ty ? a.ty < b.ty : a.tx < b.tx;
-            });
-
-  grids_.resize(coords.size());
-  for (size_t i = 0; i < coords.size(); ++i) {
-    const Extent& ex = extents.at(coords[i]);
-    TileGrid& g = grids_[i];
-    g.coord = coords[i];
-    g.min_cx = ex.min_cx;
-    g.min_cy = ex.min_cy;
-    g.cols = ex.max_cx - ex.min_cx + 1;
-    g.rows = ex.max_cy - ex.min_cy + 1;
-    const size_t num_cells =
-        static_cast<size_t>(g.cols) * static_cast<size_t>(g.rows);
-    g.cell_offsets.assign(num_cells + 1, 0);
-    tile_directory_.emplace(coords[i], static_cast<int32_t>(i));
+  for (size_t i = 1; i < cell_offsets_.size(); ++i) {
+    cell_offsets_[i] += cell_offsets_[i - 1];
   }
+  cell_edges_.resize(static_cast<size_t>(cell_offsets_.back()));
   for (const auto& [key, edge_list] : cells) {
-    TileGrid& g =
-        grids_[static_cast<size_t>(tile_directory_.at(OwnerTileOf(
-            key.cx, key.cy)))];
-    const size_t i = static_cast<size_t>(key.cy - g.min_cy) *
-                         static_cast<size_t>(g.cols) +
-                     static_cast<size_t>(key.cx - g.min_cx);
-    g.cell_offsets[i + 1] = static_cast<int32_t>(edge_list.size());
-  }
-  for (TileGrid& g : grids_) {
-    for (size_t i = 1; i < g.cell_offsets.size(); ++i) {
-      g.cell_offsets[i] += g.cell_offsets[i - 1];
-    }
-    g.cell_edges.resize(static_cast<size_t>(g.cell_offsets.back()));
-  }
-  for (const auto& [key, edge_list] : cells) {
-    TileGrid& g =
-        grids_[static_cast<size_t>(tile_directory_.at(OwnerTileOf(
-            key.cx, key.cy)))];
-    const size_t i = static_cast<size_t>(key.cy - g.min_cy) *
-                         static_cast<size_t>(g.cols) +
-                     static_cast<size_t>(key.cx - g.min_cx);
     std::copy(edge_list.begin(), edge_list.end(),
-              g.cell_edges.begin() + g.cell_offsets[i]);
+              cell_edges_.begin() + cell_offsets_[cell_index(key)]);
   }
-}
-
-TileCoord SpatialIndex::OwnerTileOf(int32_t cx, int32_t cy) const {
-  if (tile_size_m_ <= 0.0) return TileCoord{0, 0};
-  // Owner of a cell = tile containing the cell's min corner; computed
-  // from the lattice coordinate so build and query always agree.
-  return TileCoord{
-      static_cast<int32_t>(
-          std::floor(static_cast<double>(cx) * cell_size_m_ / tile_size_m_)),
-      static_cast<int32_t>(
-          std::floor(static_cast<double>(cy) * cell_size_m_ / tile_size_m_))};
 }
 
 std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
@@ -281,38 +241,22 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
   std::vector<EdgeId>& gathered = scratch.gathered;
   gathered.clear();
 
-  const TileCoord lo_t = OwnerTileOf(lo_cx, lo_cy);
-  const TileCoord hi_t = OwnerTileOf(hi_cx, hi_cy);
-  int64_t tiles_probed = 0;
-  for (int32_t tty = lo_t.ty; tty <= hi_t.ty; ++tty) {
-    for (int32_t ttx = lo_t.tx; ttx <= hi_t.tx; ++ttx) {
-      ++tiles_probed;
-      const auto it = tile_directory_.find(TileCoord{ttx, tty});
-      if (it == tile_directory_.end()) continue;
-      const TileGrid& g = grids_[static_cast<size_t>(it->second)];
-      // Clip the query window to this tile grid's occupied extent.
-      const int32_t scan_lo_cx = std::max(lo_cx, g.min_cx);
-      const int32_t scan_hi_cx = std::min(hi_cx, g.min_cx + g.cols - 1);
-      const int32_t scan_lo_cy = std::max(lo_cy, g.min_cy);
-      const int32_t scan_hi_cy = std::min(hi_cy, g.min_cy + g.rows - 1);
-      // Every cell in the clipped rectangle is owned by this tile:
-      // ownership is a per-axis floor, so a grid's occupied extent
-      // never reaches into a neighbouring tile's cell range.
-      for (int32_t cy = scan_lo_cy; cy <= scan_hi_cy; ++cy) {
-        for (int32_t cx = scan_lo_cx; cx <= scan_hi_cx; ++cx) {
-          const size_t i = static_cast<size_t>(cy - g.min_cy) *
-                               static_cast<size_t>(g.cols) +
-                           static_cast<size_t>(cx - g.min_cx);
-          for (int32_t k = g.cell_offsets[i]; k < g.cell_offsets[i + 1];
-               ++k) {
-            const EdgeId id = g.cell_edges[static_cast<size_t>(k)];
-            uint32_t& stamp =
-                scratch.seen_stamp[network_->EdgeOrdinal(id)];
-            if (stamp != gen) {
-              stamp = gen;
-              gathered.push_back(id);
-            }
-          }
+  // Clip the query window to the grid's occupied extent.
+  const int32_t scan_lo_cx = std::max(lo_cx, min_cx_);
+  const int32_t scan_hi_cx = std::min(hi_cx, min_cx_ + cols_ - 1);
+  const int32_t scan_lo_cy = std::max(lo_cy, min_cy_);
+  const int32_t scan_hi_cy = std::min(hi_cy, min_cy_ + rows_ - 1);
+  for (int32_t cy = scan_lo_cy; cy <= scan_hi_cy; ++cy) {
+    for (int32_t cx = scan_lo_cx; cx <= scan_hi_cx; ++cx) {
+      const size_t i =
+          static_cast<size_t>(cy - min_cy_) * static_cast<size_t>(cols_) +
+          static_cast<size_t>(cx - min_cx_);
+      for (int32_t k = cell_offsets_[i]; k < cell_offsets_[i + 1]; ++k) {
+        const EdgeId id = cell_edges_[static_cast<size_t>(k)];
+        uint32_t& stamp = scratch.seen_stamp[static_cast<size_t>(id)];
+        if (stamp != gen) {
+          stamp = gen;
+          gathered.push_back(id);
         }
       }
     }
@@ -327,7 +271,7 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
   const double limit_sq = reach * reach;
   out->reserve(8);
   for (EdgeId id : gathered) {
-    const geo::Bbox& b = edge_bounds_[network_->EdgeOrdinal(id)];
+    const geo::Bbox& b = edge_bounds_[static_cast<size_t>(id)];
     const double ddx = std::max({b.min_x - p.x, 0.0, p.x - b.max_x});
     const double ddy = std::max({b.min_y - p.y, 0.0, p.y - b.max_y});
     if (ddx * ddx + ddy * ddy > limit_sq) continue;
@@ -350,7 +294,6 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
   QueryTallies& t = scratch.tallies;
   t.queries.Add(1);
   t.cells_probed.Add(cells_probed);
-  t.tiles_probed.Add(tiles_probed);
   t.candidates.Add(static_cast<int64_t>(gathered.size()));
   t.hits.Add(static_cast<int64_t>(out->size()));
 }
@@ -374,13 +317,8 @@ std::optional<EdgeCandidate> SpatialIndex::Nearest(
 size_t SpatialIndex::ApproxMemoryBytes() const {
   size_t bytes = sizeof(SpatialIndex);
   bytes += edge_bounds_.capacity() * sizeof(geo::Bbox);
-  bytes += tile_directory_.size() *
-           (sizeof(TileCoord) + sizeof(int32_t) + 2 * sizeof(void*));
-  for (const TileGrid& g : grids_) {
-    bytes += sizeof(TileGrid);
-    bytes += g.cell_offsets.capacity() * sizeof(int32_t);
-    bytes += g.cell_edges.capacity() * sizeof(EdgeId);
-  }
+  bytes += cell_offsets_.capacity() * sizeof(int32_t);
+  bytes += cell_edges_.capacity() * sizeof(EdgeId);
   return bytes;
 }
 
@@ -390,7 +328,6 @@ SpatialIndexStats SpatialIndex::stats() const {
     const QueryTallies& t = scratch.tallies;
     s.queries += t.queries.value();
     s.cells_probed += t.cells_probed.value();
-    s.tiles_probed += t.tiles_probed.value();
     s.candidates += t.candidates.value();
     s.hits += t.hits.value();
   });

@@ -7,13 +7,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "taxitrace/common/executor.h"
-#include "taxitrace/common/hash.h"
 #include "taxitrace/roadnet/road_network.h"
-#include "taxitrace/roadnet/tile.h"
 
 namespace taxitrace {
 namespace roadnet {
@@ -30,7 +27,6 @@ struct EdgeCandidate {
 struct SpatialIndexStats {
   int64_t queries = 0;        ///< Nearby() calls (Nearest() makes several).
   int64_t cells_probed = 0;   ///< grid-cell lookups performed.
-  int64_t tiles_probed = 0;   ///< tile-directory lookups performed.
   int64_t candidates = 0;     ///< distinct edges distance-checked.
   int64_t hits = 0;           ///< candidates returned within the radius.
   /// Edges dropped at build time: no geometry, or a coordinate that is
@@ -41,19 +37,11 @@ struct SpatialIndexStats {
 /// Uniform grid over the bounding box of a network's edges. Each cell
 /// stores every edge whose geometry meets it (an exact supercover of
 /// each polyline segment, grown by 1e-6 m against rounding), so a
-/// query needs only the cells its search square overlaps. The index is
-/// immutable after construction and holds a pointer to the network, which
-/// must outlive it.
-///
-/// Storage follows the network's tiling (tile.h): one dense row-major
-/// CSR cell grid per occupied tile, found through a top-level tile
-/// directory, so resident index memory scales with the tiles geometry
-/// actually crosses and a probe inside a tile stays an array load. Cell
-/// ownership is decided by the cell's lattice position alone, so every
-/// cell lives in exactly one tile grid; a query walks the (usually one,
-/// at most four) tiles overlapping its search square. On single-tile
-/// networks there is exactly one grid; tiling changes neither the
-/// candidate set nor the returned hits.
+/// query needs only the cells its search square overlaps. The grid is
+/// one dense row-major array of cells spanning the occupied cell
+/// extent, flattened CSR-style, so a probe is an array load. The index
+/// is immutable after construction and holds a pointer to the network,
+/// which must outlive it.
 class SpatialIndex {
  public:
   /// Builds the index. `cell_size_m` trades memory for query precision;
@@ -81,9 +69,6 @@ class SpatialIndex {
   /// The network this index was built over.
   [[nodiscard]] const RoadNetwork& network() const { return *network_; }
 
-  /// Number of per-tile cell grids (1 on single-tile networks).
-  [[nodiscard]] size_t num_tile_grids() const { return grids_.size(); }
-
   /// Approximate resident bytes of the index storage.
   [[nodiscard]] size_t ApproxMemoryBytes() const;
 
@@ -92,51 +77,24 @@ class SpatialIndex {
   [[nodiscard]] SpatialIndexStats stats() const;
 
  private:
-  struct CellKey {
-    int32_t cx;
-    int32_t cy;
-    friend bool operator==(const CellKey&, const CellKey&) = default;
-  };
-  struct CellKeyHash {
-    size_t operator()(const CellKey& k) const {
-      // Shared splitmix64 mix (common/hash.h): the previous ad-hoc
-      // multiply/xor left low-bit column structure that collapsed
-      // buckets at power-of-two table sizes.
-      return static_cast<size_t>(HashCell2D(k.cx, k.cy));
-    }
-  };
-
-  /// One tile's dense row-major cell grid, flattened CSR-style: cell
-  /// (cx, cy) owns the edge ids cell_edges[cell_offsets[i] ..
-  /// cell_offsets[i + 1]) with i = (cy - min_cy) * cols + (cx - min_cx).
-  /// The extent spans only this tile's occupied cells.
-  struct TileGrid {
-    TileCoord coord;
-    int32_t min_cx = 0;
-    int32_t min_cy = 0;
-    int32_t cols = 0;
-    int32_t rows = 0;
-    std::vector<int32_t> cell_offsets;
-    std::vector<EdgeId> cell_edges;
-  };
-
-  /// Tile owning cell (cx, cy): the tile containing the cell's min
-  /// corner. All tiles when tiling is off is the single {0, 0}.
-  [[nodiscard]] TileCoord OwnerTileOf(int32_t cx, int32_t cy) const;
-
   const RoadNetwork* network_;
   double cell_size_m_;
-  double tile_size_m_;  ///< 0 when the network is single-tile.
-  std::vector<TileGrid> grids_;
-  /// Top-level directory: tile lattice coordinate -> index into grids_.
-  std::unordered_map<TileCoord, int32_t, TileCoordHash> tile_directory_;
-  // Bounding box of each edge's geometry, indexed by edge *ordinal*
-  // (RoadNetwork::EdgeOrdinal; == id on single-tile maps). The box
+  // Cell (cx, cy) owns the edge ids cell_edges_[cell_offsets_[i] ..
+  // cell_offsets_[i + 1]) with i = (cy - min_cy_) * cols_ + (cx - min_cx_).
+  // The extent spans only the occupied cells; empty when no edge has a
+  // cell.
+  int32_t min_cx_ = 0;
+  int32_t min_cy_ = 0;
+  int32_t cols_ = 0;
+  int32_t rows_ = 0;
+  std::vector<int32_t> cell_offsets_;
+  std::vector<EdgeId> cell_edges_;
+  // Bounding box of each edge's geometry, indexed by edge id. The box
   // encloses the polyline, so a point farther than `r` from the box is
   // farther than `r` from the edge — a safe pre-projection reject.
   std::vector<geo::Bbox> edge_bounds_;
   // Per-worker query scratch: the gathered-candidate list and a
-  // generation-stamped seen marker per edge ordinal (same trick as the
+  // generation-stamped seen marker per edge id (same trick as the
   // router's SearchScratch), so a query deduplicates with one array
   // read per gathered id and allocates nothing in steady state, and
   // the candidate list Nearest() reuses across its search rings. Purely
@@ -152,7 +110,6 @@ class SpatialIndex {
   struct alignas(kCacheLineBytes) QueryTallies {
     WorkerTally queries;
     WorkerTally cells_probed;
-    WorkerTally tiles_probed;
     WorkerTally candidates;
     WorkerTally hits;
   };

@@ -101,16 +101,16 @@ DriverModel::DriverModel(const CityMap* map, const WeatherModel* weather,
       weather_(weather),
       pedestrians_(pedestrians),
       options_(options) {
-  // Precompute, for every edge (indexed by ordinal; == id on
-  // single-tile maps), the features whose influence circle the edge
-  // passes through and where along the edge they act.
+  // Precompute, for every edge (indexed by id), the features whose
+  // influence circle the edge passes through and where along the edge
+  // they act.
   edge_events_.resize(map_->network.num_edges());
   const roadnet::SpatialIndex index(&map_->network);
   for (const roadnet::MapFeature& f : map_->network.features()) {
     const std::vector<roadnet::EdgeCandidate> nearby =
         index.Nearby(f.position, options_.feature_influence_radius_m);
     for (const roadnet::EdgeCandidate& cand : nearby) {
-      edge_events_[map_->network.EdgeOrdinal(cand.edge)].push_back(
+      edge_events_[static_cast<size_t>(cand.edge)].push_back(
           EdgeEvent{f.type, cand.projection.arc_length});
     }
   }
@@ -285,8 +285,7 @@ const std::vector<DriveSample>& DriverModel::Drive(
     double base_arc = 0.0;
     for (const roadnet::PathStep& s : path.steps) {
       const roadnet::Edge& e = map_->network.edge(s.edge);
-      for (const EdgeEvent& ev :
-           edge_events_[map_->network.EdgeOrdinal(s.edge)]) {
+      for (const EdgeEvent& ev : edge_events_[static_cast<size_t>(s.edge)]) {
         const double on_edge =
             s.forward ? ev.arc_on_edge_m : e.length_m - ev.arc_on_edge_m;
         const double arc = base_arc + on_edge * scale;

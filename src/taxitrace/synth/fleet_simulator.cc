@@ -105,10 +105,8 @@ Result<FleetShard> SimulateCarDay(const ShardContext& ctx, int car, int day) {
   int64_t trips_begun = 0;
 
   const auto random_vertex = [&](Rng* r) {
-    // Draw a dense ordinal, then translate to the packed id (identity
-    // on single-tile maps, keeping historical RNG-to-vertex pairing).
-    return network.VertexIdAt(static_cast<size_t>(r->UniformInt(
-        0, static_cast<int64_t>(network.num_vertices()) - 1)));
+    return static_cast<VertexId>(r->UniformInt(
+        0, static_cast<int64_t>(network.num_vertices()) - 1));
   };
   const auto random_gate_vertex = [&](Rng* r) {
     const size_t g = static_cast<size_t>(r->UniformInt(0, 2));

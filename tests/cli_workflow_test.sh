@@ -66,6 +66,24 @@ expect_usage_error serve 1 1.5
 expect_usage_error serve --full 1 1
 expect_usage_error serve --bench-json out.json 1 1
 
+# Map files with non-finite or out-of-range numbers fail to load with
+# an error (exit code 1), never a crash or a silently wrong map.
+expect_load_error() {
+  local rc=0
+  "$CLI" "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "expected exit code 1, got $rc: $*" >&2
+    exit 1
+  fi
+}
+{ cat features.csv; echo "traffic_light,nan,0"; } > features_nan.csv
+{ cat features.csv; echo "bus_stop,1e300,0"; } > features_huge.csv
+{ cat elements.csv; echo "999999,bad,2,50.0,both,100:0|inf:0"; } \
+  > elements_inf.csv
+expect_load_error simulate elements.csv features_nan.csv t.csv 1 1
+expect_load_error simulate elements.csv features_huge.csv t.csv 1 1
+expect_load_error simulate elements_inf.csv features.csv t.csv 1 1
+
 # Unknown commands fail cleanly.
 if "$CLI" frobnicate 2>/dev/null; then
   echo "expected failure for unknown command" >&2

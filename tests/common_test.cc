@@ -395,11 +395,11 @@ TEST(CsvTest, ReadMissingFileFails) {
 // --- Logging -----------------------------------------------------------------
 
 // HashCell2D is the blessed mixer for every signed-2D-coordinate hash
-// in the codebase (analysis grid cells, spatial-index cells, road-graph
-// tile coords). Like the grid test that first caught the ad-hoc-mix
-// column collapse, this checks injectivity over a dense signed range
-// and near-uniform load under power-of-two bucket masking — the
-// regime where low-bit structure is fatal.
+// in the codebase (analysis grid cells, spatial-index cells). Like the
+// grid test that first caught the ad-hoc-mix column collapse, this
+// checks injectivity over a dense signed range and near-uniform load
+// under power-of-two bucket masking — the regime where low-bit
+// structure is fatal.
 TEST(HashTest, HashCell2DInjectiveAndWellDistributed) {
   constexpr int32_t kHalf = 64;  // cx, cy in [-64, 64): 16384 cells
   constexpr size_t kBuckets = 1024;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "taxitrace/roadnet/map_io.h"
 #include "taxitrace/synth/city_map_generator.h"
@@ -19,6 +20,30 @@ TrafficElement Sample(ElementId id) {
   el.road_name = "street, with comma";
   return el;
 }
+
+// Loads the given element and feature rows (after their CSV headers)
+// and prepares the map, as the CLI does with map files.
+Status PrepareFromCsv(const std::string& element_rows,
+                      const std::string& feature_rows) {
+  TAXITRACE_ASSIGN_OR_RETURN(
+      const std::vector<TrafficElement> elements,
+      ElementsFromCsv(
+          "id,name,functional_class,speed_limit_kmh,direction,geometry\n" +
+          element_rows));
+  TAXITRACE_ASSIGN_OR_RETURN(const std::vector<FeatureSpec> features,
+                             FeaturesFromCsv("type,x,y\n" + feature_rows));
+  return PrepareRoadNetwork(elements, features, geo::LatLon{65.0, 25.4})
+      .status();
+}
+
+// Expects InvalidArgument whose message names `what`.
+void ExpectRejected(const Status& status, const std::string& what) {
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.ToString().find(what), std::string::npos)
+      << status.ToString();
+}
+
+constexpr char kGoodElement[] = "1,a,2,50,both,0:0|100:0\n";
 
 TEST(MapIoTest, ElementsCsvRoundTrip) {
   const std::vector<TrafficElement> elements = {Sample(121499),
@@ -70,6 +95,38 @@ TEST(MapIoTest, RejectsCorruptInputs) {
   EXPECT_FALSE(FeaturesFromCsv("type,x,y\nufo,1,2\n").ok());
 }
 
+TEST(MapIoTest, NanSpeedLimitIsRejected) {
+  ExpectRejected(PrepareFromCsv(std::string(kGoodElement) +
+                                    "2,b,2,nan,both,100:0|200:0\n",
+                                ""),
+                 "element 2");
+}
+
+TEST(MapIoTest, NegativeSpeedLimitIsRejectedByElementId) {
+  ExpectRejected(PrepareFromCsv(std::string(kGoodElement) +
+                                    "7,b,2,-30,both,100:0|200:0\n",
+                                ""),
+                 "element 7");
+}
+
+TEST(MapIoTest, InfiniteElementCoordinateIsRejected) {
+  ExpectRejected(
+      PrepareFromCsv(std::string(kGoodElement) + "2,b,2,50,both,100:0|inf:0\n",
+                     ""),
+      "element 2");
+}
+
+TEST(MapIoTest, NanFeaturePositionIsRejected) {
+  ExpectRejected(PrepareFromCsv(kGoodElement,
+                                "bus_stop,10,0\ntraffic_light,nan,0\n"),
+                 "feature 1");
+}
+
+TEST(MapIoTest, HugeFeaturePositionIsRejected) {
+  ExpectRejected(PrepareFromCsv(kGoodElement, "bus_stop,1e300,0\n"),
+                 "feature 0");
+}
+
 TEST(MapIoTest, GeneratedCityRoundTripsThroughFiles) {
   const synth::CityMap map = synth::GenerateCityMap().value();
   const std::string elements_path =
@@ -95,6 +152,20 @@ TEST(MapIoTest, GeneratedCityRoundTripsThroughFiles) {
   EXPECT_EQ(reloaded.num_edges(), map.network.num_edges());
   EXPECT_EQ(reloaded.num_vertices(), map.network.num_vertices());
   EXPECT_EQ(reloaded.features().size(), map.network.features().size());
+  // Ids are dense insertion indices, and the reloaded graph is numbered
+  // like the generated one: the golden digest and the id-seeded RNG
+  // streams rely on both.
+  size_t next_vertex = 0;
+  reloaded.ForEachVertex([&](const Vertex& v) {
+    ASSERT_EQ(v.id, static_cast<VertexId>(next_vertex++));
+    EXPECT_NEAR(geo::Distance(v.position, map.network.vertex(v.id).position),
+                0.0, 1e-3);
+  });
+  size_t next_edge = 0;
+  reloaded.ForEachEdge([&](const Edge& e) {
+    ASSERT_EQ(e.id, static_cast<EdgeId>(next_edge++));
+    EXPECT_EQ(e.element_ids, map.network.edge(e.id).element_ids);
+  });
   std::remove(elements_path.c_str());
   std::remove(features_path.c_str());
 }

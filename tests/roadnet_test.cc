@@ -17,7 +17,6 @@
 #include "taxitrace/roadnet/router.h"
 #include "taxitrace/roadnet/spatial_index.h"
 #include "taxitrace/synth/city_map_generator.h"
-#include "taxitrace/synth/metro_map_generator.h"
 
 namespace taxitrace {
 namespace roadnet {
@@ -219,7 +218,7 @@ TEST(MapPreparationTest, JunctionPairTableMatchesEdges) {
   const std::vector<JunctionPairRow> rows = JunctionPairTable(net);
   ASSERT_EQ(rows.size(), net.num_edges());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const Edge& e = net.edge(net.EdgeIdAt(i));
+    const Edge& e = net.edge(static_cast<EdgeId>(i));
     EXPECT_EQ(rows[i].element_ids, e.element_ids);
     const EnPoint j1 = net.projection().Forward(rows[i].junction1);
     EXPECT_NEAR(geo::Distance(j1, net.vertex(e.from).position), 0.0,
@@ -450,18 +449,15 @@ std::vector<EdgeCandidate> BruteForceNearby(const RoadNetwork& net,
 }
 
 // Compares Nearby() with the brute force over random points around the
-// map, points exactly on 50 m cell lines and on tile lines, and edge
-// start points, at radii in [0, 200] m. The index's `hits` counter must
-// equal the brute-force total.
+// map, points exactly on 50 m cell lines, on cell corners and on every
+// 20th cell line, and edge start points, at radii in [0, 200] m. The
+// index's `hits` counter must equal the brute-force total.
 void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
   const SpatialIndex index(&net);
   const geo::Bbox box = net.Bounds();
   constexpr double kCell = 50.0;
   constexpr double kMargin = 300.0;
-  // Tile lines on a tiled map; on a single-tile map, every 20th cell line.
-  const double line = net.tiling().tile_size_m > 0.0
-                          ? net.tiling().tile_size_m
-                          : 20 * kCell;
+  constexpr double kLine = 20 * kCell;
   const auto snap = [](double v, double step) {
     return std::round(v / step) * step;
   };
@@ -477,7 +473,7 @@ void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
               rng.Uniform(box.min_y - kMargin, box.max_y + kMargin)};
     if (i % 4 == 1) p.x = snap(p.x, kCell);                 // on a cell line
     if (i % 4 == 2) p = {snap(p.x, kCell), snap(p.y, kCell)};  // cell corner
-    if (i % 4 == 3) p = {snap(p.x, line), snap(p.y, kCell)};   // tile line
+    if (i % 4 == 3) p = {snap(p.x, kLine), snap(p.y, kCell)};  // 20th line
     queries.emplace_back(p, radius(i));
   }
   // Edge start points: distance exactly 0, found even at radius 0.
@@ -514,13 +510,6 @@ void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
 TEST(SpatialIndexEquivalenceTest, CityMapMatchesBruteForce) {
   const synth::CityMap map = synth::GenerateCityMap().value();
   ExpectNearbyMatchesBruteForce(map.network, 41);
-}
-
-TEST(SpatialIndexEquivalenceTest, TiledMetroMatchesBruteForce) {
-  const synth::MetroMap map =
-      synth::GenerateMetroMap(synth::MetroPreset(0)).value();
-  ASSERT_GT(map.network.tiling().tile_size_m, 0.0);
-  ExpectNearbyMatchesBruteForce(map.network, 43);
 }
 
 // Nearest() searches rings of the index's 50 m cell size, doubled each
@@ -642,7 +631,6 @@ class WorkerTallyTest : public ::testing::Test {
                          const SpatialIndexStats& b) {
     EXPECT_EQ(a.queries, b.queries);
     EXPECT_EQ(a.cells_probed, b.cells_probed);
-    EXPECT_EQ(a.tiles_probed, b.tiles_probed);
     EXPECT_EQ(a.candidates, b.candidates);
     EXPECT_EQ(a.hits, b.hits);
     EXPECT_EQ(a.empty_geometry_edges, b.empty_geometry_edges);
@@ -652,7 +640,6 @@ class WorkerTallyTest : public ::testing::Test {
     EXPECT_EQ(a.heap_pops, b.heap_pops);
     EXPECT_EQ(a.settled_vertices, b.settled_vertices);
     EXPECT_EQ(a.goal_directed_searches, b.goal_directed_searches);
-    EXPECT_EQ(a.tiles_touched, b.tiles_touched);
     EXPECT_EQ(a.direct_connections, b.direct_connections);
   }
 
@@ -669,7 +656,6 @@ TEST_F(WorkerTallyTest, TotalsAtAnyWorkerCountEqualSerial) {
   // Every kind of work shows up, so each sum below is a real check.
   EXPECT_GT(want_index.queries, kQueries / 2);  // Nearest makes several
   EXPECT_GT(want_index.cells_probed, 0);
-  EXPECT_GT(want_index.tiles_probed, 0);
   EXPECT_GT(want_index.candidates, 0);
   EXPECT_GT(want_index.hits, 0);
   EXPECT_GT(want_router.direct_connections, 0);
@@ -677,7 +663,6 @@ TEST_F(WorkerTallyTest, TotalsAtAnyWorkerCountEqualSerial) {
   EXPECT_GT(want_router.heap_pops, 0);
   EXPECT_GT(want_router.settled_vertices, 0);
   EXPECT_GT(want_router.goal_directed_searches, 0);
-  EXPECT_GT(want_router.tiles_touched, 0);
 
   for (const int workers : {1, 2, 8}) {
     SCOPED_TRACE(workers);
@@ -800,13 +785,6 @@ void ExpectSegmentTablesMatchGeometry(const RoadNetwork& net, uint64_t seed) {
 TEST(SegmentTableTest, CityMapMatchesGeometry) {
   const synth::CityMap map = synth::GenerateCityMap().value();
   ExpectSegmentTablesMatchGeometry(map.network, 47);
-}
-
-TEST(SegmentTableTest, TiledMetroMatchesGeometry) {
-  const synth::MetroMap map =
-      synth::GenerateMetroMap(synth::MetroPreset(0)).value();
-  ASSERT_GT(map.network.num_tiles(), 1u);
-  ExpectSegmentTablesMatchGeometry(map.network, 53);
 }
 
 // The tables follow builder growth like the CSR: an edge added after
@@ -935,7 +913,7 @@ TEST_F(RouterTest, CostMultiplierChangesRoute) {
       router_.ShortestPath(VertexAt({100, 0}), VertexAt({100, 200}));
   ASSERT_TRUE(direct.ok());
   for (const PathStep& s : direct->steps) {
-    mult[net_.EdgeOrdinal(s.edge)] = 10.0;
+    mult[static_cast<size_t>(s.edge)] = 10.0;
   }
   const Result<Path> detour = router_.ShortestPath(
       VertexAt({100, 0}), VertexAt({100, 200}), &mult);

@@ -203,8 +203,7 @@ TEST(CityMapTest, DeterministicInSeed) {
   EXPECT_EQ(a.network.num_edges(), b.network.num_edges());
   EXPECT_EQ(a.network.num_vertices(), b.network.num_vertices());
   ASSERT_FALSE(a.network.num_edges() == 0);
-  EXPECT_EQ(a.network.edge(a.network.EdgeIdAt(7)).element_ids,
-            b.network.edge(b.network.EdgeIdAt(7)).element_ids);
+  EXPECT_EQ(a.network.edge(7).element_ids, b.network.edge(7).element_ids);
 }
 
 TEST(CityMapTest, DifferentSeedsDiffer) {
