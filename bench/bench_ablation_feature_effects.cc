@@ -85,20 +85,10 @@ void PrintFeatureEffects() {
       std::sqrt(fit->fit.sigma2_group) > 2.0 ? "HOLDS" : "VIOLATED");
 }
 
-void BM_FitFeatureModel(benchmark::State& state) {
-  const core::StudyResults& r = benchutil::FullResults();
-  const analysis::Grid grid(r.grid_cell_m);
-  const std::vector<analysis::SpeedObservation> obs = StudyObservations();
-  for (auto _ : state) {
-    auto fit = analysis::FitFeatureModel(obs, r.cell_features, grid);
-    benchmark::DoNotOptimize(fit);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(obs.size()));
-}
-BENCHMARK(BM_FitFeatureModel)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintFeatureEffects)
+int main() {
+  taxitrace::PrintFeatureEffects();
+  return 0;
+}

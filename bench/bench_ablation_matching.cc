@@ -2,7 +2,9 @@
 // Dijkstra gap filling vs the nearest-edge baseline, on simulated drives
 // with known ground truth.
 
-#include "bench_util.h"
+#include <cstdio>
+#include <vector>
+
 #include "taxitrace/clean/order_repair.h"
 #include "taxitrace/clean/outlier_filter.h"
 #include "taxitrace/mapmatch/incremental_matcher.h"
@@ -26,41 +28,38 @@ struct World {
   std::vector<Case> cases;
 };
 
-const World& TestWorld() {
-  static const World* world = [] {
-    auto* w = new World{synth::GenerateCityMap().value(), {}};
-    const synth::WeatherModel weather(3, 30);
-    const synth::DriverModel driver(&w->map, &weather);
-    const roadnet::Router router(&w->map.network);
-    const synth::SensorModel sensor;  // default defects on
-    Rng rng(7);
-    while (w->cases.size() < 60) {
-      const auto a = static_cast<roadnet::VertexId>(rng.UniformInt(
-          0, static_cast<int64_t>(w->map.network.num_vertices()) - 1));
-      const auto b = static_cast<roadnet::VertexId>(rng.UniformInt(
-          0, static_cast<int64_t>(w->map.network.num_vertices()) - 1));
-      auto path = router.ShortestPath(a, b);
-      if (!path.ok() || path->length_m < 1000.0) continue;
-      const auto samples = driver.Drive(*path, 7200.0, 1.0, &rng);
-      Case c;
-      c.truth = std::move(*path);
-      int64_t next_id = 1;
-      c.trip.points = sensor.Observe(samples, 1, &next_id,
-                                     w->map.network.projection(), &rng);
-      // The paper's pipeline repairs ordering and removes obvious
-      // errors before matching; do the same here.
-      clean::RepairPointOrder(&c.trip.points);
-      clean::FilterOutliers(&c.trip.points);
-      if (c.trip.points.size() < 5) continue;
-      w->cases.push_back(std::move(c));
-    }
-    return w;
-  }();
-  return *world;
+World MakeTestWorld() {
+  World w{synth::GenerateCityMap().value(), {}};
+  const synth::WeatherModel weather(3, 30);
+  const synth::DriverModel driver(&w.map, &weather);
+  const roadnet::Router router(&w.map.network);
+  const synth::SensorModel sensor;  // default defects on
+  Rng rng(7);
+  while (w.cases.size() < 60) {
+    const auto a = static_cast<roadnet::VertexId>(rng.UniformInt(
+        0, static_cast<int64_t>(w.map.network.num_vertices()) - 1));
+    const auto b = static_cast<roadnet::VertexId>(rng.UniformInt(
+        0, static_cast<int64_t>(w.map.network.num_vertices()) - 1));
+    auto path = router.ShortestPath(a, b);
+    if (!path.ok() || path->length_m < 1000.0) continue;
+    const auto samples = driver.Drive(*path, 7200.0, 1.0, &rng);
+    Case c;
+    c.truth = std::move(*path);
+    int64_t next_id = 1;
+    c.trip.points = sensor.Observe(samples, 1, &next_id,
+                                   w.map.network.projection(), &rng);
+    // The paper's pipeline repairs ordering and removes obvious
+    // errors before matching; do the same here.
+    clean::RepairPointOrder(&c.trip.points);
+    clean::FilterOutliers(&c.trip.points);
+    if (c.trip.points.size() < 5) continue;
+    w.cases.push_back(std::move(c));
+  }
+  return w;
 }
 
 void PrintAblation() {
-  const World& world = TestWorld();
+  const World world = MakeTestWorld();
   const roadnet::SpatialIndex index(&world.map.network);
   const mapmatch::IncrementalMatcher incremental(&world.map.network,
                                                  &index);
@@ -104,33 +103,10 @@ void PrintAblation() {
       jaccard[0] > jaccard[1] ? "HOLDS" : "VIOLATED");
 }
 
-void BM_IncrementalMatch(benchmark::State& state) {
-  const World& world = TestWorld();
-  const roadnet::SpatialIndex index(&world.map.network);
-  const mapmatch::IncrementalMatcher matcher(&world.map.network, &index);
-  size_t idx = 0;
-  for (auto _ : state) {
-    auto matched = matcher.Match(world.cases[idx % world.cases.size()].trip);
-    benchmark::DoNotOptimize(matched);
-    ++idx;
-  }
-}
-BENCHMARK(BM_IncrementalMatch)->Unit(benchmark::kMillisecond);
-
-void BM_NearestEdgeMatch(benchmark::State& state) {
-  const World& world = TestWorld();
-  const roadnet::SpatialIndex index(&world.map.network);
-  const mapmatch::NearestEdgeMatcher matcher(&world.map.network, &index);
-  size_t idx = 0;
-  for (auto _ : state) {
-    auto matched = matcher.Match(world.cases[idx % world.cases.size()].trip);
-    benchmark::DoNotOptimize(matched);
-    ++idx;
-  }
-}
-BENCHMARK(BM_NearestEdgeMatch)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintAblation)
+int main() {
+  taxitrace::PrintAblation();
+  return 0;
+}

@@ -1,7 +1,10 @@
 // Ablation: the paper's length-criterion order repair vs naive
 // timestamp sorting, on trips with transport-scrambled fields.
 
-#include "bench_util.h"
+#include <algorithm>
+#include <cstdio>
+#include <vector>
+
 #include "taxitrace/clean/order_repair.h"
 #include "taxitrace/roadnet/router.h"
 #include "taxitrace/synth/city_map_generator.h"
@@ -105,21 +108,10 @@ void PrintAblation() {
               repair_correct > naive_correct ? "HOLDS" : "VIOLATED");
 }
 
-void BM_RepairPointOrder(benchmark::State& state) {
-  static const std::vector<GlitchedTrip>* trips =
-      new std::vector<GlitchedTrip>(MakeGlitchedTrips(50));
-  size_t idx = 0;
-  for (auto _ : state) {
-    std::vector<trace::RoutePoint> pts =
-        (*trips)[idx % trips->size()].observed;
-    clean::RepairPointOrder(&pts);
-    benchmark::DoNotOptimize(pts);
-    ++idx;
-  }
-}
-BENCHMARK(BM_RepairPointOrder)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintAblation)
+int main() {
+  taxitrace::PrintAblation();
+  return 0;
+}

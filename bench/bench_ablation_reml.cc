@@ -10,41 +10,28 @@
 namespace taxitrace {
 namespace {
 
-struct ModelInputs {
-  model::OneWayReml one_way;
-  model::MixedModel mixed{1};
-};
-
-const ModelInputs& StudyInputs() {
-  static const ModelInputs* inputs = [] {
-    auto* in = new ModelInputs;
-    const core::StudyResults& r = benchutil::FullResults();
-    const geo::LocalProjection& proj = r.map.network.projection();
-    const analysis::Grid grid(r.grid_cell_m);
-    std::unordered_map<analysis::CellId, size_t, analysis::CellIdHash>
-        groups;
-    for (const core::MatchedTransition& mt : r.transitions) {
-      for (const trace::RoutePoint& p : mt.transition.segment.points) {
-        const analysis::CellId cell =
-            grid.CellOf(proj.Forward(p.position));
-        const auto [it, inserted] = groups.emplace(cell, groups.size());
-        in->one_way.Add(it->second, p.speed_kmh);
-        in->mixed.Add({1.0}, it->second, p.speed_kmh);
-      }
-    }
-    return in;
-  }();
-  return *inputs;
-}
-
 void PrintAblation() {
-  const ModelInputs& in = StudyInputs();
-  const model::OneWayRemlFit a = in.one_way.Fit().value();
-  const model::MixedModelFit b = in.mixed.Fit().value();
+  // Both solvers get the same point speeds grouped by 200 m cell.
+  model::OneWayReml one_way;
+  model::MixedModel mixed(1);
+  const core::StudyResults& r = benchutil::FullResults();
+  const geo::LocalProjection& proj = r.map.network.projection();
+  const analysis::Grid grid(r.grid_cell_m);
+  std::unordered_map<analysis::CellId, size_t, analysis::CellIdHash> groups;
+  for (const core::MatchedTransition& mt : r.transitions) {
+    for (const trace::RoutePoint& p : mt.transition.segment.points) {
+      const analysis::CellId cell = grid.CellOf(proj.Forward(p.position));
+      const auto [it, inserted] = groups.emplace(cell, groups.size());
+      one_way.Add(it->second, p.speed_kmh);
+      mixed.Add({1.0}, it->second, p.speed_kmh);
+    }
+  }
+  const model::OneWayRemlFit a = one_way.Fit().value();
+  const model::MixedModelFit b = mixed.Fit().value();
   std::printf(
       "ABLATION: one-way REML specialisation vs generic Henderson MME, "
       "%lld point speeds in %zu cells\n",
-      static_cast<long long>(a.num_observations), in.one_way.num_groups());
+      static_cast<long long>(a.num_observations), one_way.num_groups());
   std::printf("  estimate            one-way      generic\n");
   std::printf("  intercept (km/h)   %8.3f     %8.3f\n", a.mu,
               b.fixed_effects[0]);
@@ -67,25 +54,10 @@ void PrintAblation() {
                   : "VIOLATED");
 }
 
-void BM_OneWaySpecialised(benchmark::State& state) {
-  const ModelInputs& in = StudyInputs();
-  for (auto _ : state) {
-    auto fit = in.one_way.Fit();
-    benchmark::DoNotOptimize(fit);
-  }
-}
-BENCHMARK(BM_OneWaySpecialised)->Unit(benchmark::kMicrosecond);
-
-void BM_GenericHenderson(benchmark::State& state) {
-  const ModelInputs& in = StudyInputs();
-  for (auto _ : state) {
-    auto fit = in.mixed.Fit();
-    benchmark::DoNotOptimize(fit);
-  }
-}
-BENCHMARK(BM_GenericHenderson)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintAblation)
+int main() {
+  taxitrace::PrintAblation();
+  return 0;
+}

@@ -49,17 +49,10 @@ void PrintAblation() {
       thick > thin ? "HOLDS" : "VIOLATED");
 }
 
-void BM_ThickGateDetection(benchmark::State& state) {
-  const core::StudyResults& r = benchutil::SmallResults();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        CountTransitions(r, static_cast<double>(state.range(0))));
-  }
-}
-BENCHMARK(BM_ThickGateDetection)->Arg(5)->Arg(60)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintAblation)
+int main() {
+  taxitrace::PrintAblation();
+  return 0;
+}

@@ -76,16 +76,10 @@ void PrintStability() {
               centre_slow == 5 ? "HOLDS" : "VIOLATED");
 }
 
-void BM_SeededWorld(benchmark::State& state) {
-  uint64_t seed = 100;
-  for (auto _ : state) {
-    auto out = RunSeed(seed++);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_SeededWorld)->Unit(benchmark::kMillisecond)->Iterations(2);
-
 }  // namespace
 }  // namespace taxitrace
 
-TAXITRACE_BENCH_MAIN(taxitrace::PrintStability)
+int main() {
+  taxitrace::PrintStability();
+  return 0;
+}

@@ -1,101 +1,37 @@
-// Shared helpers for the reproduction benches. Each bench binary first
-// prints the table/figure it regenerates (against the paper's numbers),
-// then runs google-benchmark timings of the underlying computation.
+// Shared helpers for the ablation and seed-stability programs. Each
+// program prints its comparison table and its `Check:` lines; the
+// paper's own tables and figures come from examples/full_study.
 
 #ifndef TAXITRACE_BENCH_BENCH_UTIL_H_
 #define TAXITRACE_BENCH_BENCH_UTIL_H_
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
-#include "taxitrace/common/strings.h"
-#include "taxitrace/core/figures.h"
 #include "taxitrace/core/pipeline.h"
-#include "taxitrace/core/reports.h"
 
 namespace taxitrace {
 namespace benchutil {
 
-/// Runs a study, or reports the failure and exits the bench binary with
-/// a non-zero status (no abort(), no core dump — a failed study is an
-/// environment problem, not a bug to trap).
-inline core::StudyResults RunStudyOrExit(const core::StudyConfig& config,
-                                         const char* label) {
-  core::Pipeline pipeline(config);
-  auto run = pipeline.Run();
-  if (!run.ok()) {
-    std::fprintf(stderr, "[bench] %s failed: %s\n", label,
-                 run.status().ToString().c_str());
-    std::exit(EXIT_FAILURE);
-  }
-  return std::move(run).value();
-}
-
-/// The paper-scale study. Intentionally cached for the life of the
-/// process in a function-local static: every bench and reproduction
-/// printer in one binary shares a single ~seconds-long run.
+/// The paper-scale study, run once per process (function-local static)
+/// and shared by every caller in the program. A failed study reports
+/// the failure and exits with a non-zero status (no abort(), no core
+/// dump — a failed study is an environment problem, not a bug to trap).
 inline const core::StudyResults& FullResults() {
   static const core::StudyResults results = [] {
     std::fprintf(stderr,
                  "[bench] running the full study (7 cars, 365 days)...\n");
-    return RunStudyOrExit(core::StudyConfig::FullStudy(), "full study");
+    core::Pipeline pipeline(core::StudyConfig::FullStudy());
+    auto run = pipeline.Run();
+    if (!run.ok()) {
+      std::fprintf(stderr, "[bench] full study failed: %s\n",
+                   run.status().ToString().c_str());
+      std::exit(EXIT_FAILURE);
+    }
+    return std::move(run).value();
   }();
   return results;
 }
-
-/// A reduced study for cheap per-iteration benchmarks. Same intentional
-/// static-lifetime cache as FullResults().
-inline const core::StudyResults& SmallResults() {
-  static const core::StudyResults results =
-      RunStudyOrExit(core::StudyConfig::SmallStudy(), "small study");
-  return results;
-}
-
-/// Prints the first `max_lines` lines of a (possibly large) text block.
-inline void PrintPreview(const std::string& text, int max_lines = 12) {
-  int lines = 0;
-  size_t start = 0;
-  while (start < text.size() && lines < max_lines) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    std::printf("  %s\n", text.substr(start, end - start).c_str());
-    start = end + 1;
-    ++lines;
-  }
-  const long total =
-      static_cast<long>(std::count(text.begin(), text.end(), '\n'));
-  if (total > max_lines) {
-    std::printf("  ... (%ld lines total)\n", total);
-  }
-}
-
-/// Writes a figure data file next to the binary and reports the path.
-inline void EmitFigureFile(const std::string& name,
-                           const std::string& text) {
-  const Status st = core::WriteTextFile(name, text);
-  if (st.ok()) {
-    std::printf("  [data written to ./%s]\n", name.c_str());
-  } else {
-    std::printf("  [could not write %s: %s]\n", name.c_str(),
-                st.ToString().c_str());
-  }
-}
-
-/// Standard bench main body: print the reproduction, then run timings.
-#define TAXITRACE_BENCH_MAIN(print_fn)                       \
-  int main(int argc, char** argv) {                          \
-    print_fn();                                              \
-    ::benchmark::Initialize(&argc, argv);                    \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) \
-      return 1;                                              \
-    ::benchmark::RunSpecifiedBenchmarks();                   \
-    ::benchmark::Shutdown();                                 \
-    return 0;                                                \
-  }
 
 }  // namespace benchutil
 }  // namespace taxitrace

@@ -8,8 +8,8 @@
 #
 # address and undefined compose ("address;undefined" is the CI matrix job);
 # thread is mutually exclusive with address/leak. Flags are applied globally
-# so every library, test, bench and example target — and gtest/benchmark
-# code inlined into them — is instrumented consistently.
+# so every library, test, bench and example target — and gtest code
+# inlined into them — is instrumented consistently.
 
 set(TAXITRACE_SANITIZE "" CACHE STRING
     "Semicolon-separated sanitizer list: address;undefined or thread")

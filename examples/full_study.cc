@@ -1,5 +1,7 @@
-// Full study runner: executes the paper-scale pipeline and writes every
-// table and figure artefact into an output directory — the one-command
+// Full study runner: executes the paper-scale pipeline once, prints
+// every table and figure summary with the paper's reference values and
+// the paper-shape checks, and writes that report (tables.txt) and every
+// figure artefact into an output directory — the one-command
 // reproduction a downstream user runs first.
 //
 //   $ ./full_study [output_dir] [paper|small] [num_cars] [num_days] [seed]
@@ -14,7 +16,6 @@
 #include <sys/stat.h>
 
 #include "parse_arg.h"
-#include "taxitrace/analysis/route_stats.h"
 #include "taxitrace/core/figures.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/core/reports.h"
@@ -64,15 +65,8 @@ int main(int argc, char** argv) {
   }
   const core::StudyResults& r = *run;
 
-  // Text report with every table.
-  std::string report;
-  report += core::FormatTable1(r.map.network, 10) + "\n";
-  report += core::FormatTable2Report(r.cleaning_report) + "\n";
-  report += core::FormatTable3(r.table3) + "\n";
-  report += core::FormatTable4(analysis::BuildTable4(r.Records())) + "\n";
-  report +=
-      core::FormatTable5(analysis::BuildTable5(r.cells)) + "\n";
-  report += core::FormatTextAggregates(r);
+  const std::string report = core::FormatPaperReport(r);
+  std::printf("\n%s\n", report.c_str());
 
   struct Artefact {
     const char* name;
@@ -86,7 +80,8 @@ int main(int argc, char** argv) {
       {"fig7_qqplot.csv", core::QqPlotCsv(r)},
       {"fig8_intercepts.csv", core::InterceptsCsv(r)},
       {"fig9_intercept_map.geojson", core::CellMapGeoJson(r)},
-      {"fig10_weather_low_speed.csv", core::WeatherLowSpeedCsv(r, 6)},
+      {"fig10_weather_low_speed.csv",
+       core::WeatherLowSpeedCsv(r, core::kFig10LightBoundary)},
       {"hourly_speed.csv", core::HourlySpeedCsv(r)},
       {"fig2_gates.geojson", core::GatesGeoJson(r)},
       {"road_network.geojson",

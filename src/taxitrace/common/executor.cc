@@ -159,14 +159,6 @@ Status Executor::ParallelFor(
   return state->error_index < 0 ? Status::OK() : state->error;
 }
 
-Status Executor::RunTasks(
-    const std::vector<std::function<Status()>>& tasks) const {
-  return ParallelFor(0, static_cast<int64_t>(tasks.size()),
-                     [&tasks](int64_t i) {
-                       return tasks[static_cast<size_t>(i)]();
-                     });
-}
-
 int Executor::ResolveThreadCount(int requested) {
   if (requested >= 0) return requested;
   if (const char* env = std::getenv("TAXITRACE_THREADS");

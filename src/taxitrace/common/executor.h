@@ -41,7 +41,7 @@ inline constexpr size_t kCacheLineBytes = 64;
 /// values are run-dependent — publish them as observability *gauges*,
 /// never into anything that must be deterministic.
 struct ExecutorStats {
-  int64_t batches = 0;       ///< ParallelFor / RunTasks calls.
+  int64_t batches = 0;       ///< ParallelFor calls.
   int64_t serial_items = 0;  ///< Indices run inline (0-thread mode).
   /// Indices executed by each pool worker.
   std::vector<int64_t> items_per_worker;
@@ -49,7 +49,7 @@ struct ExecutorStats {
   double queue_wait_ms = 0.0;
 };
 
-/// A fixed pool of worker threads with an index-loop and task-batch API.
+/// A fixed pool of worker threads with an index-loop API.
 ///
 /// `Executor(0)` creates no threads: every call runs inline on the
 /// caller, which is the deterministic serial fallback (`TAXITRACE_THREADS=0`).
@@ -76,10 +76,6 @@ class Executor {
   /// *lowest* failing index — does not depend on scheduling.
   Status ParallelFor(int64_t begin, int64_t end,
                      const std::function<Status(int64_t)>& fn) const;
-
-  /// Runs a batch of heterogeneous tasks (task-submission form of
-  /// ParallelFor). Same completion and error contract.
-  Status RunTasks(const std::vector<std::function<Status()>>& tasks) const;
 
   /// Resolves a requested thread count to an actual one:
   ///   requested >= 0  -> used as-is (0 = serial),

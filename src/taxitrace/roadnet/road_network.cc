@@ -94,14 +94,6 @@ geo::EnPoint RoadNetwork::PointAt(const EdgePosition& pos) const {
   return edge(pos.edge).geometry.Interpolate(pos.arc_length_m);
 }
 
-int RoadNetwork::CountFeaturesOnEdge(EdgeId e, FeatureType t) const {
-  int n = 0;
-  for (FeatureId f : edge(e).feature_ids) {
-    if (feature(f).type == t) ++n;
-  }
-  return n;
-}
-
 int RoadNetwork::CountFeatures(FeatureType t) const {
   int n = 0;
   for (const MapFeature& f : features_) {

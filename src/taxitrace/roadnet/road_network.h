@@ -187,9 +187,6 @@ class RoadNetwork {
   /// Point on the edge geometry at the given arc length (clamped).
   [[nodiscard]] geo::EnPoint PointAt(const EdgePosition& pos) const;
 
-  /// Number of features of type `t` attached to edge `e`.
-  [[nodiscard]] int CountFeaturesOnEdge(EdgeId e, FeatureType t) const;
-
   /// Total number of features of type `t` in the map.
   [[nodiscard]] int CountFeatures(FeatureType t) const;
 

@@ -42,9 +42,6 @@ struct TrafficElement {
   double speed_limit_kmh = 40.0;
   TravelDirection direction = TravelDirection::kBoth;
   std::string road_name;
-
-  /// Length of the centre-line geometry, metres.
-  [[nodiscard]] double LengthMeters() const { return geometry.Length(); }
 };
 
 /// Stable name for a travel direction ("both"/"forward"/"backward").

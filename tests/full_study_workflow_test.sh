@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end test of the full_study example: a small study writes every
-# table and figure artefact, and malformed arguments of full_study and
+# table and figure artefact, the paper-scale study prints all 13 paper
+# checks and every one holds, and malformed arguments of full_study and
 # route_inspector are usage errors (exit code 2).
 #
 #   full_study_workflow_test.sh <full_study> <route_inspector>
@@ -22,6 +23,17 @@ for artefact in tables.txt fig3_speed_map_taxi1.csv \
     exit 1
   fi
 done
+
+"$FULL_STUDY" "$WORK/paper" paper > "$WORK/paper.log"
+checks="$(grep -c '^Check: ' "$WORK/paper.log" || true)"
+if [ "$checks" -ne 13 ]; then
+  echo "expected 13 paper checks, got $checks" >&2
+  exit 1
+fi
+if grep '^Check: .* -> VIOLATED$' "$WORK/paper.log" >&2; then
+  echo "a paper check is violated" >&2
+  exit 1
+fi
 
 expect_usage_error() {
   local rc=0

@@ -203,6 +203,81 @@ TEST(ReportsTest, TextAggregates) {
   EXPECT_NE(text.find("paper {67,48,293,271}"), std::string::npos);
 }
 
+// --- Paper checks --------------------------------------------------------------
+
+// The check whose name starts with `prefix` (the Fig. 10 name carries
+// its counts), or a failed test.
+PaperCheck FindCheck(const std::vector<PaperCheck>& checks,
+                     const std::string& prefix) {
+  for (const PaperCheck& check : checks) {
+    if (check.name.rfind(prefix, 0) == 0) return check;
+  }
+  ADD_FAILURE() << "no check named " << prefix;
+  return {};
+}
+
+TEST(PaperChecksTest, ThirteenFormattedChecks) {
+  const std::vector<PaperCheck> checks = PaperChecks(SmallResults());
+  ASSERT_EQ(checks.size(), 13u);
+  for (const PaperCheck& check : checks) {
+    const std::string line = FormatPaperCheck(check);
+    EXPECT_EQ(line.rfind("Check: " + check.name, 0), 0u) << line;
+    const std::string verdict = check.holds ? " -> HOLDS" : " -> VIOLATED";
+    EXPECT_EQ(line.substr(line.size() - verdict.size()), verdict) << line;
+  }
+  const std::string report = FormatPaperReport(SmallResults());
+  EXPECT_NE(report.find("TABLE 1."), std::string::npos);
+  EXPECT_NE(report.find("FIG 10."), std::string::npos);
+  EXPECT_NE(report.find(FormatPaperCheck(checks.back())), std::string::npos);
+}
+
+TEST(PaperChecksTest, DirectionWithoutRoutesNeverHolds) {
+  StudyResults r = SmallResults();
+  const auto is_tl = [](const MatchedTransition& mt) {
+    return mt.record.direction == "T-L";
+  };
+  // Without the guard, T-L's empty means read 0 and these checks hold.
+  ASSERT_TRUE(std::any_of(r.transitions.begin(), r.transitions.end(), is_tl));
+  r.transitions.erase(
+      std::remove_if(r.transitions.begin(), r.transitions.end(), is_tl),
+      r.transitions.end());
+  const std::vector<PaperCheck> checks = PaperChecks(r);
+  EXPECT_EQ(checks.size(), 13u);
+  for (const char* name :
+       {"low% T-S > T-L", "normal% T-L > T-S", "fuel T-S > T-L",
+        "intervals do not overlap"}) {
+    const PaperCheck check = FindCheck(checks, name);
+    EXPECT_FALSE(check.holds) << name;
+    EXPECT_EQ(check.detail, "no T-L routes") << name;
+  }
+}
+
+TEST(PaperChecksTest, StratumWithoutCellsNeverHolds) {
+  StudyResults r = SmallResults();
+  const auto has_lights = [](const analysis::CellRecord& c) {
+    return c.features.traffic_lights > 0;
+  };
+  ASSERT_TRUE(std::any_of(r.cells.begin(), r.cells.end(), has_lights));
+  r.cells.erase(std::remove_if(r.cells.begin(), r.cells.end(), has_lights),
+                r.cells.end());
+  const std::vector<PaperCheck> checks = PaperChecks(r);
+  EXPECT_EQ(checks.size(), 13u);
+  EXPECT_FALSE(FindCheck(checks, "lights reduce mean speed").holds);
+  EXPECT_FALSE(
+      FindCheck(checks, "variance higher without lights/bus stops").holds);
+}
+
+TEST(PaperChecksTest, MissingFig6DirectionIsReported) {
+  StudyResults r = SmallResults();
+  ASSERT_EQ(r.cells_by_direction.erase("L-T"), 1u);
+  const std::vector<PaperCheck> checks = PaperChecks(r);
+  EXPECT_EQ(checks.size(), 13u);
+  const PaperCheck check =
+      FindCheck(checks, "L-T cells carry fewer features than S-T cells");
+  EXPECT_FALSE(check.holds);
+  EXPECT_EQ(check.detail, "no L-T cells");
+}
+
 // --- Figures -------------------------------------------------------------------
 
 TEST(FiguresTest, SpeedPointsCsvHasRows) {
