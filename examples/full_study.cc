@@ -13,13 +13,13 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 #include <sys/stat.h>
 
 #include "parse_arg.h"
 #include "taxitrace/core/figures.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/core/reports.h"
-#include "taxitrace/roadnet/map_io.h"
 
 namespace {
 
@@ -65,33 +65,10 @@ int main(int argc, char** argv) {
   }
   const core::StudyResults& r = *run;
 
-  const std::string report = core::FormatPaperReport(r);
-  std::printf("\n%s\n", report.c_str());
+  const std::vector<core::PaperArtefact> artefacts = core::PaperArtefacts(r);
+  std::printf("\n%s\n", artefacts.front().content.c_str());
 
-  struct Artefact {
-    const char* name;
-    std::string content;
-  };
-  const Artefact artefacts[] = {
-      {"tables.txt", report},
-      {"fig3_speed_map_taxi1.csv", core::SpeedPointsCsv(r, 1)},
-      {"fig4_fig5_speed_points_all.csv", core::SpeedPointsCsv(r, 0)},
-      {"fig6_cell_map_LT.geojson", core::CellMapGeoJson(r, "L-T")},
-      {"fig7_qqplot.csv", core::QqPlotCsv(r)},
-      {"fig8_intercepts.csv", core::InterceptsCsv(r)},
-      {"fig9_intercept_map.geojson", core::CellMapGeoJson(r)},
-      {"fig10_weather_low_speed.csv",
-       core::WeatherLowSpeedCsv(r, core::kFig10LightBoundary)},
-      {"hourly_speed.csv", core::HourlySpeedCsv(r)},
-      {"fig2_gates.geojson", core::GatesGeoJson(r)},
-      {"road_network.geojson",
-       roadnet::NetworkToGeoJson(r.map.network)},
-      {"traffic_elements.csv",
-       roadnet::ElementsToCsv(r.map.source_elements)},
-      {"map_features.csv",
-       roadnet::FeaturesToCsv(r.map.source_features)},
-  };
-  for (const Artefact& artefact : artefacts) {
+  for (const core::PaperArtefact& artefact : artefacts) {
     const std::string path = out_dir + "/" + artefact.name;
     const Status st = core::WriteTextFile(path, artefact.content);
     if (!st.ok()) {

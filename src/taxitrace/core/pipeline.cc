@@ -233,14 +233,13 @@ Result<StudyResults> Pipeline::Run() const {
   // 3. Online ingestion: one IngestSession per car, one car per work
   // item, undoing the arrival shuffle under the watermark and running
   // the fused unit on each window the moment it closes. Sessions share
-  // no state; their outputs are merged in store order below, so the
-  // results equal the same study's without ingestion at any worker
-  // count whenever the displacement fits the lossless bound.
+  // no state; their outputs are folded in car order below, which is
+  // store order, so the results equal the same study's without
+  // ingestion at any worker count whenever the displacement fits the
+  // lossless bound.
   struct CarIngestOutput {
-    int car_id = 0;
     std::vector<TripMatchOutput> trips;
     stream::IngestStats stats;
-    size_t next = 0;  ///< Merge cursor for the store-order fold.
   };
   std::vector<CarIngestOutput> car_ingest;
   if (stream_ingest) {
@@ -250,14 +249,15 @@ Result<StudyResults> Pipeline::Run() const {
     TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
         0, static_cast<int64_t>(car_ids.size()), [&](int64_t ci) -> Status {
           CarIngestOutput& out = car_ingest[static_cast<size_t>(ci)];
-          out.car_id = car_ids[static_cast<size_t>(ci)];
           WindowSink sink;
           sink.options = &cleaning_options;
           sink.context = &match_context;
           sink.out = &out.trips;
           TAXITRACE_ASSIGN_OR_RETURN(
-              out.stats, stream::ReplayCarStream(raw.store, out.car_id,
-                                                 config_.ingest, &sink));
+              out.stats,
+              stream::ReplayCarStream(raw.store,
+                                      car_ids[static_cast<size_t>(ci)],
+                                      config_.ingest, &sink));
           return Status::OK();
         }));
     for (const CarIngestOutput& c : car_ingest) {
@@ -277,24 +277,12 @@ Result<StudyResults> Pipeline::Run() const {
   // A shard-sourced study has nothing left to do here.
   obs::StageSpan clean_span(&trace, "cleaning");
   if (stream_ingest) {
-    // Walk the store's trips and pull the matching window from its car's
-    // queue (each queue is in per-car store order). A store trip lost
-    // wholesale in ingestion is skipped; its records are accounted in
-    // the funnel's ingest drops.
-    std::unordered_map<int, CarIngestOutput*> outputs_by_car;
-    for (CarIngestOutput& c : car_ingest) outputs_by_car.emplace(c.car_id, &c);
-    for (const trace::Trip& store_trip : raw.store.trips()) {
-      CarIngestOutput& c = *outputs_by_car.at(store_trip.car_id);
-      if (c.next < c.trips.size() &&
-          c.trips[c.next].trip_id == store_trip.trip_id) {
-        fold(c.trips[c.next++]);
-      }
-    }
-    // Windows whose container id matches no store trip cannot arise
-    // from the canonical source, but work is never dropped silently:
-    // fold any leftovers in car order.
+    // The store is car-major, CarIds() ascends and each session
+    // releases its windows in its car's store order, so car order is
+    // store order. A store trip lost wholesale in ingestion has no
+    // window; its records are accounted in the funnel's ingest drops.
     for (CarIngestOutput& c : car_ingest) {
-      for (; c.next < c.trips.size(); ++c.next) fold(c.trips[c.next]);
+      for (TripMatchOutput& trip : c.trips) fold(trip);
     }
   } else if (faulted) {
     // Nothing reads the store after this point: each worker takes its

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <utility>
 
 #include "taxitrace/analysis/bootstrap.h"
 #include "taxitrace/analysis/grid.h"
@@ -12,6 +13,7 @@
 #include "taxitrace/core/figures.h"
 #include "taxitrace/geo/geometry.h"
 #include "taxitrace/model/qq.h"
+#include "taxitrace/roadnet/map_io.h"
 
 namespace taxitrace {
 namespace core {
@@ -389,7 +391,7 @@ std::string FormatTextAggregates(const StudyResults& results) {
 namespace {
 
 // PaperChecks with the bootstrap intervals already computed, so that
-// FormatPaperReport runs the 1000 replicates once for its CI line and
+// the paper report runs the 1000 replicates once for its CI line and
 // its checks.
 std::vector<PaperCheck> PaperChecksWith(const StudyResults& r,
                                         const LowSpeedIntervals& ci) {
@@ -496,8 +498,15 @@ std::string FormatPaperCheck(const PaperCheck& check) {
   return out;
 }
 
-std::string FormatPaperReport(const StudyResults& results) {
-  const StudyResults& r = results;
+namespace {
+
+// The text of tables.txt; the four figure CSVs are only previewed, so
+// they come rendered from the artefacts that carry them in full.
+std::string FormatPaperReport(const StudyResults& r,
+                              const std::string& fig3_csv,
+                              const std::string& fig7_csv,
+                              const std::string& fig8_csv,
+                              const std::string& fig10_csv) {
   std::string out;
 
   // Table 1.
@@ -551,7 +560,7 @@ std::string FormatPaperReport(const StudyResults& results) {
 
   // Fig. 3.
   out += "FIG 3. Cleaned speed data for taxi 1 (series preview):\n";
-  out += Preview(SpeedPointsCsv(r, 1), 8);
+  out += Preview(fig3_csv, 8);
   const std::vector<double> taxi1 = Taxi1Speeds(
       r, [](const analysis::TransitionRecord&, const trace::RoutePoint&) {
         return true;
@@ -632,7 +641,7 @@ std::string FormatPaperReport(const StudyResults& results) {
 
   // Fig. 7.
   out += "FIG 7. Cell intercept regularisation QQ plot (preview):\n";
-  out += Preview(QqPlotCsv(r), 8);
+  out += Preview(fig7_csv, 8);
   const std::vector<model::QqPoint> qq = InterceptQqSeries(r);
   out += StrFormat(
       "QQ correlation of the %zu cell intercepts: %.4f.\n"
@@ -643,7 +652,7 @@ std::string FormatPaperReport(const StudyResults& results) {
 
   // Fig. 8.
   out += "FIG 8. Cell intercepts with confidence limits (preview):\n";
-  out += Preview(InterceptsCsv(r), 10);
+  out += Preview(fig8_csv, 10);
   const SolidIntercepts solid = CountSolidIntercepts(r);
   out += StrFormat(
       "Cells with 95%% intervals excluding zero: %d of %d (%.0f%%).\n"
@@ -673,7 +682,7 @@ std::string FormatPaperReport(const StudyResults& results) {
       ">=%d (grey)\n(boundary %d: the experimentally chosen analogue of "
       "the paper's 9 for our light-count range):\n",
       kFig10LightBoundary, kFig10LightBoundary, kFig10LightBoundary);
-  out += Preview(WeatherLowSpeedCsv(r, kFig10LightBoundary), 14);
+  out += Preview(fig10_csv, 14);
   out += "\n";
 
   out += FormatTextAggregates(r) + "\n";
@@ -683,6 +692,35 @@ std::string FormatPaperReport(const StudyResults& results) {
     out += FormatPaperCheck(check) + "\n";
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<PaperArtefact> PaperArtefacts(const StudyResults& results) {
+  const StudyResults& r = results;
+  std::string fig3 = SpeedPointsCsv(r, 1);
+  std::string fig7 = QqPlotCsv(r);
+  std::string fig8 = InterceptsCsv(r);
+  std::string fig10 = WeatherLowSpeedCsv(r, kFig10LightBoundary);
+  std::vector<PaperArtefact> files;
+  files.push_back(
+      {"tables.txt", FormatPaperReport(r, fig3, fig7, fig8, fig10)});
+  files.push_back({"fig3_speed_map_taxi1.csv", std::move(fig3)});
+  files.push_back({"fig4_fig5_speed_points_all.csv", SpeedPointsCsv(r, 0)});
+  files.push_back({"fig6_cell_map_LT.geojson", CellMapGeoJson(r, "L-T")});
+  files.push_back({"fig7_qqplot.csv", std::move(fig7)});
+  files.push_back({"fig8_intercepts.csv", std::move(fig8)});
+  files.push_back({"fig9_intercept_map.geojson", CellMapGeoJson(r)});
+  files.push_back({"fig10_weather_low_speed.csv", std::move(fig10)});
+  files.push_back({"hourly_speed.csv", HourlySpeedCsv(r)});
+  files.push_back({"fig2_gates.geojson", GatesGeoJson(r)});
+  files.push_back(
+      {"road_network.geojson", roadnet::NetworkToGeoJson(r.map.network)});
+  files.push_back({"traffic_elements.csv",
+                   roadnet::ElementsToCsv(r.map.source_elements)});
+  files.push_back(
+      {"map_features.csv", roadnet::FeaturesToCsv(r.map.source_features)});
+  return files;
 }
 
 std::string StudyDigestJson(const StudyResults& results) {

@@ -51,10 +51,19 @@ std::vector<PaperCheck> PaperChecks(const StudyResults& results);
 /// "Check: <name>[: <detail>] -> HOLDS|VIOLATED".
 std::string FormatPaperCheck(const PaperCheck& check);
 
-/// The whole reproduction as text: Tables 1-5 and Figs. 3-10, each with
-/// the paper's reference values, the Section VI-A aggregates, and the
-/// PaperChecks() lines.
-std::string FormatPaperReport(const StudyResults& results);
+/// One file of the paper reproduction.
+struct PaperArtefact {
+  std::string name;     ///< File name, e.g. "fig7_qqplot.csv".
+  std::string content;
+};
+
+/// Every file of the reproduction, each rendered once, in write order.
+/// First "tables.txt", the whole reproduction as text: Tables 1-5 and
+/// Figs. 3-10, each with the paper's reference values (Figs. 3, 7, 8
+/// and 10 preview their CSVs below), the Section VI-A aggregates, and
+/// the PaperChecks() lines. Then the figure CSV/GeoJSON series and the
+/// map exports.
+std::vector<PaperArtefact> PaperArtefacts(const StudyResults& results);
 
 /// A compact JSON digest of a study run: every funnel count plus the
 /// key model doubles rounded through "%.9g" (stable across platforms

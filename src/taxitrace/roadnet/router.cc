@@ -20,6 +20,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // below any length difference the callers resolve.
 constexpr double kDirectMarginM = 1e-6;
 
+// Cost of every edge when a query routes by real length.
+constexpr auto kUnitCost = [](EdgeId) { return 1.0; };
+
 // Adds one finished search's work to its worker's tallies.
 void CountSearch(SearchScratch& scratch, int64_t heap_pops, int64_t settled,
                  bool goal_directed) {
@@ -40,59 +43,26 @@ Router::Router(const RoadNetwork* network)
   network_->WarmAdjacency();
 }
 
-SearchScratch& Router::Search(
-    const std::vector<std::pair<VertexId, double>>& seeds,
-    VertexId stop_at_both_a, VertexId stop_at_both_b,
-    const std::vector<double>* edge_cost_multiplier) const {
-  // Goal-directed (A*) needs known targets and an admissible heuristic:
-  // every edge's cost must be >= its straight-line endpoint distance,
-  // which holds exactly when no multiplier shrinks a length. The scan
-  // exits on the first shrinking entry, so the common simulated-driver
-  // vectors (noise around 1.0) reject in a handful of reads.
-  bool goal_directed =
-      stop_at_both_a != kInvalidVertex && stop_at_both_b != kInvalidVertex;
-  if (goal_directed && edge_cost_multiplier != nullptr) {
-    for (const double m : *edge_cost_multiplier) {
-      if (m < 1.0) {
-        goal_directed = false;
-        break;
-      }
-    }
-  }
-  return SearchImpl(seeds, stop_at_both_a, stop_at_both_b, goal_directed,
-                    /*heuristic_scale=*/1.0, [&](EdgeId edge) {
-                      // Multiplier vectors are indexed by edge id.
-                      return edge_cost_multiplier == nullptr
-                                 ? 1.0
-                                 : (*edge_cost_multiplier)[static_cast<
-                                       size_t>(edge)];
-                    });
-}
-
 template <typename MultiplierFn>
 SearchScratch& Router::SearchImpl(
-    const std::vector<std::pair<VertexId, double>>& seeds,
-    VertexId stop_at_both_a, VertexId stop_at_both_b, bool goal_directed,
-    double heuristic_scale, MultiplierFn multiplier) const {
+    const std::vector<std::pair<VertexId, double>>& seeds, VertexId goal_a,
+    VertexId goal_b, double heuristic_scale, double limit_m,
+    MultiplierFn multiplier) const {
   SearchScratch& scratch = scratch_->Local();
   scratch.BeginSearch(*network_);
 
-  geo::EnPoint goal_a{};
-  geo::EnPoint goal_b{};
-  if (goal_directed) {
-    goal_a = network_->vertex(stop_at_both_a).position;
-    goal_b = network_->vertex(stop_at_both_b).position;
-  }
+  const geo::EnPoint& goal_a_pos = network_->vertex(goal_a).position;
+  const geo::EnPoint& goal_b_pos = network_->vertex(goal_b).position;
   // Lower bound on the remaining cost to the nearer goal; the minimum
   // of two consistent heuristics scaled by a constant <= the smallest
   // multiplier, hence itself consistent: vertices settle with final
-  // distances, in non-decreasing key order. heuristic_scale == 1 (the
-  // multiplier-free and >=1-vector cases) multiplies exactly, so the
-  // historical heap order is preserved bit for bit.
+  // distances, in non-decreasing key order. A scale of 1 multiplies
+  // exactly and a scale of 0 adds exactly 0, so keys are bit for bit
+  // the unscaled A* keys and the plain Dijkstra distances respectively.
   const auto heuristic = [&](VertexId v) {
     const geo::EnPoint& p = network_->vertex(v).position;
-    return heuristic_scale *
-           std::min(geo::Distance(p, goal_a), geo::Distance(p, goal_b));
+    return heuristic_scale * std::min(geo::Distance(p, goal_a_pos),
+                                      geo::Distance(p, goal_b_pos));
   };
 
   // Seed phase. Two seeds can name the same vertex (e.g. both ends of a
@@ -109,14 +79,13 @@ SearchScratch& Router::SearchImpl(
     for (size_t j = 0; j < i; ++j) duplicate |= seeds[j].first == v;
     if (duplicate) continue;
     const double cost = scratch.RawDist(v);
-    scratch.heap.push_back(SearchHeapEntry{
-        goal_directed ? cost + heuristic(v) : cost, cost, v});
+    scratch.heap.push_back(SearchHeapEntry{cost + heuristic(v), cost, v});
     std::push_heap(scratch.heap.begin(), scratch.heap.end(),
                    std::greater<SearchHeapEntry>{});
   }
 
-  bool settled_a = stop_at_both_a == kInvalidVertex;
-  bool settled_b = stop_at_both_b == kInvalidVertex;
+  bool settled_a = false;
+  bool settled_b = false;
   int64_t heap_pops = 0;
   int64_t settled = 0;
   while (!scratch.heap.empty()) {
@@ -125,26 +94,29 @@ SearchScratch& Router::SearchImpl(
     const SearchHeapEntry top = scratch.heap.back();
     scratch.heap.pop_back();
     ++heap_pops;
+    // Popped keys never decrease and never exceed the true cost of a
+    // later settle: once the frontier passes limit_m, no goal can be
+    // closer than that.
+    if (top.key > limit_m) break;
     if (top.dist > scratch.RawDist(top.vertex)) continue;  // stale entry
     ++settled;
-    if (top.vertex == stop_at_both_a) settled_a = true;
-    if (top.vertex == stop_at_both_b) settled_b = true;
+    if (top.vertex == goal_a) settled_a = true;
+    if (top.vertex == goal_b) settled_b = true;
     if (settled_a && settled_b) break;
 
     for (const HalfEdge& arc : network_->OutArcs(top.vertex)) {
       if (!arc.traversable_out) continue;
-      const double mult = multiplier(arc.edge);
-      const double nd = top.dist + arc.length_m * mult;
+      const double nd = top.dist + arc.length_m * multiplier(arc.edge);
       if (nd < scratch.Dist(arc.head)) {
         scratch.Relax(arc.head, nd, arc.edge, top.vertex);
-        scratch.heap.push_back(SearchHeapEntry{
-            goal_directed ? nd + heuristic(arc.head) : nd, nd, arc.head});
+        scratch.heap.push_back(
+            SearchHeapEntry{nd + heuristic(arc.head), nd, arc.head});
         std::push_heap(scratch.heap.begin(), scratch.heap.end(),
                        std::greater<SearchHeapEntry>{});
       }
     }
   }
-  CountSearch(scratch, heap_pops, settled, goal_directed);
+  CountSearch(scratch, heap_pops, settled, heuristic_scale > 0.0);
   return scratch;
 }
 
@@ -192,18 +164,13 @@ Result<Path> Router::BuildVertexPath(const SearchScratch& res, VertexId from,
   return path;
 }
 
-Result<Path> Router::ShortestPath(
-    VertexId from, VertexId to,
-    const std::vector<double>* edge_cost_multiplier) const {
+Result<Path> Router::ShortestPath(VertexId from, VertexId to) const {
   if (!network_->HasVertex(from) || !network_->HasVertex(to)) {
     return Status::InvalidArgument("vertex id out of range");
   }
-  if (edge_cost_multiplier != nullptr &&
-      edge_cost_multiplier->size() != network_->num_edges()) {
-    return Status::InvalidArgument("edge cost multiplier size mismatch");
-  }
-  const SearchScratch& res =
-      Search({{from, 0.0}}, to, to, edge_cost_multiplier);
+  const SearchScratch& res = SearchImpl({{from, 0.0}}, to, to,
+                                        /*heuristic_scale=*/1.0, kInf,
+                                        kUnitCost);
   return BuildVertexPath(res, from, to);
 }
 
@@ -212,14 +179,14 @@ Result<Path> Router::ShortestPath(VertexId from, VertexId to,
   if (!network_->HasVertex(from) || !network_->HasVertex(to)) {
     return Status::InvalidArgument("vertex id out of range");
   }
+  // Every edge costs at least MinMultiplier() times its length; capping
+  // the scale at 1 keeps multiplier-free models on the exact unscaled
+  // A* order, and the negated test sends NaN to 0 with the negatives.
   const double min_mult = cost.MinMultiplier();
-  // min_mult > 0 keeps the scaled straight-line bound admissible; the
-  // scale never exceeds 1 so multiplier-free models keep the exact
-  // historical A* order.
-  const bool goal_directed = min_mult > 0.0;
-  const double heuristic_scale = std::min(1.0, min_mult);
+  const double heuristic_scale = min_mult > 0.0 ? std::min(1.0, min_mult)
+                                                : 0.0;
   const SearchScratch& res = SearchImpl(
-      {{from, 0.0}}, to, to, goal_directed, heuristic_scale,
+      {{from, 0.0}}, to, to, heuristic_scale, kInf,
       [&cost](EdgeId edge) { return cost.Multiplier(edge); });
   return BuildVertexPath(res, from, to);
 }
@@ -229,49 +196,13 @@ double Router::BoundedVertexDistance(VertexId from, VertexId to,
   if (!network_->HasVertex(from) || !network_->HasVertex(to)) {
     return kInf;
   }
-  SearchScratch& scratch = scratch_->Local();
-  scratch.BeginSearch(*network_);
-  const geo::EnPoint goal = network_->vertex(to).position;
-  const auto heuristic = [&](VertexId v) {
-    return geo::Distance(network_->vertex(v).position, goal);
-  };
-
-  scratch.Relax(from, 0.0, kInvalidEdge, kInvalidVertex);
-  scratch.heap.push_back(SearchHeapEntry{heuristic(from), 0.0, from});
-
-  double found = kInf;
-  int64_t heap_pops = 0;
-  int64_t settled = 0;
-  while (!scratch.heap.empty()) {
-    std::pop_heap(scratch.heap.begin(), scratch.heap.end(),
-                  std::greater<SearchHeapEntry>{});
-    const SearchHeapEntry top = scratch.heap.back();
-    scratch.heap.pop_back();
-    ++heap_pops;
-    // The heuristic is consistent, so popped keys never decrease and
-    // key <= true remaining distance of any future settle: once the
-    // frontier passes limit_m the target cannot be closer than that.
-    if (top.key > limit_m) break;
-    if (top.dist > scratch.RawDist(top.vertex)) continue;  // stale entry
-    ++settled;
-    if (top.vertex == to) {
-      found = top.dist;
-      break;
-    }
-    for (const HalfEdge& arc : network_->OutArcs(top.vertex)) {
-      if (!arc.traversable_out) continue;
-      const double nd = top.dist + arc.length_m;
-      if (nd < scratch.Dist(arc.head)) {
-        scratch.Relax(arc.head, nd, arc.edge, top.vertex);
-        scratch.heap.push_back(
-            SearchHeapEntry{nd + heuristic(arc.head), nd, arc.head});
-        std::push_heap(scratch.heap.begin(), scratch.heap.end(),
-                       std::greater<SearchHeapEntry>{});
-      }
-    }
-  }
-  CountSearch(scratch, heap_pops, settled, /*goal_directed=*/true);
-  return found;
+  const double d = SearchImpl({{from, 0.0}}, to, to, /*heuristic_scale=*/1.0,
+                              limit_m, kUnitCost)
+                       .Dist(to);
+  // `to` keys at exactly its distance (the heuristic is 0 there), so it
+  // was settled iff the limit did not cut it off: a larger d is only a
+  // tentative distance still waiting in the heap.
+  return d > limit_m ? kInf : d;
 }
 
 Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
@@ -346,7 +277,10 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
   if (leave_bwd) seeds.emplace_back(fe.from, from_arc);
 
   const SearchScratch* res = nullptr;
-  if (!seeds.empty()) res = &Search(seeds, te.from, te.to);
+  if (!seeds.empty()) {
+    res = &SearchImpl(seeds, te.from, te.to, /*heuristic_scale=*/1.0, kInf,
+                      kUnitCost);
+  }
 
   const auto arrival_cost = [&](VertexId entry) {
     if (res == nullptr) return kInf;

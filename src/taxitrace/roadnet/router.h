@@ -2,16 +2,16 @@
 // for pgRouting's Dijkstra used by the paper for filling map-matching
 // gaps when consecutive GPS points are far apart.
 //
-// The search runs over the network's CSR adjacency with per-thread
-// reusable scratch (see search_scratch.h) and goes goal-directed (A*
-// ordered by dist + straight-line lower bound) whenever the target
-// vertices are known and every edge cost multiplier is >= 1, which
-// keeps the straight-line heuristic admissible; otherwise it falls back
-// to plain Dijkstra with the exact heap order of the historical
-// implementation. Both modes relax edges with a strict improvement
-// test, so computed distances — and, whenever shortest paths are unique
-// at full double precision, the paths themselves — are identical
-// between the two.
+// Every query runs one search loop over the network's CSR adjacency
+// with per-thread reusable scratch (see search_scratch.h). The loop is
+// A* ordered by dist + scale * (straight-line distance to the nearer
+// goal), where the scale is the cost model's lower bound on edge
+// multipliers clamped into [0, 1], which keeps the heuristic admissible
+// and consistent. A scale of 0 leaves keys equal to distances, the
+// exact heap order of plain Dijkstra. Relaxation uses a strict
+// improvement test at any scale, so computed distances — and, whenever
+// shortest paths are unique at full double precision, the paths
+// themselves — do not depend on the scale.
 //
 // Connecting two positions on the same edge (most of map matching's
 // connections) usually needs no search at all: when a bound proves the
@@ -33,15 +33,16 @@ namespace taxitrace {
 namespace roadnet {
 
 /// Search work accounting, readable via Router::stats(). Each search
-/// does deterministic work — goal-directed or not is decided by the
+/// does deterministic work — its heuristic scale is decided by the
 /// arguments alone, and the heap/settle trace of one search never
 /// depends on other searches — so the totals are identical at any
 /// executor worker count.
 struct RouterStats {
-  int64_t searches = 0;          ///< Search runs (either mode).
+  int64_t searches = 0;          ///< Search runs.
   int64_t heap_pops = 0;         ///< Priority-queue pops, stale included.
   int64_t settled_vertices = 0;  ///< Vertices finalised (non-stale pops).
-  /// Searches that ran goal-directed (A*); the rest were plain Dijkstra.
+  /// Searches with a heuristic scale > 0 (A*); the rest ran in plain
+  /// Dijkstra order.
   int64_t goal_directed_searches = 0;
   /// ShortestPathBetween calls answered with the direct sub-edge path
   /// without a search; every other call that gets past argument checks
@@ -75,11 +76,11 @@ class EdgeCostModel {
   /// Cost scale for one edge; must be > 0.
   [[nodiscard]] virtual double Multiplier(EdgeId edge) const = 0;
 
-  /// A lower bound over all edges' multipliers. When it is > 0 the
-  /// router runs goal-directed with the straight-line heuristic scaled
-  /// by min(1, MinMultiplier()), which keeps the heuristic admissible
-  /// and consistent: every edge costs at least MinMultiplier() times
-  /// its length, hence at least that times the straight-line gap.
+  /// A lower bound over all edges' multipliers. The router scales the
+  /// straight-line heuristic by it, clamped into [0, 1] (0 for NaN),
+  /// which keeps the heuristic admissible and consistent: every edge
+  /// costs at least MinMultiplier() times its length, hence at least
+  /// that times the straight-line gap.
   [[nodiscard]] virtual double MinMultiplier() const = 0;
 };
 
@@ -91,27 +92,22 @@ class Router {
  public:
   explicit Router(const RoadNetwork* network);
 
-  /// Shortest drivable path between two vertices. NotFound when the
-  /// destination is unreachable. `edge_cost_multiplier`, when given, must
-  /// have one entry per edge and scales each edge's length for route
-  /// choice (it models driver preference noise); the returned length_m is
-  /// always the real geometric length.
-  Result<Path> ShortestPath(
-      VertexId from, VertexId to,
-      const std::vector<double>* edge_cost_multiplier = nullptr) const;
+  /// Shortest drivable path between two vertices by real edge length.
+  /// InvalidArgument for an unknown vertex; NotFound when the
+  /// destination is unreachable.
+  Result<Path> ShortestPath(VertexId from, VertexId to) const;
 
-  /// Same contract, with edge multipliers supplied lazily by `cost`
-  /// instead of a materialised |E|-vector. Runs goal-directed whenever
-  /// cost.MinMultiplier() > 0 (heuristic scaled accordingly), so the
-  /// common "noise around 1" models stay A* instead of falling back to
-  /// a full Dijkstra sweep.
+  /// Same contract, with each edge's length scaled by
+  /// cost.Multiplier(edge) for route choice (it models driver preference
+  /// noise); the returned length_m is always the real geometric length.
   Result<Path> ShortestPath(VertexId from, VertexId to,
                             const EdgeCostModel& cost) const;
 
   /// Distance (metres, real edge lengths, no multipliers) from `from`
-  /// to `to`, searching only as far as `limit_m`: returns +infinity as
-  /// soon as every frontier key exceeds the limit. Decision-equivalent
-  /// to ShortestPath(from, to)->length_m compared against limit_m, at a
+  /// to `to`, searching only as far as `limit_m`: +infinity when the
+  /// search stops, because every frontier key exceeds the limit, before
+  /// settling `to`, and for an unknown vertex. Decision-equivalent to
+  /// ShortestPath(from, to)->length_m compared against limit_m, at a
   /// fraction of the cost — the goal-directed search touches only the
   /// ball of radius limit_m around the endpoints.
   double BoundedVertexDistance(VertexId from, VertexId to,
@@ -143,28 +139,22 @@ class Router {
   [[nodiscard]] RouterStats stats() const;
 
  private:
-  /// Runs one search from the given seed vertices (with initial costs),
-  /// stopping once both stop vertices are settled. Returns the calling
-  /// thread's scratch holding the result; it stays valid until this
-  /// thread's next search through the same Router (or a copy of it).
-  SearchScratch& Search(
-      const std::vector<std::pair<VertexId, double>>& seeds,
-      VertexId stop_at_both_a = kInvalidVertex,
-      VertexId stop_at_both_b = kInvalidVertex,
-      const std::vector<double>* edge_cost_multiplier = nullptr) const;
-
-  /// Shared search loop behind both ShortestPath overloads:
-  /// `multiplier(edge)` supplies the cost scale, `goal_directed` (with
-  /// `heuristic_scale` applied to the straight-line bound) was decided
-  /// by the caller. Instantiated only in router.cc.
+  /// The one search loop behind every query: from the seed vertices
+  /// (with initial costs) until both goals are settled, the heap runs
+  /// dry, or a popped key exceeds `limit_m`. Keys are dist +
+  /// `heuristic_scale` times the straight-line distance to the nearer
+  /// goal; `multiplier(edge)` scales each edge's length. Returns the
+  /// calling thread's scratch holding the result; it stays valid until
+  /// this thread's next search through the same Router (or a copy of
+  /// it). Instantiated only in router.cc.
   template <typename MultiplierFn>
   SearchScratch& SearchImpl(
       const std::vector<std::pair<VertexId, double>>& seeds,
-      VertexId stop_at_both_a, VertexId stop_at_both_b, bool goal_directed,
-      double heuristic_scale, MultiplierFn multiplier) const;
+      VertexId goal_a, VertexId goal_b, double heuristic_scale,
+      double limit_m, MultiplierFn multiplier) const;
 
-  /// Same vertex reconstruction as ShortestPath once a search settled
-  /// `to`; factored out of the two overloads.
+  /// The vertex path ShortestPath returns once a search settled `to`;
+  /// factored out of the two overloads.
   Result<Path> BuildVertexPath(const SearchScratch& res, VertexId from,
                                VertexId to) const;
 

@@ -29,8 +29,8 @@ struct SimScratch {
 // relax order (an edge queried twice yields the same value), of worker
 // count, and of every other drive — so routes are exactly as
 // deterministic as the old per-drive refill, at O(edges relaxed) cost.
-// MinMultiplier() = 1 - noise keeps the router goal-directed (scaled
-// A*) as long as noise < 1.
+// MinMultiplier() = 1 - noise scales the router's A* heuristic;
+// RunShards admits only noise in [0, 1), where it is > 0 and exact.
 class LazyRouteNoise final : public roadnet::EdgeCostModel {
  public:
   LazyRouteNoise(uint64_t day_seed, double noise)
@@ -317,6 +317,13 @@ Status FleetSimulator::RunShards(
     const std::function<Status(FleetShard)>& on_shard) const {
   if (options_.num_cars <= 0 || options_.num_days <= 0) {
     return Status::InvalidArgument("fleet needs at least one car and day");
+  }
+  // Multipliers span [1 - noise, 1 + noise]: noise in [0, 1) keeps every
+  // one > 0, as EdgeCostModel requires, and MinMultiplier() exact.
+  const double noise = options_.route_weight_noise;
+  if (!(noise >= 0.0 && noise < 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("route_weight_noise %g is outside [0, 1)", noise));
   }
   const roadnet::RoadNetwork& network = map_->network;
   const roadnet::Router router(&network);

@@ -51,7 +51,7 @@ struct FleetOptions {
   /// Probability of a short repositioning hop after a drop-off.
   double reposition_prob = 0.30;
   /// Route-choice preference noise: per-trip edge cost multipliers are
-  /// drawn from [1 - noise, 1 + noise].
+  /// drawn from [1 - noise, 1 + noise]. Must lie in [0, 1).
   double route_weight_noise = 0.25;
   DriverOptions driver;
   SensorOptions sensor;

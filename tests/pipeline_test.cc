@@ -225,7 +225,7 @@ TEST(PaperChecksTest, ThirteenFormattedChecks) {
     const std::string verdict = check.holds ? " -> HOLDS" : " -> VIOLATED";
     EXPECT_EQ(line.substr(line.size() - verdict.size()), verdict) << line;
   }
-  const std::string report = FormatPaperReport(SmallResults());
+  const std::string report = PaperArtefacts(SmallResults()).front().content;
   EXPECT_NE(report.find("TABLE 1."), std::string::npos);
   EXPECT_NE(report.find("FIG 10."), std::string::npos);
   EXPECT_NE(report.find(FormatPaperCheck(checks.back())), std::string::npos);

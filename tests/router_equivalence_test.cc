@@ -1,8 +1,10 @@
-// Property test for the routing overhaul: the production Router (CSR
-// adjacency, generation-stamped scratch, goal-directed A* with Dijkstra
-// fallback) must return the same paths as a plain textbook Dijkstra —
-// identical step sequences and lengths, not just equal costs — across
-// hundreds of random OD pairs, with and without edge cost multipliers.
+// Property test for the router: its one search loop (CSR adjacency,
+// generation-stamped scratch, A* with a heuristic scaled by the cost
+// model's lower bound on multipliers) must return the same paths as a
+// plain textbook Dijkstra — identical step sequences and lengths, not
+// just equal costs — across hundreds of random OD pairs, with and
+// without edge cost multipliers, and BoundedVertexDistance must agree
+// with the reference distance under its limit.
 //
 // The reference below is deliberately the naive historical algorithm:
 // freshly allocated O(|V|) arrays, a (dist, vertex)-keyed binary heap,
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
@@ -136,56 +140,13 @@ TEST(RouterEquivalenceTest, MatchesReferenceDijkstraOnRandomPairs) {
   EXPECT_EQ(router.stats().goal_directed_searches, router.stats().searches);
 }
 
-// Multipliers >= 1 keep the straight-line heuristic admissible: the
-// router must stay goal-directed and still agree with the reference.
-TEST(RouterEquivalenceTest, MatchesReferenceWithInflatingMultipliers) {
-  const RoadNetwork& net = TestMap().network;
-  const Router router(&net);
-  const auto n = static_cast<int64_t>(net.num_vertices());
-  Rng rng(5678);
-  std::vector<double> multiplier(net.num_edges());
-  for (double& m : multiplier) m = rng.Uniform(1.0, 1.8);
-  for (int i = 0; i < 110; ++i) {
-    const auto from = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    const auto to = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    ExpectSamePath(ReferenceDijkstra(net, from, to, &multiplier),
-                   router.ShortestPath(from, to, &multiplier), from, to);
-  }
-  EXPECT_EQ(router.stats().goal_directed_searches, router.stats().searches);
-}
-
-// A single multiplier below 1 breaks admissibility; the router must
-// fall back to plain Dijkstra (goal_directed_searches stays 0) and the
-// paths must still match the reference run with the same costs.
-TEST(RouterEquivalenceTest, MatchesReferenceUnderDijkstraFallback) {
-  const RoadNetwork& net = TestMap().network;
-  const Router router(&net);
-  const auto n = static_cast<int64_t>(net.num_vertices());
-  Rng rng(9876);
-  std::vector<double> multiplier(net.num_edges());
-  for (double& m : multiplier) m = rng.Uniform(0.6, 1.5);
-  for (int i = 0; i < 110; ++i) {
-    const auto from = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    const auto to = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-    ExpectSamePath(ReferenceDijkstra(net, from, to, &multiplier),
-                   router.ShortestPath(from, to, &multiplier), from, to);
-  }
-  EXPECT_GT(router.stats().searches, 0);
-  EXPECT_EQ(router.stats().goal_directed_searches, 0);
-}
-
-// The same multipliers served through the EdgeCostModel interface (the
-// lazy-noise hook the simulator uses) must reproduce the vector
-// overload's paths step for step. With inflating multipliers both
-// overloads run the identical unscaled A*; with sub-unity multipliers
-// the vector overload falls back to Dijkstra while the model overload
-// keeps a MinMultiplier()-scaled (still admissible) heuristic — the
-// costs are the same either way, so so are the shortest paths.
+// Route-choice multipliers read from a per-edge vector. The model
+// reports `min_multiplier` as its lower bound, which is valid for any
+// value <= the vector's true minimum.
 class VectorCostModel final : public EdgeCostModel {
  public:
-  explicit VectorCostModel(const std::vector<double>* mult)
-      : mult_(mult),
-        min_(*std::min_element(mult->begin(), mult->end())) {}
+  VectorCostModel(const std::vector<double>* mult, double min_multiplier)
+      : mult_(mult), min_(min_multiplier) {}
   double Multiplier(EdgeId edge) const override {
     return (*mult_)[static_cast<size_t>(edge)];
   }
@@ -196,37 +157,102 @@ class VectorCostModel final : public EdgeCostModel {
   double min_;
 };
 
-TEST(RouterEquivalenceTest, CostModelMatchesVectorOverload) {
+// Runs `pairs` random OD pairs with multipliers drawn from [lo, hi],
+// served by a model reporting the true minimum times `bound_share`, and
+// expects every path to match the reference run with the same costs.
+RouterStats RunMultiplierPairs(uint64_t seed, double lo, double hi,
+                               double bound_share, int pairs) {
   const RoadNetwork& net = TestMap().network;
   const Router router(&net);
   const auto n = static_cast<int64_t>(net.num_vertices());
-  Rng rng(24680);
+  Rng rng(seed);
   std::vector<double> multiplier(net.num_edges());
-  for (const auto& [lo, hi] : {std::pair<double, double>{1.0, 1.8},
-                               std::pair<double, double>{0.6, 1.5}}) {
-    for (double& m : multiplier) m = rng.Uniform(lo, hi);
-    const VectorCostModel model(&multiplier);
-    for (int i = 0; i < 60; ++i) {
-      const auto from = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-      const auto to = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-      const Result<Path> via_vector =
-          router.ShortestPath(from, to, &multiplier);
-      const Result<Path> via_model = router.ShortestPath(from, to, model);
-      ASSERT_EQ(via_vector.ok(), via_model.ok()) << from << "->" << to;
-      if (!via_vector.ok()) continue;
-      ASSERT_EQ(via_vector->steps.size(), via_model->steps.size())
-          << from << "->" << to;
-      for (size_t s = 0; s < via_vector->steps.size(); ++s) {
-        EXPECT_EQ(via_vector->steps[s].edge, via_model->steps[s].edge);
-        EXPECT_EQ(via_vector->steps[s].forward,
-                  via_model->steps[s].forward);
-      }
-      EXPECT_EQ(via_vector->length_m, via_model->length_m);
-    }
+  for (double& m : multiplier) m = rng.Uniform(lo, hi);
+  const VectorCostModel model(
+      &multiplier,
+      bound_share * *std::min_element(multiplier.begin(), multiplier.end()));
+  for (int i = 0; i < pairs; ++i) {
+    const auto from = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+    const auto to = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+    ExpectSamePath(ReferenceDijkstra(net, from, to, &multiplier),
+                   router.ShortestPath(from, to, model), from, to);
   }
-  // The model overload never fell back to plain Dijkstra: sub-unity
-  // multipliers only scaled its heuristic.
-  EXPECT_GT(router.stats().goal_directed_searches, 0);
+  return router.stats();
+}
+
+// Multipliers >= 1 keep the unscaled straight-line heuristic
+// admissible: the router runs plain A* and agrees with the reference.
+TEST(RouterEquivalenceTest, MatchesReferenceWithInflatingMultipliers) {
+  const RouterStats stats = RunMultiplierPairs(5678, 1.0, 1.8, 1.0, 110);
+  EXPECT_EQ(stats.goal_directed_searches, stats.searches);
+}
+
+// Multipliers below 1 scale the heuristic down by the model's bound; the
+// search stays goal-directed and still agrees with the reference.
+TEST(RouterEquivalenceTest, MatchesReferenceWithShrinkingMultipliers) {
+  const RouterStats stats = RunMultiplierPairs(24680, 0.6, 1.5, 1.0, 110);
+  EXPECT_EQ(stats.goal_directed_searches, stats.searches);
+}
+
+// A model whose bound is 0 scales the heuristic to 0: keys equal
+// distances, the plain Dijkstra heap order (goal_directed_searches
+// stays 0), and the paths still match the reference.
+TEST(RouterEquivalenceTest, MatchesReferenceUnderDijkstraFallback) {
+  const RouterStats stats = RunMultiplierPairs(9876, 0.6, 1.5, 0.0, 110);
+  EXPECT_GT(stats.searches, 0);
+  EXPECT_EQ(stats.goal_directed_searches, 0);
+}
+
+// --- BoundedVertexDistance -------------------------------------------------
+
+// The reference distance when it is within the limit, +inf otherwise,
+// for limits 0, 900 m, just short of the distance and +inf, over random
+// nearby pairs (a random walk of 0-12 arcs, so many fall on either side
+// of 900 m and some are the same vertex) and random far pairs; unknown
+// vertices are +inf.
+TEST(RouterEquivalenceTest, BoundedVertexDistanceMatchesReference) {
+  const RoadNetwork& net = TestMap().network;
+  const Router router(&net);
+  const auto n = static_cast<int64_t>(net.num_vertices());
+  Rng rng(97531);
+  int within_900 = 0;
+  int beyond_900 = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto from = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+    VertexId to = from;
+    if (i % 4 == 0) {
+      to = static_cast<VertexId>(rng.UniformInt(0, n - 1));
+    } else {
+      for (int64_t hop = rng.UniformInt(0, 12); hop > 0; --hop) {
+        std::vector<VertexId> heads;
+        for (const HalfEdge& arc : net.OutArcs(to)) {
+          if (arc.traversable_out) heads.push_back(arc.head);
+        }
+        if (heads.empty()) break;
+        to = heads[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(heads.size()) - 1))];
+      }
+    }
+    const ReferencePath ref = ReferenceDijkstra(net, from, to);
+    const double want = ref.found ? ref.cost : kInf;
+    // The largest limit below the distance cuts the search off with `to`
+    // reached but not settled, so its tentative distance must not leak.
+    const double just_short = want > 0.0 && want < kInf
+                                  ? std::nextafter(want, 0.0)
+                                  : 0.0;
+    for (const double limit : {0.0, 900.0, just_short, kInf}) {
+      EXPECT_EQ(want <= limit ? want : kInf,
+                router.BoundedVertexDistance(from, to, limit))
+          << from << " -> " << to << " within " << limit;
+    }
+    within_900 += want <= 900.0 ? 1 : 0;
+    beyond_900 += want > 900.0 && want < kInf ? 1 : 0;
+  }
+  EXPECT_GT(within_900, 20);
+  EXPECT_GT(beyond_900, 20);
+  EXPECT_EQ(router.BoundedVertexDistance(-1, 0, kInf), kInf);
+  EXPECT_EQ(router.BoundedVertexDistance(0, static_cast<VertexId>(n), 900.0),
+            kInf);
 }
 
 // --- ShortestPathBetween ---------------------------------------------------

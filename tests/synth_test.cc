@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -559,6 +560,28 @@ TEST(FleetSimulatorTest, RejectsBadOptions) {
   FleetOptions options;
   options.num_cars = 0;
   EXPECT_FALSE(FleetSimulator(&TestMap(), &weather, options).Run().ok());
+  // Route noise outside [0, 1) would make multipliers <= 0 (1.5 turns a
+  // two-way edge into a negative cycle), overstate MinMultiplier()
+  // (-0.5) or poison every cost (NaN); each is rejected before any
+  // shard runs.
+  for (const double noise :
+       {1.5, -0.5, 1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    options = FleetOptions();
+    options.num_cars = 1;
+    options.num_days = 1;
+    options.route_weight_noise = noise;
+    EXPECT_TRUE(FleetSimulator(&TestMap(), &weather, options)
+                    .Run()
+                    .status()
+                    .IsInvalidArgument())
+        << noise;
+  }
+  options = FleetOptions();
+  options.num_cars = 1;
+  options.num_days = 1;
+  options.route_weight_noise = 0.0;
+  EXPECT_TRUE(FleetSimulator(&TestMap(), &weather, options).Run().ok());
 }
 
 TEST(FleetSimulatorTest, TripIdsUniqueAndPointIdsPerCarMonotone) {
