@@ -1,7 +1,11 @@
 #include "taxitrace/core/pipeline.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "taxitrace/common/reorder_buffer.h"
 #include "taxitrace/common/strings.h"
 #include "taxitrace/core/segment_match.h"
+#include "taxitrace/core/shard_ingest.h"
 #include "taxitrace/fault/fault_injector.h"
 #include "taxitrace/odselect/transition_extractor.h"
 #include "taxitrace/stream/ingest_session.h"
@@ -31,14 +36,29 @@ Pipeline::Pipeline(StudyConfig config) : config_(std::move(config)) {}
 
 namespace {
 
-// Runs the fused unit on each window an IngestSession closes, keeping
-// the outputs in release order, which is the car's store order.
+// Runs the fused unit on each window an IngestSession closes. The
+// output's counters fold at once, under `fold_mu`, since they add up in
+// any order; its matched transitions wait in `transitions`, in release
+// order, which is the car's store order, for the ordered fold. So each
+// car holds its few transitions, not a TripMatchOutput per window.
 struct WindowSink final : public trace::TripSink {
   const clean::CleaningOptions* options = nullptr;
   const SegmentMatchContext* context = nullptr;
-  std::vector<TripMatchOutput>* out = nullptr;
+  std::mutex* fold_mu = nullptr;
+  std::function<void(const TripMatchOutput&)> fold_counts;
+  std::vector<MatchedTransition>* transitions = nullptr;
   Status Consume(trace::Trip trip) override {
-    out->push_back(CleanAndMatchTrip(std::move(trip), *options, *context));
+    TripMatchOutput out =
+        CleanAndMatchTrip(std::move(trip), *options, *context);
+    {
+      const std::lock_guard<std::mutex> lock(*fold_mu);
+      fold_counts(out);
+    }
+    for (SegmentMatchOutput& segment : out.matches) {
+      for (MatchedTransition& mt : segment.transitions) {
+        transitions->push_back(std::move(mt));
+      }
+    }
     return Status::OK();
   }
 };
@@ -120,24 +140,26 @@ Result<StudyResults> Pipeline::Run() const {
   match_context.route_cache_capacity =
       config_.matcher.gap.route_cache_capacity;
 
-  // The one fold over the fused unit's outputs. Every source hands it
-  // each raw trip's TripMatchOutput in store order, so every counter and
-  // the transition list fold in one order at any worker count. It builds
-  // the whole cleaning report, raw counts included. The cleaned segments
-  // were freed on the workers; the fold keeps counts and matched
-  // transitions only.
+  // The one fold over the fused unit's outputs. It builds the whole
+  // cleaning report, raw counts included, the Table 3 rows, the funnel
+  // totals and the transition list. The cleaned segments were freed on
+  // the workers; the fold keeps counts and matched transitions only.
+  // Its counters are integers (and histogram counts), so they add up to
+  // the same totals in any order; the transition list and the match
+  // report's running mean do not, so every source hands the fold each
+  // raw trip's transitions in store order.
   clean::CleaningReport& report = results.cleaning_report;
   obs::HistogramMetric* points_per_segment =
       metrics != nullptr ? clean::PointsPerSegmentHistogram(metrics)
                          : nullptr;
   std::unordered_map<int, odselect::Table3Row> rows_by_car;
   SegmentMatchOutput match_totals;  // Counters only, no transitions.
-  const auto fold = [&](TripMatchOutput& trip) {
+  const auto fold_counts = [&](const TripMatchOutput& trip) {
     ++report.raw_trips;
     report.raw_points += trip.raw_points;
     clean::FoldTripCleanOutput(trip.clean, &report);
     odselect::Table3Row& row = rows_by_car[trip.car_id];
-    for (SegmentMatchOutput& segment : trip.matches) {
+    for (const SegmentMatchOutput& segment : trip.matches) {
       ++report.clean_segments;
       report.clean_points += segment.segment_points;
       if (points_per_segment != nullptr) {
@@ -149,32 +171,73 @@ Result<StudyResults> Pipeline::Run() const {
       row.transitions_central += segment.transitions_central;
       row.post_filtered += segment.post_filtered;
       AddMatchCounts(segment, &match_totals);
-      for (MatchedTransition& mt : segment.transitions) {
-        results.match_report.Add(mt.route);
-        results.transitions.push_back(std::move(mt));
-      }
+    }
+  };
+  const auto fold_transition = [&](MatchedTransition& mt) {
+    results.match_report.Add(mt.route);
+    results.transitions.push_back(std::move(mt));
+  };
+  const auto fold = [&](TripMatchOutput& trip) {
+    fold_counts(trip);
+    for (SegmentMatchOutput& segment : trip.matches) {
+      for (MatchedTransition& mt : segment.transitions) fold_transition(mt);
     }
   };
 
-  // 2. Raw traces. A study runs the fused unit on each (car, day) shard
-  // on the worker that simulated it, so raw points never all exist at
-  // once. Only the two whole-campaign consumers build the raw trace
-  // store: a fault plan (file-level faults corrupt one CSV view of all
-  // trips; the fused unit then runs per store trip in stage 4) and
-  // online ingestion (per window of each car's arrival stream, stage 3).
+  // 2. Raw traces. A fault-free study runs the fused unit on each
+  // (car, day) shard as it is simulated, so raw points never all exist
+  // at once: batch on the worker that simulated the shard, online
+  // ingestion in each car's session (ShardIngest), which the car's day
+  // buffer feeds. Only a fault plan builds the raw trace store: file
+  // faults corrupt one CSV view of all trips, and the fused unit then
+  // runs per store trip in stage 4, or per window of each car's replayed
+  // stream in stage 3.
   obs::StageSpan sim_span(&trace, "simulation");
   const synth::FleetSimulator fleet(&results.map, &results.weather,
                                     config_.fleet, &results.pedestrians);
   const bool stream_ingest = config_.stream_ingestion;
   const bool faulted = config_.faults.Any();
-  const bool build_store = faulted || stream_ingest;
   clean::CleaningOptions cleaning_options = config_.cleaning;
+
+  // Online ingestion's per-car matched transitions, folded in car order
+  // in stage 4, and the sinks that run the fused unit on each window.
+  std::mutex fold_mu;
+  std::vector<std::vector<MatchedTransition>> car_transitions;
+  std::vector<WindowSink> window_sinks;
+  const auto window_sinks_for = [&](size_t num_cars) {
+    car_transitions.resize(num_cars);
+    window_sinks.resize(num_cars);
+    std::vector<trace::TripSink*> sinks;
+    for (size_t c = 0; c < num_cars; ++c) {
+      window_sinks[c].options = &cleaning_options;
+      window_sinks[c].context = &match_context;
+      window_sinks[c].fold_mu = &fold_mu;
+      window_sinks[c].fold_counts = fold_counts;
+      window_sinks[c].transitions = &car_transitions[c];
+      sinks.push_back(&window_sinks[c]);
+    }
+    return sinks;
+  };
+  std::optional<ShardIngest> shard_ingest;
 
   synth::FleetResult raw;
   int64_t trips_simulated = 0;
   int64_t points_simulated = 0;
   int64_t peak_buffered_shards = 0;
-  if (!build_store) {
+  if (faulted) {
+    TAXITRACE_ASSIGN_OR_RETURN(raw, fleet.Run(&executor));
+    trips_simulated = static_cast<int64_t>(raw.store.NumTrips());
+    points_simulated = static_cast<int64_t>(raw.store.NumPoints());
+  } else if (stream_ingest) {
+    // A fleet without cars gets no sinks; Simulate then reports it.
+    shard_ingest.emplace(&fleet, config_.ingest,
+                         window_sinks_for(static_cast<size_t>(
+                             std::max(config_.fleet.num_cars, 0))));
+    TAXITRACE_RETURN_IF_ERROR(shard_ingest->Simulate(executor));
+    trips_simulated = shard_ingest->trips_simulated();
+    points_simulated = shard_ingest->points_simulated();
+    peak_buffered_shards = shard_ingest->peak_buffered_shards();
+  } else {
     ReorderBuffer<std::vector<TripMatchOutput>> merge(
         [&](std::vector<TripMatchOutput> shard) -> Status {
           for (TripMatchOutput& trip : shard) fold(trip);
@@ -193,10 +256,6 @@ Result<StudyResults> Pipeline::Run() const {
     peak_buffered_shards = merge.peak_buffered();
     trips_simulated = report.raw_trips;
     points_simulated = report.raw_points;
-  } else {
-    TAXITRACE_ASSIGN_OR_RETURN(raw, fleet.Run(&executor));
-    trips_simulated = static_cast<int64_t>(raw.store.NumTrips());
-    points_simulated = static_cast<int64_t>(raw.store.NumPoints());
   }
   if (collect) {
     // Identity source stages: the raw volume entering the pipeline,
@@ -225,43 +284,44 @@ Result<StudyResults> Pipeline::Run() const {
     sanitize.lon_max_deg = gate.lon_max_deg;
     fault_span.AddItems(injected.TotalInjected());
   }
-  results.raw_trips = build_store ? static_cast<int64_t>(raw.store.NumTrips())
-                                 : trips_simulated;
+  results.raw_trips = faulted ? static_cast<int64_t>(raw.store.NumTrips())
+                              : trips_simulated;
   sim_span.AddItems(trips_simulated);
   sim_span.Finish();
 
-  // 3. Online ingestion: one IngestSession per car, one car per work
-  // item, undoing the arrival shuffle under the watermark and running
-  // the fused unit on each window the moment it closes. Sessions share
-  // no state; their outputs are folded in car order below, which is
-  // store order, so the results equal the same study's without
+  // 3. Online ingestion: one session per car, one car per work item,
+  // undoing the arrival shuffle under the watermark and running the
+  // fused unit on each window the moment it closes. On the shard source
+  // the sessions already took every simulated trip; what is left is to
+  // end each car's stream. A faulted study replays each car's trips
+  // from the corrupted store. Sessions share no state and their stats
+  // fold in car order, so the results equal the same study's without
   // ingestion at any worker count whenever the displacement fits the
   // lossless bound.
-  struct CarIngestOutput {
-    std::vector<TripMatchOutput> trips;
-    stream::IngestStats stats;
-  };
-  std::vector<CarIngestOutput> car_ingest;
   if (stream_ingest) {
     obs::StageSpan ingest_span(&trace, "stream_ingestion");
-    const std::vector<int> car_ids = raw.store.CarIds();
-    car_ingest.resize(car_ids.size());
-    TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
-        0, static_cast<int64_t>(car_ids.size()), [&](int64_t ci) -> Status {
-          CarIngestOutput& out = car_ingest[static_cast<size_t>(ci)];
-          WindowSink sink;
-          sink.options = &cleaning_options;
-          sink.context = &match_context;
-          sink.out = &out.trips;
-          TAXITRACE_ASSIGN_OR_RETURN(
-              out.stats,
-              stream::ReplayCarStream(raw.store,
-                                      car_ids[static_cast<size_t>(ci)],
-                                      config_.ingest, &sink));
-          return Status::OK();
-        }));
-    for (const CarIngestOutput& c : car_ingest) {
-      results.ingest_stats.Add(c.stats);
+    if (faulted) {
+      const std::vector<int> car_ids = raw.store.CarIds();
+      const std::vector<trace::TripSink*> sinks =
+          window_sinks_for(car_ids.size());
+      std::vector<stream::IngestStats> car_stats(car_ids.size());
+      TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
+          0, static_cast<int64_t>(car_ids.size()), [&](int64_t ci) -> Status {
+            const auto c = static_cast<size_t>(ci);
+            TAXITRACE_ASSIGN_OR_RETURN(
+                car_stats[c],
+                stream::ReplayCarStream(raw.store, car_ids[c], config_.ingest,
+                                        sinks[c]));
+            return Status::OK();
+          }));
+      for (const stream::IngestStats& s : car_stats) {
+        results.ingest_stats.Add(s);
+      }
+    } else {
+      TAXITRACE_RETURN_IF_ERROR(shard_ingest->FinishStreams(executor));
+      for (size_t c = 0; c < shard_ingest->num_cars(); ++c) {
+        results.ingest_stats.Add(shard_ingest->car_stats(c));
+      }
     }
     if (collect) {
       stream::PublishIngestMetrics(results.ingest_stats, &funnel_ledger,
@@ -271,18 +331,19 @@ Result<StudyResults> Pipeline::Run() const {
                          results.ingest_stats.trip_markers_offered);
   }
 
-  // 4. Cleaning: a faulted study runs the fused unit over the store's
-  // trips and a reorder buffer releases each output to the fold in store
-  // order; the ingest source folds its per-car windows in store order.
-  // A shard-sourced study has nothing left to do here.
+  // 4. Cleaning: the ingest sources fold their per-car transitions in
+  // car order; a faulted study without ingestion runs the fused unit
+  // over the store's trips and a reorder buffer releases each output to
+  // the fold in store order. A batch study has nothing left to do here.
   obs::StageSpan clean_span(&trace, "cleaning");
   if (stream_ingest) {
-    // The store is car-major, CarIds() ascends and each session
-    // releases its windows in its car's store order, so car order is
-    // store order. A store trip lost wholesale in ingestion has no
-    // window; its records are accounted in the funnel's ingest drops.
-    for (CarIngestOutput& c : car_ingest) {
-      for (TripMatchOutput& trip : c.trips) fold(trip);
+    // Car order, each car's windows in release order, is the batch
+    // fold's (car, day, trip) order: each session releases its windows
+    // in its car's (day, trip) order. A trip lost wholesale in ingestion
+    // has no window; its records are accounted in the funnel's ingest
+    // drops.
+    for (std::vector<MatchedTransition>& transitions : car_transitions) {
+      for (MatchedTransition& mt : transitions) fold_transition(mt);
     }
   } else if (faulted) {
     // Nothing reads the store after this point: each worker takes its
@@ -435,10 +496,11 @@ Result<StudyResults> Pipeline::Run() const {
     if (faulted) {
       count("fault.injected_total", injected.TotalInjected());
       count("fault.dropped_total", report.faults.TotalDropped());
-    }
-    if (!build_store) {
-      // How many shards finished ahead of a slower predecessor: set by
-      // scheduling, not by the data, hence a gauge.
+    } else {
+      // How many shards finished ahead of a slower predecessor (of the
+      // same car, on the ingest source): set by scheduling, not by the
+      // data, hence a gauge. Only the shard sources set it, so its
+      // presence shows that no raw trace store was built.
       registry.gauge("synth.peak_buffered_shards")
           ->Set(static_cast<double>(peak_buffered_shards));
     }

@@ -31,11 +31,14 @@ namespace core {
 /// sites.
 ///
 /// The fused clean + match unit lands in one span per source. On a
-/// study without faults or online ingestion it runs on each simulated
-/// shard, so its time is inside `simulation_ms` and `cleaning_ms` is
-/// near zero. A faulted study runs it per store trip in `cleaning_ms`;
-/// an online-ingest run in `stream_ingest_ms`. `selection_matching_ms`
-/// is left with the Table 3 rows, so it is near-empty on every source.
+/// fault-free study it runs as the shards are simulated, so its time is
+/// inside `simulation_ms` and `cleaning_ms` is near zero; on a
+/// fault-free online-ingest run that includes each car's shard ingest,
+/// and `stream_ingest_ms` covers only the end of every car's stream
+/// (the shuffle's tail and the last windows). A faulted study runs it
+/// per store trip in `cleaning_ms`, or, with online ingestion, per
+/// replayed window in `stream_ingest_ms`. `selection_matching_ms` is
+/// left with the Table 3 rows, so it is near-empty on every source.
 struct StageTimings {
   double map_generation_ms = 0.0;
   double simulation_ms = 0.0;

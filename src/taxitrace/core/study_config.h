@@ -46,16 +46,17 @@ struct StudyConfig {
   /// funnel, empty StudyResults::observability).
   obs::ObservabilityOptions observability;
 
-  /// Ignored. Every study without a fault plan or online ingestion
-  /// already cleans and matches each simulated (car, day) shard on the
-  /// worker that simulated it, without building the raw trace store.
+  /// Ignored. Every study without a fault plan already cleans and
+  /// matches each simulated (car, day) shard as it is simulated,
+  /// without building the raw trace store.
   /// The field stays only because the benchmark driver
   /// (perfbench/perfbench.cc) still assigns it; the next change to the
   /// benchmark removes that assignment and this field with it.
   bool stream_simulation = false;
 
-  /// Online ingestion: rebuild each car's raw trace as an arrival
-  /// stream (stream/stream_source.h), undo bounded reordering with a
+  /// Online ingestion: feed each car's raw trips, day by day as they
+  /// are simulated, as an arrival stream (stream/stream_source.h)
+  /// through a per-car session, undo bounded reordering with a
   /// watermark that trails the stream head by `ingest.reorder_lag`
   /// slots, and run cleaning + matching per window as it closes —
   /// point-in, matched-segment-out with bounded latency instead of
@@ -63,8 +64,9 @@ struct StudyConfig {
   /// path at any worker count whenever every arrival displacement fits
   /// the lossless bound (reorder_lag / 2); records beyond it become
   /// counted funnel drops (`points.ingested`), never silent losses.
-  /// Ingestion consumes the materialised (and possibly fault-corrupted)
-  /// raw trace store, exactly what a store-order run would have seen.
+  /// With a fault plan, ingestion replays each car's trips from the
+  /// fault-corrupted raw trace store instead, exactly what a
+  /// store-order run would have seen.
   bool stream_ingestion = false;
   stream::IngestOptions ingest;
 

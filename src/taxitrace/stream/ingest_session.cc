@@ -228,20 +228,38 @@ Status IngestSession::FinishStream() {
   return CloseWindow();
 }
 
+CarIngest::CarIngest(int car_id, const IngestOptions& options,
+                     trace::TripSink* sink)
+    : car_id_(car_id),
+      session_(car_id, options, sink),
+      shuffle_(MixSeed(options.arrival_shuffle_seed,
+                       static_cast<uint64_t>(car_id), 0),
+               options.arrival_shuffle_window,
+               [this](const StreamRecord& record) {
+                 return session_.Ingest(record);
+               }) {}
+
+Status CarIngest::AddTrip(const trace::Trip& trip) {
+  return ForEachTripRecord(trip, car_id_, &next_seq_,
+                           [this](StreamRecord record) {
+                             return shuffle_.Push(std::move(record));
+                           });
+}
+
+Status CarIngest::FinishStream() {
+  TAXITRACE_RETURN_IF_ERROR(shuffle_.Flush());
+  return session_.FinishStream();
+}
+
 Result<IngestStats> ReplayCarStream(const trace::TraceStore& store,
                                     int car_id, const IngestOptions& options,
                                     trace::TripSink* sink) {
-  const CarRecords records(store, car_id);
-  const std::vector<uint32_t> arrival_order = ArrivalOrder(
-      records.size(),
-      MixSeed(options.arrival_shuffle_seed, static_cast<uint64_t>(car_id), 0),
-      options.arrival_shuffle_window);
-  IngestSession session(car_id, options, sink);
-  for (const uint32_t seq : arrival_order) {
-    TAXITRACE_RETURN_IF_ERROR(session.Ingest(records.At(seq)));
+  CarIngest car(car_id, options, sink);
+  for (const trace::Trip& trip : store.trips()) {
+    if (trip.car_id == car_id) TAXITRACE_RETURN_IF_ERROR(car.AddTrip(trip));
   }
-  TAXITRACE_RETURN_IF_ERROR(session.FinishStream());
-  return session.stats();
+  TAXITRACE_RETURN_IF_ERROR(car.FinishStream());
+  return car.stats();
 }
 
 void PublishIngestMetrics(const IngestStats& stats, obs::FunnelLedger* funnel,

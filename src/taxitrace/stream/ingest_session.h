@@ -57,7 +57,7 @@ struct IngestOptions {
 
   /// When positive, the pipeline perturbs each car's canonical arrival
   /// order by at most this many slots before ingesting (deterministic
-  /// per-car shuffle; see ArrivalOrder). 0 ingests canonical order.
+  /// per-car shuffle; see CarIngest). 0 ingests canonical order.
   /// Keep it at most reorder_lag / 2 to stay within the lossless bound.
   int64_t arrival_shuffle_window = 0;
   uint64_t arrival_shuffle_seed = 0x5EEDA11CULL;
@@ -192,9 +192,41 @@ class IngestSession {
   IngestStats stats_;
 };
 
-/// Replays car `car_id`'s trips in `store` through one IngestSession
-/// feeding `sink`: its CarRecords in ArrivalOrder, seeded per car from
-/// `options.arrival_shuffle_seed`. Returns the session's stats.
+/// One car's online ingestion, fed trip by trip in canonical order:
+/// each trip becomes its canonical records (ForEachTripRecord), seqs
+/// continuing across calls, which pass through the car's ArrivalShuffle
+/// (seed MixSeed(options.arrival_shuffle_seed, car_id, 0), window
+/// options.arrival_shuffle_window) into the car's IngestSession. The
+/// arrivals are exactly ArrivalOrder over the car's whole stream, while
+/// at most arrival_shuffle_window + 1 records are held. Not
+/// thread-safe, like the session it drives.
+class CarIngest {
+ public:
+  /// `sink` receives the session's windows, as IngestSession's does.
+  CarIngest(int car_id, const IngestOptions& options, trace::TripSink* sink);
+
+  // The shuffle's release callback points at this object.
+  CarIngest(const CarIngest&) = delete;
+  CarIngest& operator=(const CarIngest&) = delete;
+
+  /// Ingests the car's next trip in canonical order.
+  Status AddTrip(const trace::Trip& trip);
+
+  /// End of the car's stream: releases what the shuffle still holds and
+  /// finishes the session. AddTrip must not be called afterwards.
+  Status FinishStream();
+
+  [[nodiscard]] const IngestStats& stats() const { return session_.stats(); }
+
+ private:
+  const int car_id_;
+  IngestSession session_;
+  ArrivalShuffle<StreamRecord> shuffle_;
+  int64_t next_seq_ = 0;
+};
+
+/// Replays car `car_id`'s trips in `store`, in store order, through one
+/// CarIngest feeding `sink`. Returns the session's stats.
 Result<IngestStats> ReplayCarStream(const trace::TraceStore& store,
                                     int car_id, const IngestOptions& options,
                                     trace::TripSink* sink);

@@ -11,54 +11,40 @@
 namespace taxitrace {
 namespace stream {
 
-CarRecords::CarRecords(const trace::TraceStore& store, int car_id)
-    : trips_(&store.trips()), car_id_(car_id) {
-  size_t count = 0;
-  for (const trace::Trip& trip : *trips_) {
-    if (trip.car_id == car_id) count += 1 + trip.points.size();
+Status ForEachTripRecord(
+    const trace::Trip& trip, int car_id, int64_t* next_seq,
+    const std::function<Status(StreamRecord record)>& emit) {
+  StreamRecord marker;
+  marker.kind = StreamRecord::Kind::kTripBegin;
+  marker.seq = (*next_seq)++;
+  marker.car_id = car_id;
+  marker.trip_id = trip.trip_id;
+  marker.total_time_s = trip.total_time_s;
+  marker.total_distance_m = trip.total_distance_m;
+  marker.total_fuel_ml = trip.total_fuel_ml;
+  TAXITRACE_RETURN_IF_ERROR(emit(std::move(marker)));
+  for (const trace::RoutePoint& p : trip.points) {
+    StreamRecord rec;
+    rec.seq = (*next_seq)++;
+    rec.car_id = car_id;
+    rec.trip_id = trip.trip_id;
+    rec.point = p;
+    TAXITRACE_RETURN_IF_ERROR(emit(std::move(rec)));
   }
-  refs_.reserve(count);
-  for (size_t t = 0; t < trips_->size(); ++t) {
-    const trace::Trip& trip = (*trips_)[t];
-    if (trip.car_id != car_id) continue;
-    TT_CHECK(t <= std::numeric_limits<uint32_t>::max());
-    TT_CHECK(trip.points.size() <=
-             static_cast<size_t>(std::numeric_limits<int32_t>::max()));
-    const auto trip_index = static_cast<uint32_t>(t);
-    refs_.push_back(Ref{trip_index, kMarker});
-    for (size_t p = 0; p < trip.points.size(); ++p) {
-      refs_.push_back(Ref{trip_index, static_cast<int32_t>(p)});
-    }
-  }
-}
-
-StreamRecord CarRecords::At(int64_t seq) const {
-  TT_DCHECK(seq >= 0 && static_cast<size_t>(seq) < refs_.size());
-  const Ref ref = refs_[static_cast<size_t>(seq)];
-  const trace::Trip& trip = (*trips_)[ref.trip];
-  StreamRecord rec;
-  rec.seq = seq;
-  rec.car_id = car_id_;
-  rec.trip_id = trip.trip_id;
-  if (ref.point == kMarker) {
-    rec.kind = StreamRecord::Kind::kTripBegin;
-    rec.total_time_s = trip.total_time_s;
-    rec.total_distance_m = trip.total_distance_m;
-    rec.total_fuel_ml = trip.total_fuel_ml;
-  } else {
-    rec.kind = StreamRecord::Kind::kPoint;
-    rec.point = trip.points[static_cast<size_t>(ref.point)];
-  }
-  return rec;
+  return Status::OK();
 }
 
 CarStream BuildCarStream(const trace::TraceStore& store, int car_id) {
-  const CarRecords records(store, car_id);
   CarStream out;
   out.car_id = car_id;
-  out.records.reserve(records.size());
-  for (size_t seq = 0; seq < records.size(); ++seq) {
-    out.records.push_back(records.At(static_cast<int64_t>(seq)));
+  int64_t next_seq = 0;
+  for (const trace::Trip& trip : store.trips()) {
+    if (trip.car_id != car_id) continue;
+    TT_CHECK_OK(ForEachTripRecord(trip, car_id, &next_seq,
+                                  [&out](StreamRecord record) {
+                                    out.records.push_back(std::move(record));
+                                    return Status::OK();
+                                  }));
   }
   return out;
 }

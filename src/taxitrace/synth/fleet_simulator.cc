@@ -314,7 +314,8 @@ Result<FleetRunStats> FleetSimulator::Run(const Executor* executor,
 
 Status FleetSimulator::RunShards(
     const Executor* executor,
-    const std::function<Status(FleetShard)>& on_shard) const {
+    const std::function<Status(FleetShard)>& on_shard,
+    ShardOrder order) const {
   if (options_.num_cars <= 0 || options_.num_days <= 0) {
     return Status::InvalidArgument("fleet needs at least one car and day");
   }
@@ -342,9 +343,13 @@ Status FleetSimulator::RunShards(
   const int64_t num_shards =
       static_cast<int64_t>(options_.num_cars) * options_.num_days;
   const Executor& ex = executor != nullptr ? *executor : Executor::Serial();
-  return ex.ParallelFor(0, num_shards, [&](int64_t shard) -> Status {
-    const int car = 1 + static_cast<int>(shard / options_.num_days);
-    const int day = static_cast<int>(shard % options_.num_days);
+  const bool day_major = order == ShardOrder::kDayMajor;
+  return ex.ParallelFor(0, num_shards, [&](int64_t claim) -> Status {
+    const int car =
+        1 + static_cast<int>(day_major ? claim % options_.num_cars
+                                       : claim / options_.num_days);
+    const int day = static_cast<int>(day_major ? claim / options_.num_cars
+                                               : claim % options_.num_days);
     TAXITRACE_ASSIGN_OR_RETURN(FleetShard out, SimulateCarDay(ctx, car, day));
     return on_shard(std::move(out));
   });

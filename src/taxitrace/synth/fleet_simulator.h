@@ -83,6 +83,19 @@ struct FleetShard {
   int64_t num_reposition_drives = 0;
 };
 
+/// The order in which RunShards' workers claim (car, day) shards. It
+/// changes only which shards run at the same time: every shard runs
+/// once, from the same seeds, under the same FleetShard::index.
+enum class ShardOrder {
+  /// Claim k is car 1 + k / num_days, day k % num_days: index order, so
+  /// one reorder buffer over all shards holds about one per worker.
+  kCarMajor,
+  /// Claim k is car 1 + k % num_cars, day k / num_cars: every car's days
+  /// advance together, so per-car consumers each hold about
+  /// workers / num_cars shards and rarely wait on one another.
+  kDayMajor,
+};
+
 /// Outcome of a simulation run.
 struct FleetResult {
   trace::TraceStore store;        ///< Raw (uncleaned) trips.
@@ -138,11 +151,11 @@ class FleetSimulator {
   /// never accumulate inside the simulator. Out-of-order shard
   /// completions wait in a ReorderBuffer whose high-water mark is
   /// reported in the returned stats; with W workers it stays around W,
-  /// so peak memory is bounded by per-shard state — the property that
-  /// makes 1000-car × multi-day runs feasible. Sink calls are
-  /// serialised under the reorder buffer's lock, so the sink needs no
-  /// synchronisation, but every worker waits on it: a sink that does
-  /// real per-trip work (cleaning, matching) serialises the whole run.
+  /// so peak memory is bounded by per-shard state, not by the campaign.
+  /// Sink calls are serialised under the reorder buffer's lock, so the
+  /// sink needs no synchronisation, but every worker waits on it: a sink
+  /// that does real per-trip work (cleaning, matching) serialises the
+  /// whole run.
   /// Such work belongs in RunShards' callback, on the worker, with only
   /// an ordered fold behind it. A sink error aborts the run and is
   /// returned.
@@ -153,11 +166,13 @@ class FleetSimulator {
   /// shard and calls `on_shard` once per shard on the worker that
   /// simulated it — concurrently, in any order, with no lock held.
   /// Callers that need (car, day) order deposit the shard, or what they
-  /// computed from it, in a ReorderBuffer keyed on FleetShard::index. A
-  /// shard that overflows its id budget, or an `on_shard` error, fails
-  /// the run; the executor returns the lowest failing shard's error.
+  /// computed from it, in a ReorderBuffer keyed on FleetShard::index;
+  /// `order` says which shards the workers claim together. A shard that
+  /// overflows its id budget, or an `on_shard` error, fails the run; the
+  /// executor returns the error of the lowest failing claim in `order`.
   Status RunShards(const Executor* executor,
-                   const std::function<Status(FleetShard)>& on_shard) const;
+                   const std::function<Status(FleetShard)>& on_shard,
+                   ShardOrder order = ShardOrder::kCarMajor) const;
 
   [[nodiscard]] const FleetOptions& options() const { return options_; }
 

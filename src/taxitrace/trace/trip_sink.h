@@ -21,9 +21,9 @@ namespace trace {
 /// on: a sink there should only store, count or forward the trip,
 /// because per-trip work such as cleaning or matching would run on one
 /// thread for the whole fleet — run it in FleetSimulator::RunShards'
-/// callback instead. An IngestSession calls its sink on the worker that
-/// owns the session, with no lock, so that sink may do the per-trip
-/// work itself.
+/// callback instead. An IngestSession calls its sink from the thread
+/// driving the session, at most under that one car's lock, so that sink
+/// may do the per-trip work itself.
 class TripSink {
  public:
   virtual ~TripSink() = default;

@@ -27,9 +27,16 @@ TEST(EdgeConfigTest, SingleCarSingleDay) {
 }
 
 TEST(EdgeConfigTest, ZeroCarsRejected) {
-  StudyConfig config = StudyConfig::SmallStudy();
-  config.fleet.num_cars = 0;
-  EXPECT_FALSE(Pipeline(config).Run().ok());
+  for (const bool ingest : {false, true}) {
+    for (const int cars : {0, -1}) {
+      StudyConfig config = StudyConfig::SmallStudy();
+      config.fleet.num_cars = cars;
+      config.stream_ingestion = ingest;
+      const Result<StudyResults> run = Pipeline(config).Run();
+      ASSERT_FALSE(run.ok()) << cars << " cars, ingest " << ingest;
+      EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+    }
+  }
 }
 
 TEST(EdgeConfigTest, TinyMapRejectedCleanly) {

@@ -16,11 +16,15 @@
 #include <vector>
 
 #include "taxitrace/common/check.h"
+#include "taxitrace/common/executor.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/core/reports.h"
+#include "taxitrace/core/shard_ingest.h"
 #include "taxitrace/obs/funnel.h"
 #include "taxitrace/stream/ingest_session.h"
 #include "taxitrace/stream/stream_source.h"
+#include "taxitrace/synth/city_map_generator.h"
+#include "taxitrace/synth/fleet_simulator.h"
 #include "taxitrace/trace/trip_sink.h"
 
 namespace taxitrace {
@@ -480,6 +484,107 @@ TEST(IngestSessionTest, WatermarkAdvanceClosesStaleWindows) {
   const stream::IngestStats& s = session.stats();
   EXPECT_EQ(s.points_offered,
             s.points_released + s.points_dropped_late);
+}
+
+// ---------------------------------------------------------------------
+// The shard source against the store it no longer builds. The small
+// study's fleet is ingested two ways: through ShardIngest, which feeds
+// each car's session day by day as the shards are simulated (the
+// fault-free pipeline's source), and through ReplayCarStream over
+// FleetSimulator::Run's store. Both must release the same windows with
+// the same IngestStats, latency histogram included, at any worker
+// count, lossless (lag 64, shuffle 32) and lossy (lag 4, shuffle 32,
+// which drops late records).
+
+void ExpectSameIngestStats(const stream::IngestStats& a,
+                           const stream::IngestStats& b) {
+  EXPECT_EQ(a.points_offered, b.points_offered);
+  EXPECT_EQ(a.trip_markers_offered, b.trip_markers_offered);
+  EXPECT_EQ(a.points_released, b.points_released);
+  EXPECT_EQ(a.trip_markers_released, b.trip_markers_released);
+  EXPECT_EQ(a.points_dropped_late, b.points_dropped_late);
+  EXPECT_EQ(a.trip_markers_dropped_late, b.trip_markers_dropped_late);
+  EXPECT_EQ(a.slots_declared_lost, b.slots_declared_lost);
+  EXPECT_EQ(a.windows_opened, b.windows_opened);
+  EXPECT_EQ(a.windows_opened_implicit, b.windows_opened_implicit);
+  EXPECT_EQ(a.windows_closed, b.windows_closed);
+  EXPECT_EQ(a.peak_buffered_records, b.peak_buffered_records);
+  EXPECT_EQ(a.latency_hist, b.latency_hist);
+}
+
+void ExpectSameWindows(const std::vector<trace::Trip>& a,
+                       const std::vector<trace::Trip>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t w = 0; w < a.size(); ++w) {
+    EXPECT_EQ(a[w].trip_id, b[w].trip_id) << "window " << w;
+    EXPECT_EQ(a[w].car_id, b[w].car_id) << "window " << w;
+    EXPECT_EQ(a[w].total_time_s, b[w].total_time_s) << "window " << w;
+    EXPECT_EQ(a[w].total_distance_m, b[w].total_distance_m) << "window " << w;
+    EXPECT_EQ(a[w].total_fuel_ml, b[w].total_fuel_ml) << "window " << w;
+    ASSERT_EQ(a[w].points.size(), b[w].points.size()) << "window " << w;
+    for (size_t i = 0; i < a[w].points.size(); ++i) {
+      const trace::RoutePoint& pa = a[w].points[i];
+      const trace::RoutePoint& pb = b[w].points[i];
+      EXPECT_EQ(pa.point_id, pb.point_id);
+      EXPECT_EQ(pa.trip_id, pb.trip_id);
+      EXPECT_EQ(pa.timestamp_s, pb.timestamp_s);
+      EXPECT_EQ(pa.position, pb.position);
+      EXPECT_EQ(pa.speed_kmh, pb.speed_kmh);
+      EXPECT_EQ(pa.fuel_delta_ml, pb.fuel_delta_ml);
+    }
+  }
+}
+
+TEST(IngestEquivalenceTest, ShardFedIngestMatchesStoreReplay) {
+  const core::StudyConfig config = core::StudyConfig::SmallStudy();
+  const synth::CityMap map = synth::GenerateCityMap(config.map).value();
+  const synth::WeatherModel weather(config.weather_seed,
+                                    config.fleet.num_days);
+  const synth::PedestrianModel pedestrians(
+      config.fleet.seed + 17, map.hotspots, config.fleet.num_days);
+  const synth::FleetSimulator fleet(&map, &weather, config.fleet,
+                                    &pedestrians);
+  const trace::TraceStore store = fleet.Run().value().store;
+  const auto cars = static_cast<size_t>(config.fleet.num_cars);
+
+  for (const int64_t lag : {int64_t{64}, int64_t{4}}) {
+    stream::IngestOptions options;
+    options.reorder_lag = lag;
+    options.arrival_shuffle_window = 32;
+
+    std::vector<CollectSink> want(cars);
+    std::vector<stream::IngestStats> want_stats;
+    int64_t dropped_late = 0;
+    for (size_t c = 0; c < cars; ++c) {
+      const int car = static_cast<int>(c) + 1;
+      want_stats.push_back(
+          stream::ReplayCarStream(store, car, options, &want[c]).value());
+      dropped_late += want_stats.back().points_dropped_late;
+    }
+    EXPECT_EQ(dropped_late > 0, lag == 4) << "lag " << lag;
+
+    for (const int workers : {0, 1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "lag " << lag << ", " << workers
+                                      << " workers");
+      const Executor executor(workers);
+      std::vector<CollectSink> got(cars);
+      std::vector<trace::TripSink*> sinks;
+      for (CollectSink& sink : got) sinks.push_back(&sink);
+      core::ShardIngest ingest(&fleet, options, sinks);
+      ASSERT_TRUE(ingest.Simulate(executor).ok());
+      ASSERT_TRUE(ingest.FinishStreams(executor).ok());
+      EXPECT_EQ(ingest.trips_simulated(),
+                static_cast<int64_t>(store.NumTrips()));
+      EXPECT_EQ(ingest.points_simulated(),
+                static_cast<int64_t>(store.NumPoints()));
+      EXPECT_GE(ingest.peak_buffered_shards(), 1);
+      ASSERT_EQ(ingest.num_cars(), cars);
+      for (size_t c = 0; c < cars; ++c) {
+        ExpectSameIngestStats(want_stats[c], ingest.car_stats(c));
+        ExpectSameWindows(want[c].trips, got[c].trips);
+      }
+    }
+  }
 }
 
 }  // namespace

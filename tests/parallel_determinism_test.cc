@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <optional>
 #include <string>
 
 #include "taxitrace/common/check.h"
@@ -279,6 +280,41 @@ TEST(ParallelDeterminismTest, StreamedMetricsOnMatchBatchAtAnyWorkerCount) {
     EXPECT_GE(peak, 1.0) << workers << " workers";
     if (workers == 0) {
       EXPECT_EQ(peak, 1.0);
+    }
+  }
+}
+
+// Online-ingest legs: a fault-free ingest study takes the shard source
+// too, with one day buffer per car in front of the car's session, so
+// it publishes the largest of those buffers' high-water marks (1 on a
+// serial run) and never builds the store. Within the lossless bound
+// its results equal the serial batch reference, and its funnel and
+// counters (the ingest rows and stream.* included) are the same at any
+// worker count.
+TEST(ParallelDeterminismTest, IngestPublishesShardBufferAtAnyWorkerCount) {
+  std::optional<core::StudyResults> serial;
+  for (const int workers : {0, 1, 2, 8}) {
+    core::StudyConfig config = core::StudyConfig::SmallStudy();
+    config.num_threads = workers;
+    config.stream_ingestion = true;
+    config.ingest.reorder_lag = 64;
+    config.ingest.arrival_shuffle_window = 32;
+    config.observability.enabled = true;
+    auto run = core::Pipeline(config).Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectIdenticalResults(SerialReference(), *run);
+    if (serial.has_value()) {
+      ExpectIdenticalObservability(*serial, *run);
+    }
+
+    double peak = -1.0;
+    for (const obs::GaugeSample& g : run->observability.gauges) {
+      if (g.name == "synth.peak_buffered_shards") peak = g.value;
+    }
+    EXPECT_GE(peak, 1.0) << workers << " workers";
+    if (workers == 0) {
+      EXPECT_EQ(peak, 1.0);
+      serial.emplace(std::move(run).value());
     }
   }
 }

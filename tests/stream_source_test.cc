@@ -1,7 +1,8 @@
 // The arrival-stream primitives against straightforward references:
 // ArrivalOrder and the ShuffleArrivals wrapper against a stable sort of
-// (position + draw) keys over copied records, and CarRecords /
-// BuildCarStream against a direct walk of the store.
+// (position + draw) keys over copied records, BuildCarStream against a
+// direct walk of the store, and the windowed ArrivalShuffle against
+// ArrivalOrder.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "taxitrace/common/random.h"
+#include "taxitrace/common/status.h"
 #include "taxitrace/stream/stream_source.h"
 #include "taxitrace/trace/trace_store.h"
 
@@ -158,31 +160,101 @@ TEST(StreamSourceTest, CarRecordsWalkTheStoreInOrder) {
       }
     }
 
-    const stream::CarRecords records(store, car);
     const stream::CarStream built = stream::BuildCarStream(store, car);
-    EXPECT_EQ(records.car_id(), car);
     EXPECT_EQ(built.car_id, car);
-    ASSERT_EQ(records.size(), want.size()) << "car " << car;
     ASSERT_EQ(built.records.size(), want.size()) << "car " << car;
     for (size_t seq = 0; seq < want.size(); ++seq) {
-      for (const StreamRecord& got :
-           {records.At(static_cast<int64_t>(seq)), built.records[seq]}) {
-        const StreamRecord& w = want[seq];
-        EXPECT_EQ(got.kind, w.kind);
-        EXPECT_EQ(got.seq, w.seq);
-        EXPECT_EQ(got.car_id, w.car_id);
-        EXPECT_EQ(got.trip_id, w.trip_id);
-        EXPECT_EQ(got.total_time_s, w.total_time_s);
-        EXPECT_EQ(got.total_distance_m, w.total_distance_m);
-        EXPECT_EQ(got.total_fuel_ml, w.total_fuel_ml);
-        EXPECT_EQ(got.point.point_id, w.point.point_id);
-        EXPECT_EQ(got.point.trip_id, w.point.trip_id);
-        EXPECT_EQ(got.point.timestamp_s, w.point.timestamp_s);
-        EXPECT_EQ(got.point.position, w.point.position);
-        EXPECT_EQ(got.point.speed_kmh, w.point.speed_kmh);
-        EXPECT_EQ(got.point.fuel_delta_ml, w.point.fuel_delta_ml);
+      const StreamRecord& got = built.records[seq];
+      const StreamRecord& w = want[seq];
+      EXPECT_EQ(got.kind, w.kind);
+      EXPECT_EQ(got.seq, w.seq);
+      EXPECT_EQ(got.car_id, w.car_id);
+      EXPECT_EQ(got.trip_id, w.trip_id);
+      EXPECT_EQ(got.total_time_s, w.total_time_s);
+      EXPECT_EQ(got.total_distance_m, w.total_distance_m);
+      EXPECT_EQ(got.total_fuel_ml, w.total_fuel_ml);
+      EXPECT_EQ(got.point.point_id, w.point.point_id);
+      EXPECT_EQ(got.point.trip_id, w.point.trip_id);
+      EXPECT_EQ(got.point.timestamp_s, w.point.timestamp_s);
+      EXPECT_EQ(got.point.position, w.point.position);
+      EXPECT_EQ(got.point.speed_kmh, w.point.speed_kmh);
+      EXPECT_EQ(got.point.fuel_delta_ml, w.point.fuel_delta_ml);
+    }
+  }
+}
+
+// The windowed shuffle against the whole-stream permutation it
+// replaces: the same arrivals for every stream length up to 2,000 and
+// one long stream, at displacements up to and far beyond the stream
+// length (ArrivalOrder's sort path), with no more than
+// max_displacement + 1 records held at any time.
+struct Windowed {
+  std::vector<uint32_t> order;
+  size_t peak_held = 0;
+};
+
+Windowed WindowedOrder(size_t n, uint64_t seed, int64_t max_displacement) {
+  Windowed out;
+  out.order.reserve(n);
+  stream::ArrivalShuffle<uint32_t> shuffle(
+      seed, max_displacement, [&out](const uint32_t& seq) {
+        out.order.push_back(seq);
+        return Status::OK();
+      });
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(shuffle.Push(static_cast<uint32_t>(i)).ok());
+  }
+  EXPECT_TRUE(shuffle.Flush().ok());
+  out.peak_held = shuffle.peak_held();
+  return out;
+}
+
+TEST(ArrivalShuffleTest, MatchesArrivalOrder) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 2000; ++n) lengths.push_back(n);
+  lengths.push_back(400000);
+  for (const int64_t d :
+       {int64_t{0}, int64_t{1}, int64_t{2}, int64_t{32}, int64_t{64},
+        int64_t{1000}, int64_t{5000000},
+        std::numeric_limits<int64_t>::max()}) {
+    for (const uint64_t seed :
+         {uint64_t{1}, uint64_t{0x5EEDA11C}, ~uint64_t{0}}) {
+      for (const size_t n : lengths) {
+        const Windowed got = WindowedOrder(n, seed, d);
+        ASSERT_EQ(got.order, stream::ArrivalOrder(n, seed, d))
+            << "n " << n << " d " << d << " seed " << seed;
+        if (d == 32) {
+          ASSERT_LE(got.peak_held, 33U) << "n " << n << " seed " << seed;
+        }
       }
     }
+  }
+}
+
+// Records move through the shuffle intact, and a release error stops
+// the stream at the record that failed.
+TEST(ArrivalShuffleTest, CarriesRecordsAndStopsAtAnEmitError) {
+  std::vector<StreamRecord> got;
+  stream::ArrivalShuffle<StreamRecord> shuffle(
+      3, 8, [&got](const StreamRecord& rec) {
+        if (got.size() == 50) return Status::Internal("sink full");
+        got.push_back(rec);
+        return Status::OK();
+      });
+  const std::vector<StreamRecord> records = NumberedRecords(100);
+  Status status = Status::OK();
+  for (const StreamRecord& rec : records) {
+    status = shuffle.Push(rec);
+    if (!status.ok()) break;
+  }
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  ASSERT_EQ(got.size(), 50U);
+  const std::vector<uint32_t> order = stream::ArrivalOrder(100, 3, 8);
+  for (size_t k = 0; k < got.size(); ++k) {
+    const StreamRecord& want = records[order[k]];
+    EXPECT_EQ(got[k].seq, want.seq);
+    EXPECT_EQ(got[k].trip_id, want.trip_id);
+    EXPECT_EQ(got[k].point.point_id, want.point.point_id);
   }
 }
 

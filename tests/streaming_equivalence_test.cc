@@ -1,17 +1,22 @@
-// The shard path's contract: a study without a fault plan or online
-// ingestion cleans and matches each simulated shard on its worker and
-// folds the finished trips in (car, day, trip) order, never building
-// the raw trace store, and produces StudyResults byte-identical to a
-// store-order run — the same trips reach the same per-trip stages, and
-// every counter folds in the same order. The one store-order source
-// left for a fault-free study is online ingestion in canonical arrival
-// order (arrival_shuffle_window = 0), which loses nothing
-// (IngestEquivalenceTest.CanonicalOrderHasZeroLatency), so it is the
-// reference here. Faulted studies build the store and clean it in
-// store order; they are held to a faulted canonical-ingest run. Checked
-// at 0/1/2/8 workers on what both runs produce: the golden digest, which
-// hashes the full downstream output, the cleaning report and the
-// funnel stages and counters they share; doubles compared exactly.
+// The batch shard path's contract: a study without a fault plan or
+// online ingestion cleans and matches each simulated shard on its
+// worker and folds the finished trips in (car, day, trip) order, never
+// building the raw trace store, and produces StudyResults
+// byte-identical to a store-order run. The reference is online
+// ingestion in canonical arrival order (arrival_shuffle_window = 0),
+// which loses nothing (IngestEquivalenceTest.CanonicalOrderHasZeroLatency).
+// It is shard-sourced too, but through other code: per-car day buffers
+// feed each car's session, the fused unit runs per released window and
+// the transitions fold car by car. That each session sees its car's
+// trips in store order is held by
+// IngestEquivalenceTest.ShardFedIngestMatchesStoreReplay, which
+// compares its windows with a replay of FleetSimulator::Run's store.
+// Faulted studies build the store and clean it in store order; they are
+// held to a faulted canonical-ingest run, which replays that store.
+// Checked at 0/1/2/8 workers on what both runs produce: the golden
+// digest, which hashes the full downstream output, the cleaning report
+// and the funnel stages and counters they share; doubles compared
+// exactly.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +30,9 @@
 namespace taxitrace {
 namespace {
 
-// `store_order` runs online ingestion with no arrival shuffle: the
-// store's trips in store order, one window per trip, nothing buffered
-// or lost. Otherwise the study takes its default source.
+// `store_order` runs online ingestion with no arrival shuffle: each
+// car's trips in store order, one window per trip, nothing buffered or
+// lost. Otherwise the study takes its default source.
 core::StudyResults RunStudy(int num_threads, bool store_order,
                             const fault::FaultPlan& faults = {},
                             bool observability = false) {
