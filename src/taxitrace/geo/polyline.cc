@@ -18,6 +18,12 @@ double SegmentLength(const std::vector<EnPoint>& pts,
                                  : segment_lengths[i];
 }
 
+// The junction rule of every append: a first vertex within 1e-6 m of
+// the line's last one is a duplicate and is dropped.
+bool Coincide(const EnPoint& last, const EnPoint& first) {
+  return Distance(last, first) < 1e-6;
+}
+
 }  // namespace
 
 Polyline::Polyline(std::vector<EnPoint> points) : points_(std::move(points)) {}
@@ -94,48 +100,73 @@ Polyline Polyline::Reversed() const {
 }
 
 void Polyline::Extend(const Polyline& other) {
-  for (size_t i = 0; i < other.points_.size(); ++i) {
-    if (i == 0 && !points_.empty() &&
-        Distance(points_.back(), other.points_[0]) < 1e-6) {
-      continue;
-    }
-    points_.push_back(other.points_[i]);
+  auto first = other.points_.begin();
+  if (first != other.points_.end() && !points_.empty() &&
+      Coincide(points_.back(), *first)) {
+    ++first;
   }
+  points_.insert(points_.end(), first, other.points_.end());
 }
 
-Polyline Polyline::SubLine(double s0, double s1,
-                           std::span<const double> segment_lengths) const {
+void Polyline::ExtendReversed(const Polyline& other) {
+  TT_DCHECK(&other != this);
+  auto first = other.points_.rbegin();
+  if (first != other.points_.rend() && !points_.empty() &&
+      Coincide(points_.back(), *first)) {
+    ++first;
+  }
+  points_.insert(points_.end(), first, other.points_.rend());
+}
+
+void Polyline::ExtendSubLine(const Polyline& line, double s0, double s1,
+                             std::span<const double> segment_lengths) {
+  TT_DCHECK(&line != this);
+  const std::vector<EnPoint>& pts = line.points_;
   TT_DCHECK(segment_lengths.empty() ||
-            segment_lengths.size() + 1 == points_.size());
-  if (points_.size() < 2) return *this;
+            segment_lengths.size() + 1 == pts.size());
+  if (pts.size() < 2) {
+    Extend(line);
+    return;
+  }
   const bool reversed = s0 > s1;
   if (reversed) std::swap(s0, s1);
   // In-order sum either way, so the total is Length() bit for bit.
   const double total =
       segment_lengths.empty()
-          ? Length()
+          ? line.Length()
           : std::accumulate(segment_lengths.begin(), segment_lengths.end(),
                             0.0);
   s0 = std::clamp(s0, 0.0, total);
   s1 = std::clamp(s1, 0.0, total);
 
-  std::vector<EnPoint> out;
-  out.push_back(Interpolate(s0, segment_lengths));
+  // The cut goes after the current vertices in forward order, is turned
+  // round in place when it runs backwards, and only then meets the
+  // junction rule, at its first vertex as driven.
+  const size_t base = points_.size();
+  points_.push_back(line.Interpolate(s0, segment_lengths));
   double arc = 0.0;
-  for (size_t i = 0; i + 1 < points_.size(); ++i) {
+  for (size_t i = 0; i + 1 < pts.size(); ++i) {
     const double vertex_arc =  // arc length of vertex i+1
-        arc + SegmentLength(points_, segment_lengths, i);
+        arc + SegmentLength(pts, segment_lengths, i);
     if (vertex_arc > s0 + 1e-9 && vertex_arc < s1 - 1e-9) {
-      out.push_back(points_[i + 1]);
+      points_.push_back(pts[i + 1]);
     }
     arc = vertex_arc;
   }
-  const EnPoint end = Interpolate(s1, segment_lengths);
-  if (out.empty() || Distance(out.back(), end) > 1e-9 || out.size() == 1) {
-    out.push_back(end);
+  const EnPoint end = line.Interpolate(s1, segment_lengths);
+  if (points_.size() == base + 1 || Distance(points_.back(), end) > 1e-9) {
+    points_.push_back(end);
   }
-  if (reversed) std::reverse(out.begin(), out.end());
-  return Polyline(std::move(out));
+  const auto cut = points_.begin() + static_cast<ptrdiff_t>(base);
+  if (reversed) std::reverse(cut, points_.end());
+  if (base > 0 && Coincide(points_[base - 1], *cut)) points_.erase(cut);
+}
+
+Polyline Polyline::SubLine(double s0, double s1,
+                           std::span<const double> segment_lengths) const {
+  Polyline out;
+  out.ExtendSubLine(*this, s0, s1, segment_lengths);
+  return out;
 }
 
 Polyline Polyline::Resample(double max_spacing) const {

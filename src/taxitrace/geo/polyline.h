@@ -42,6 +42,9 @@ class Polyline {
   /// Appends a vertex.
   void Append(const EnPoint& p);
 
+  /// Removes every vertex, keeping the storage for reuse.
+  void Clear() { points_.clear(); }
+
   /// Total arc length, metres.
   [[nodiscard]] double Length() const;
 
@@ -68,6 +71,16 @@ class Polyline {
   /// Concatenates `other` onto the end; when the junction vertices
   /// coincide (within 1e-6 m) the duplicate is dropped.
   void Extend(const Polyline& other);
+
+  /// Extend(other.Reversed()) without the copy, bit for bit. `other`
+  /// must not be this line.
+  void ExtendReversed(const Polyline& other);
+
+  /// Extend(line.SubLine(s0, s1, segment_lengths)) without the
+  /// temporary, bit for bit: the cut is built in place after the
+  /// current vertices. `line` must not be this line.
+  void ExtendSubLine(const Polyline& line, double s0, double s1,
+                     std::span<const double> segment_lengths = {});
 
   /// Evenly resampled copy with samples at most `max_spacing` metres
   /// apart. Always keeps the original endpoints.

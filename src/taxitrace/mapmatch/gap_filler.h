@@ -33,12 +33,20 @@ class GapFiller {
   GapFiller(const roadnet::RoadNetwork* network,
             GapFillOptions options = {});
 
-  /// Shortest drivable connection between two on-edge positions. When
-  /// `cache` is given, every connection is looked up in it, but only
-  /// gap fills and failed connections are stored: short successful
-  /// connections are almost never asked for twice in one trip (about
-  /// 0.3% of lookups hit on the paper's study), so storing them would
-  /// cost a list node, a hash node and a path copy each for nothing.
+  /// Shortest drivable connection between two on-edge positions,
+  /// assembled into `*out` as Router::ShortestPathBetween does (a cache
+  /// hit is copied into it, reusing its storage; on an error it is
+  /// left empty). When `cache` is given, every connection is looked up
+  /// in it, but only gap fills and failed connections are stored:
+  /// short successful connections almost never repeat within a trip
+  /// (the small study's pipeline hits 0 of 1,878 lookups, the
+  /// paper-scale match_all about 0.05%), so storing them would cost a
+  /// list node, a hash node and a path copy each for nothing.
+  Status Connect(const roadnet::EdgePosition& from,
+                 const roadnet::EdgePosition& to, RouteCache* cache,
+                 roadnet::Path* out) const;
+
+  /// The same connection as a fresh Path.
   Result<roadnet::Path> Connect(const roadnet::EdgePosition& from,
                                 const roadnet::EdgePosition& to,
                                 RouteCache* cache = nullptr) const;

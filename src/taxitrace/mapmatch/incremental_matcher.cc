@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <set>
+#include <utility>
 
 namespace taxitrace {
 namespace mapmatch {
@@ -82,6 +82,10 @@ Result<MatchedRoute> IncrementalMatcher::Match(const trace::Trip& trip,
   // nothing once they have grown to the largest candidate set.
   std::vector<roadnet::EdgeCandidate> nearby;
   std::vector<MatchCandidate> candidates;
+  // The same for connections: each candidate's is built into `trial`,
+  // and the one kept swaps places with `chosen_path`.
+  roadnet::Path trial;
+  roadnet::Path chosen_path;
   for (size_t i = 0; i < pts.size(); ++i) {
     FindCandidates(*index_, pts[i], headings[i].heading, headings[i].valid,
                    options_.score, &nearby, &candidates);
@@ -110,37 +114,35 @@ Result<MatchedRoute> IncrementalMatcher::Match(const trace::Trip& trip,
       continue;
     }
     const MatchCandidate* chosen = nullptr;
-    std::optional<roadnet::Path> chosen_path;
     for (const MatchCandidate& cand : candidates) {
       const roadnet::EdgePosition cand_pos{cand.edge,
                                            cand.projection.arc_length};
-      Result<roadnet::Path> path =
-          gap_filler_.Connect(current, cand_pos, cache);
-      if (!path.ok()) continue;
-      if (gap_filler_.IsPlausible(path->length_m, straight)) {
-        chosen = &cand;
-        chosen_path = std::move(*path);
-        break;
+      if (!gap_filler_.Connect(current, cand_pos, cache, &trial).ok()) {
+        continue;
       }
-      if (!chosen) {  // remember the best-scored fallback
+      const bool plausible = gap_filler_.IsPlausible(trial.length_m, straight);
+      // The first plausible candidate wins; until one turns up, keep the
+      // best-scored one as the fallback.
+      if (plausible || chosen == nullptr) {
         chosen = &cand;
-        chosen_path = std::move(*path);
+        std::swap(trial, chosen_path);
       }
+      if (plausible) break;
     }
     if (chosen == nullptr) {
       ++route.points_skipped;
       continue;
     }
-    if (gap_filler_.IsGap(chosen_path->length_m)) ++route.gaps_filled;
+    if (gap_filler_.IsGap(chosen_path.length_m)) ++route.gaps_filled;
 
     current = roadnet::EdgePosition{chosen->edge,
                                     chosen->projection.arc_length};
     current_pt = pts[i];
     route.points.push_back(
         MatchedPoint{i, current, chosen->projection.distance});
-    AppendSteps(&route.steps, chosen_path->steps);
-    route.geometry.Extend(chosen_path->geometry);
-    route.length_m += chosen_path->length_m;
+    AppendSteps(&route.steps, chosen_path.steps);
+    route.geometry.Extend(chosen_path.geometry);
+    route.length_m += chosen_path.length_m;
   }
 
   if (route.points.size() < 2) {

@@ -1,6 +1,7 @@
 #include "taxitrace/roadnet/router.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -33,6 +34,32 @@ void CountSearch(SearchScratch& scratch, int64_t heap_pops, int64_t settled,
   if (goal_directed) t.goal_directed_searches.Add(1);
 }
 
+// Appends the predecessor chain of `res` that ends at `v` to `steps`,
+// in drive order: walked back from `v` straight into the vector, then
+// turned round in place. Returns the seed vertex the chain starts from.
+VertexId AppendChain(const RoadNetwork& net, const SearchScratch& res,
+                     VertexId v, std::vector<PathStep>* steps) {
+  const size_t first = steps->size();
+  while (res.PrevEdge(v) != kInvalidEdge) {
+    const EdgeId e = res.PrevEdge(v);
+    const VertexId p = res.PrevVertex(v);
+    steps->push_back(PathStep{e, net.edge(e).from == p});
+    v = p;
+  }
+  std::reverse(steps->begin() + static_cast<ptrdiff_t>(first), steps->end());
+  return v;
+}
+
+// Appends one traversed edge's geometry to `line` as driven.
+void AppendDriven(const geo::Polyline& edge_geometry, bool forward,
+                  geo::Polyline* line) {
+  if (forward) {
+    line->Extend(edge_geometry);
+  } else {
+    line->ExtendReversed(edge_geometry);
+  }
+}
+
 }  // namespace
 
 Router::Router(const RoadNetwork* network)
@@ -44,10 +71,10 @@ Router::Router(const RoadNetwork* network)
 }
 
 template <typename MultiplierFn>
-SearchScratch& Router::SearchImpl(
-    const std::vector<std::pair<VertexId, double>>& seeds, VertexId goal_a,
-    VertexId goal_b, double heuristic_scale, double limit_m,
-    MultiplierFn multiplier) const {
+SearchScratch& Router::SearchImpl(std::span<const Seed> seeds,
+                                  VertexId goal_a, VertexId goal_b,
+                                  double heuristic_scale, double limit_m,
+                                  MultiplierFn multiplier) const {
   SearchScratch& scratch = scratch_->Local();
   scratch.BeginSearch(*network_);
 
@@ -140,26 +167,18 @@ Result<Path> Router::BuildVertexPath(const SearchScratch& res, VertexId from,
         StrFormat("no path from vertex %d to %d", from, to));
   }
   Path path;
-  path.length_m = 0.0;
-  // Walk predecessors back to the source.
-  std::vector<std::pair<EdgeId, bool>> rev;
-  VertexId v = to;
-  while (v != from) {
-    const EdgeId e = res.PrevEdge(v);
-    const VertexId p = res.PrevVertex(v);
-    rev.emplace_back(e, network_->edge(e).from == p);
-    v = p;
-  }
-  for (auto it = rev.rbegin(); it != rev.rend(); ++it) {
-    path.steps.push_back(PathStep{it->first, it->second});
-    const Edge& e = network_->edge(it->first);
+  // The single seed `from` is the only vertex without a predecessor.
+  AppendChain(*network_, res, to, &path.steps);
+  for (const PathStep& step : path.steps) {
+    const Edge& e = network_->edge(step.edge);
     path.length_m += e.length_m;
-    path.geometry.Extend(it->second ? e.geometry : e.geometry.Reversed());
+    AppendDriven(e.geometry, step.forward, &path.geometry);
   }
   if (path.steps.empty()) {
     // from == to: a zero-length path anchored at the vertex.
     const geo::EnPoint p = network_->vertex(from).position;
-    path.geometry = geo::Polyline({p, p});
+    path.geometry.Append(p);
+    path.geometry.Append(p);
   }
   return path;
 }
@@ -168,9 +187,9 @@ Result<Path> Router::ShortestPath(VertexId from, VertexId to) const {
   if (!network_->HasVertex(from) || !network_->HasVertex(to)) {
     return Status::InvalidArgument("vertex id out of range");
   }
-  const SearchScratch& res = SearchImpl({{from, 0.0}}, to, to,
-                                        /*heuristic_scale=*/1.0, kInf,
-                                        kUnitCost);
+  const Seed seed[] = {{from, 0.0}};
+  const SearchScratch& res =
+      SearchImpl(seed, to, to, /*heuristic_scale=*/1.0, kInf, kUnitCost);
   return BuildVertexPath(res, from, to);
 }
 
@@ -185,8 +204,9 @@ Result<Path> Router::ShortestPath(VertexId from, VertexId to,
   const double min_mult = cost.MinMultiplier();
   const double heuristic_scale = min_mult > 0.0 ? std::min(1.0, min_mult)
                                                 : 0.0;
+  const Seed seed[] = {{from, 0.0}};
   const SearchScratch& res = SearchImpl(
-      {{from, 0.0}}, to, to, heuristic_scale, kInf,
+      seed, to, to, heuristic_scale, kInf,
       [&cost](EdgeId edge) { return cost.Multiplier(edge); });
   return BuildVertexPath(res, from, to);
 }
@@ -196,9 +216,10 @@ double Router::BoundedVertexDistance(VertexId from, VertexId to,
   if (!network_->HasVertex(from) || !network_->HasVertex(to)) {
     return kInf;
   }
-  const double d = SearchImpl({{from, 0.0}}, to, to, /*heuristic_scale=*/1.0,
-                              limit_m, kUnitCost)
-                       .Dist(to);
+  const Seed seed[] = {{from, 0.0}};
+  const double d =
+      SearchImpl(seed, to, to, /*heuristic_scale=*/1.0, limit_m, kUnitCost)
+          .Dist(to);
   // `to` keys at exactly its distance (the heuristic is 0 there), so it
   // was settled iff the limit did not cut it off: a larger d is only a
   // tentative distance still waiting in the heap.
@@ -207,6 +228,14 @@ double Router::BoundedVertexDistance(VertexId from, VertexId to,
 
 Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
                                          const EdgePosition& to) const {
+  Path path;
+  TAXITRACE_RETURN_IF_ERROR(ShortestPathBetween(from, to, &path));
+  return path;
+}
+
+Status Router::ShortestPathBetween(const EdgePosition& from,
+                                   const EdgePosition& to, Path* out) const {
+  out->Clear();
   if (!network_->HasEdge(from.edge) || !network_->HasEdge(to.edge)) {
     return Status::InvalidArgument("edge id out of range");
   }
@@ -239,12 +268,11 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
     }
   }
   const auto direct_path = [&] {
-    Path path;
-    path.length_m = direct_cost;
-    path.steps.push_back(PathStep{from.edge, direct_forward});
-    path.geometry = fe.geometry.SubLine(from_arc, to_arc,
-                                        network_->SegmentLengths(from.edge));
-    return path;
+    out->length_m = direct_cost;
+    out->steps.push_back(PathStep{from.edge, direct_forward});
+    out->geometry.ExtendSubLine(fe.geometry, from_arc, to_arc,
+                                network_->SegmentLengths(from.edge));
+    return Status::OK();
   };
 
   // With a = from_arc, b = to_arc and L the edge's length, every other
@@ -272,13 +300,15 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
 
   // Options via the graph: leave the source edge at either end, enter the
   // destination edge at either end.
-  std::vector<std::pair<VertexId, double>> seeds;
-  if (leave_fwd) seeds.emplace_back(fe.to, fe.length_m - from_arc);
-  if (leave_bwd) seeds.emplace_back(fe.from, from_arc);
+  std::array<Seed, 2> seeds;
+  size_t num_seeds = 0;
+  if (leave_fwd) seeds[num_seeds++] = {fe.to, fe.length_m - from_arc};
+  if (leave_bwd) seeds[num_seeds++] = {fe.from, from_arc};
 
   const SearchScratch* res = nullptr;
-  if (!seeds.empty()) {
-    res = &SearchImpl(seeds, te.from, te.to, /*heuristic_scale=*/1.0, kInf,
+  if (num_seeds > 0) {
+    res = &SearchImpl(std::span<const Seed>(seeds.data(), num_seeds),
+                      te.from, te.to, /*heuristic_scale=*/1.0, kInf,
                       kUnitCost);
   }
 
@@ -303,20 +333,13 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
   }
 
   if (best == direct_cost) return direct_path();
-  Path path;
-  path.length_m = best;
+  out->length_m = best;
 
   const VertexId entry = via_from <= via_to ? te.from : te.to;
-  // Reconstruct the vertex chain back to whichever seed it started from.
-  std::vector<std::pair<EdgeId, bool>> rev;
-  VertexId v = entry;
-  while (res->PrevEdge(v) != kInvalidEdge) {
-    const EdgeId e = res->PrevEdge(v);
-    const VertexId p = res->PrevVertex(v);
-    rev.emplace_back(e, network_->edge(e).from == p);
-    v = p;
-  }
-  const VertexId seed_vertex = v;
+  // The source edge's step leads; the vertex chain back to whichever
+  // seed it started from follows it, in drive order.
+  out->steps.push_back(PathStep{from.edge, true});
+  const VertexId seed_vertex = AppendChain(*network_, *res, entry, &out->steps);
 
   // Partial source edge from the start position to the seed vertex.
   // Known defect, pinned by the benchmark's reference digests: on a
@@ -325,24 +348,22 @@ Result<Path> Router::ShortestPathBetween(const EdgePosition& from,
   // for a loop destination, so steps and geometry can disagree with
   // length_m there.
   const bool leave_forward = seed_vertex == fe.to;
-  path.steps.push_back(PathStep{from.edge, leave_forward});
-  path.geometry =
-      fe.geometry.SubLine(from_arc, leave_forward ? fe.length_m : 0.0,
-                          network_->SegmentLengths(from.edge));
-
-  for (auto it = rev.rbegin(); it != rev.rend(); ++it) {
-    path.steps.push_back(PathStep{it->first, it->second});
-    const geo::Polyline& g = network_->edge(it->first).geometry;
-    path.geometry.Extend(it->second ? g : g.Reversed());
+  out->steps.front().forward = leave_forward;
+  out->geometry.ExtendSubLine(fe.geometry, from_arc,
+                              leave_forward ? fe.length_m : 0.0,
+                              network_->SegmentLengths(from.edge));
+  for (size_t i = 1; i < out->steps.size(); ++i) {
+    const PathStep& step = out->steps[i];
+    AppendDriven(network_->edge(step.edge).geometry, step.forward,
+                 &out->geometry);
   }
 
   // Partial destination edge from the entry vertex to the end position.
   const bool enter_forward = entry == te.from;
-  path.steps.push_back(PathStep{to.edge, enter_forward});
-  path.geometry.Extend(te.geometry.SubLine(
-      enter_forward ? 0.0 : te.length_m, to_arc,
-      network_->SegmentLengths(to.edge)));
-  return path;
+  out->steps.push_back(PathStep{to.edge, enter_forward});
+  out->geometry.ExtendSubLine(te.geometry, enter_forward ? 0.0 : te.length_m,
+                              to_arc, network_->SegmentLengths(to.edge));
+  return Status::OK();
 }
 
 }  // namespace roadnet

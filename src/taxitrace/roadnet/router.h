@@ -22,6 +22,8 @@
 #define TAXITRACE_ROADNET_ROUTER_H_
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "taxitrace/common/executor.h"
@@ -61,6 +63,13 @@ struct Path {
   std::vector<PathStep> steps;  ///< Edges in traversal order.
   double length_m = 0.0;
   geo::Polyline geometry;  ///< Concatenated driving geometry.
+
+  /// Empties the path, keeping its storage for the next one.
+  void Clear() {
+    steps.clear();
+    length_m = 0.0;
+    geometry.Clear();
+  }
 };
 
 /// Per-edge cost multipliers computed on demand, so a search only pays
@@ -132,6 +141,13 @@ class Router {
   Result<Path> ShortestPathBetween(const EdgePosition& from,
                                    const EdgePosition& to) const;
 
+  /// The same connection, assembled into `*out`: its vectors are
+  /// cleared and refilled, never replaced, so a buffer reused across
+  /// calls keeps its capacity and a warm call allocates nothing. On an
+  /// error `*out` is left empty.
+  Status ShortestPathBetween(const EdgePosition& from, const EdgePosition& to,
+                             Path* out) const;
+
   [[nodiscard]] const RoadNetwork& network() const { return *network_; }
 
   /// The search counters accumulated so far: the sum of every worker's
@@ -139,6 +155,9 @@ class Router {
   [[nodiscard]] RouterStats stats() const;
 
  private:
+  /// A search seed: a start vertex and its initial cost.
+  using Seed = std::pair<VertexId, double>;
+
   /// The one search loop behind every query: from the seed vertices
   /// (with initial costs) until both goals are settled, the heap runs
   /// dry, or a popped key exceeds `limit_m`. Keys are dist +
@@ -148,10 +167,9 @@ class Router {
   /// this thread's next search through the same Router (or a copy of
   /// it). Instantiated only in router.cc.
   template <typename MultiplierFn>
-  SearchScratch& SearchImpl(
-      const std::vector<std::pair<VertexId, double>>& seeds,
-      VertexId goal_a, VertexId goal_b, double heuristic_scale,
-      double limit_m, MultiplierFn multiplier) const;
+  SearchScratch& SearchImpl(std::span<const Seed> seeds, VertexId goal_a,
+                            VertexId goal_b, double heuristic_scale,
+                            double limit_m, MultiplierFn multiplier) const;
 
   /// The vertex path ShortestPath returns once a search settled `to`;
   /// factored out of the two overloads.

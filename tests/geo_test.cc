@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "taxitrace/common/random.h"
 #include "taxitrace/geo/coordinates.h"
@@ -344,6 +347,114 @@ TEST_P(SubLineSplitTest, LengthAdditivity) {
 INSTANTIATE_TEST_SUITE_P(Cuts, SubLineSplitTest,
                          testing::Values(0.1, 0.25, 0.5, 0.61803, 0.75,
                                          0.9, 0.999));
+
+// An independent SubLine: a fresh line, cut in forward order and then
+// reversed as a whole, with the in-order length sum.
+Polyline ReferenceSubLine(const Polyline& line, double s0, double s1) {
+  if (line.size() < 2) return line;
+  const bool reversed = s0 > s1;
+  if (reversed) std::swap(s0, s1);
+  const double total = line.Length();
+  s0 = std::clamp(s0, 0.0, total);
+  s1 = std::clamp(s1, 0.0, total);
+  const std::vector<EnPoint>& pts = line.points();
+  std::vector<EnPoint> out = {line.Interpolate(s0)};
+  double arc = 0.0;
+  for (size_t i = 0; i + 1 < pts.size(); ++i) {
+    const double vertex_arc = arc + Distance(pts[i], pts[i + 1]);
+    if (vertex_arc > s0 + 1e-9 && vertex_arc < s1 - 1e-9) {
+      out.push_back(pts[i + 1]);
+    }
+    arc = vertex_arc;
+  }
+  const EnPoint end = line.Interpolate(s1);
+  if (Distance(out.back(), end) > 1e-9 || out.size() == 1) out.push_back(end);
+  if (reversed) std::reverse(out.begin(), out.end());
+  return Polyline(std::move(out));
+}
+
+bool SameBits(const Polyline& a, const Polyline& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a.points()[i].x) !=
+            std::bit_cast<uint64_t>(b.points()[i].x) ||
+        std::bit_cast<uint64_t>(a.points()[i].y) !=
+            std::bit_cast<uint64_t>(b.points()[i].y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The in-place appends equal the copies they replace bit for bit:
+// ExtendSubLine is Extend(SubLine(..)) and ExtendReversed is
+// Extend(Reversed()), onto an empty line, one that ends elsewhere, and
+// ones that end on (or within 1e-6 m of) the appended part's first
+// vertex, which the junction rule drops.
+TEST(PolylineTest, InPlaceAppendsMatchCopies) {
+  const std::vector<Polyline> lines = {
+      MakeL(),
+      Polyline({{0, 0}, {7, 3}, {10, 10}, {4, 12}}),
+      Polyline({{0, 0}, {0, 0}, {5, 0}}),  // a zero-length segment
+      Polyline({{3, 4}}),                  // one point
+      Polyline(),
+  };
+  int junctions_dropped = 0;
+  for (const Polyline& line : lines) {
+    const double len = line.Length();
+    std::vector<double> lengths;
+    for (size_t i = 0; i + 1 < line.size(); ++i) {
+      lengths.push_back(Distance(line.points()[i], line.points()[i + 1]));
+    }
+    const std::vector<std::pair<double, double>> cuts = {
+        {0.3 * len, 0.8 * len},  // forward
+        {0.8 * len, 0.3 * len},  // backward
+        {-10.0, len + 10.0},     // clamped at both ends
+        {len + 10.0, -10.0},
+        {0.5 * len, 0.5 * len},  // zero length
+        {0.0, 0.0},
+        {len, len},
+        {0.0, len},
+        {len, 0.0},
+    };
+    for (const auto& [s0, s1] : cuts) {
+      const Polyline cut = ReferenceSubLine(line, s0, s1);
+      std::vector<Polyline> heads = {Polyline(),
+                                     Polyline({{-5, -5}, {-1, -2}})};
+      if (!cut.empty()) {
+        heads.push_back(Polyline({{-5, -5}, cut.front()}));
+        heads.push_back(
+            Polyline({{-5, -5}, cut.front() + EnPoint{4e-7, -3e-7}}));
+      }
+      for (const Polyline& head : heads) {
+        Polyline want = head;
+        want.Extend(cut);
+        Polyline via_copy = head;
+        via_copy.Extend(line.SubLine(s0, s1));
+        Polyline in_place = head;
+        in_place.ExtendSubLine(line, s0, s1);
+        Polyline with_lengths = head;
+        with_lengths.ExtendSubLine(line, s0, s1, lengths);
+        EXPECT_TRUE(SameBits(want, via_copy)) << s0 << " -> " << s1;
+        EXPECT_TRUE(SameBits(want, in_place)) << s0 << " -> " << s1;
+        EXPECT_TRUE(SameBits(want, with_lengths)) << s0 << " -> " << s1;
+        junctions_dropped += want.size() < head.size() + cut.size() ? 1 : 0;
+      }
+    }
+
+    std::vector<Polyline> heads = {Polyline(), Polyline({{-5, -5}, {-1, -2}})};
+    if (!line.empty()) heads.push_back(Polyline({{-5, -5}, line.back()}));
+    for (const Polyline& head : heads) {
+      Polyline want = head;
+      want.Extend(line.Reversed());
+      Polyline in_place = head;
+      in_place.ExtendReversed(line);
+      EXPECT_TRUE(SameBits(want, in_place));
+      junctions_dropped += want.size() < head.size() + line.size() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(junctions_dropped, 0);
+}
 
 // --- Polygon --------------------------------------------------------------------
 

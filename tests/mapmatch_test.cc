@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "taxitrace/clean/cleaning_pipeline.h"
+#include "taxitrace/common/hash.h"
+#include "taxitrace/core/study_config.h"
 #include "taxitrace/mapmatch/candidates.h"
 #include "taxitrace/mapmatch/incremental_matcher.h"
 #include "taxitrace/mapmatch/match_quality.h"
@@ -11,7 +16,10 @@
 #include "taxitrace/roadnet/router.h"
 #include "taxitrace/synth/city_map_generator.h"
 #include "taxitrace/synth/driver_model.h"
+#include "taxitrace/synth/fleet_simulator.h"
+#include "taxitrace/synth/pedestrian_model.h"
 #include "taxitrace/synth/sensor_model.h"
+#include "taxitrace/synth/weather_model.h"
 
 namespace taxitrace {
 namespace mapmatch {
@@ -247,6 +255,64 @@ TEST_F(MatcherTest, GeometryIsContinuous) {
   for (size_t i = 1; i < pts.size(); ++i) {
     EXPECT_LT(geo::Distance(pts[i - 1], pts[i]), 150.0);
   }
+}
+
+// Every route of the small study's cleaned segments, matched as the
+// match_all benchmark matches them (one RouteCache per segment), hashed
+// bit for bit: geometry, steps, length, matched and skipped points and
+// filled gaps. The benchmark's digest leaves geometry out; this pins it
+// for any change to path assembly. The constants come from the matcher
+// before paths were built into reused buffers.
+uint64_t HashRoute(const Result<MatchedRoute>& r) {
+  const auto mix = [](uint64_t h, uint64_t x) { return SplitMix64(h ^ x); };
+  if (!r.ok()) {
+    return mix(0xBADull, static_cast<uint64_t>(r.status().code()));
+  }
+  uint64_t h = SplitMix64(r->points.size());
+  h = mix(h, static_cast<uint64_t>(r->points_skipped));
+  h = mix(h, static_cast<uint64_t>(r->gaps_filled));
+  h = mix(h, std::bit_cast<uint64_t>(r->length_m));
+  for (const roadnet::PathStep& s : r->steps) {
+    h = mix(h, (static_cast<uint64_t>(s.edge) << 1) | (s.forward ? 1u : 0u));
+  }
+  h = mix(h, r->geometry.size());
+  for (const EnPoint& p : r->geometry.points()) {
+    h = mix(h, std::bit_cast<uint64_t>(p.x));
+    h = mix(h, std::bit_cast<uint64_t>(p.y));
+  }
+  return h;
+}
+
+TEST(MatchedOutputTest, SmallStudyRoutesArePinned) {
+  const core::StudyConfig cfg = core::StudyConfig::SmallStudy();
+  const synth::CityMap map = synth::GenerateCityMap(cfg.map).value();
+  const synth::WeatherModel weather(cfg.weather_seed, cfg.fleet.num_days);
+  const synth::PedestrianModel pedestrians(cfg.fleet.seed + 17, map.hotspots,
+                                           cfg.fleet.num_days);
+  const synth::FleetSimulator fleet(&map, &weather, cfg.fleet, &pedestrians);
+  const synth::FleetResult raw = fleet.Run().value();
+  const std::vector<trace::Trip> segments =
+      clean::CleanTrips(raw.store, cfg.cleaning).value();
+  const roadnet::SpatialIndex index(&map.network);
+  const IncrementalMatcher matcher(&map.network, &index, cfg.matcher);
+
+  uint64_t digest = 0;
+  int64_t matched = 0;
+  RouteCache::Stats cache_stats;
+  for (const trace::Trip& segment : segments) {
+    RouteCache cache(cfg.matcher.gap.route_cache_capacity);
+    const Result<MatchedRoute> route = matcher.Match(segment, &cache);
+    matched += route.ok() ? 1 : 0;
+    digest = SplitMix64(digest ^ HashRoute(route));
+    cache_stats.hits += cache.stats().hits;
+    cache_stats.misses += cache.stats().misses;
+  }
+  EXPECT_EQ(segments.size(), 1161u);
+  EXPECT_EQ(matched, 1160);
+  EXPECT_EQ(digest, 0xa0ccbd49d601ca63ull);
+  // Gap fills are rarely asked for twice in one segment.
+  EXPECT_EQ(cache_stats.hits, 36);
+  EXPECT_EQ(cache_stats.misses, 74470);
 }
 
 TEST_F(MatcherTest, NearestEdgeBaselineWorksButIsWeaker) {

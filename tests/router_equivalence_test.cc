@@ -17,11 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "taxitrace/common/random.h"
@@ -343,37 +345,97 @@ ExpectedConnection ReferenceBetween(const RoadNetwork& net,
   return best;
 }
 
-// Checks one ShortestPathBetween call against the reference; returns
-// the router's step count (0 when it found no path).
+// Checks one ShortestPathBetween call against the reference, bit for
+// bit; returns the router's step count (0 when it found no path). With
+// `reused`, the call assembles into that buffer, still holding whatever
+// the previous call left there, instead of returning a fresh Path.
 size_t ExpectSameConnection(const RoadNetwork& net, const Router& router,
-                            const EdgePosition& from,
-                            const EdgePosition& to) {
+                            const EdgePosition& from, const EdgePosition& to,
+                            Path* reused = nullptr) {
   const ExpectedConnection want = ReferenceBetween(net, from, to);
-  const Result<Path> got = router.ShortestPathBetween(from, to);
+  Path fresh;
+  bool found = false;
+  if (reused != nullptr) {
+    found = router.ShortestPathBetween(from, to, reused).ok();
+  } else if (Result<Path> r = router.ShortestPathBetween(from, to); r.ok()) {
+    found = true;
+    fresh = *std::move(r);
+  }
+  const Path& got = reused != nullptr ? *reused : fresh;
   const auto where = [&] {
     return testing::Message()
            << "edge " << from.edge << " @" << from.arc_length_m
-           << " -> edge " << to.edge << " @" << to.arc_length_m;
+           << " -> edge " << to.edge << " @" << to.arc_length_m
+           << (reused != nullptr ? " (reused buffer)" : "");
   };
-  EXPECT_EQ(want.found, got.ok()) << where();
-  if (!want.found || !got.ok()) return 0;
-  EXPECT_EQ(want.length_m, got->length_m) << where();
-  EXPECT_EQ(want.steps.size(), got->steps.size()) << where();
-  for (size_t i = 0; i < std::min(want.steps.size(), got->steps.size());
+  EXPECT_EQ(want.found, found) << where();
+  if (!want.found || !found) return 0;
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.length_m),
+            std::bit_cast<uint64_t>(got.length_m))
+      << where();
+  EXPECT_EQ(want.steps.size(), got.steps.size()) << where();
+  for (size_t i = 0; i < std::min(want.steps.size(), got.steps.size());
        ++i) {
-    EXPECT_EQ(want.steps[i].edge, got->steps[i].edge)
+    EXPECT_EQ(want.steps[i].edge, got.steps[i].edge)
         << "step " << i << ", " << where();
-    EXPECT_EQ(want.steps[i].forward, got->steps[i].forward)
+    EXPECT_EQ(want.steps[i].forward, got.steps[i].forward)
         << "step " << i << ", " << where();
   }
   const std::vector<geo::EnPoint>& want_pts = want.geometry.points();
-  const std::vector<geo::EnPoint>& got_pts = got->geometry.points();
+  const std::vector<geo::EnPoint>& got_pts = got.geometry.points();
   EXPECT_EQ(want_pts.size(), got_pts.size()) << where();
   for (size_t i = 0; i < std::min(want_pts.size(), got_pts.size()); ++i) {
-    EXPECT_EQ(want_pts[i].x, got_pts[i].x) << "point " << i << ", " << where();
-    EXPECT_EQ(want_pts[i].y, got_pts[i].y) << "point " << i << ", " << where();
+    EXPECT_EQ(std::bit_cast<uint64_t>(want_pts[i].x),
+              std::bit_cast<uint64_t>(got_pts[i].x))
+        << "point " << i << ", " << where();
+    EXPECT_EQ(std::bit_cast<uint64_t>(want_pts[i].y),
+              std::bit_cast<uint64_t>(got_pts[i].y))
+        << "point " << i << ", " << where();
   }
-  return got->steps.size();
+  return got.steps.size();
+}
+
+// What a reused buffer held before each call of a sweep: how many calls
+// found it holding a longer path than the one they built, and how many
+// came right after a call that found no path.
+struct ReuseTally {
+  size_t previous_points = 0;
+  bool previous_failed = false;
+  int after_longer = 0;
+  int after_not_found = 0;
+
+  void Record(const Path& buffer, size_t steps) {
+    const bool failed = steps == 0;
+    if (!failed) {
+      after_longer += previous_points > buffer.geometry.size() ? 1 : 0;
+      after_not_found += previous_failed ? 1 : 0;
+    }
+    previous_points = failed ? 0 : buffer.geometry.size();
+    previous_failed = failed;
+  }
+};
+
+using PositionPair = std::pair<EdgePosition, EdgePosition>;
+
+// Checks every pair against the reference twice: through the
+// Result-returning call, then through one Path buffer that every call
+// reuses. Calls on_call(from, to, steps) after each check; returns what
+// the reused buffer held before its calls.
+template <typename OnCall>
+ReuseTally SweepTwice(const RoadNetwork& net, const Router& router,
+                      const std::vector<PositionPair>& pairs,
+                      OnCall on_call) {
+  for (const auto& [from, to] : pairs) {
+    on_call(from, to, ExpectSameConnection(net, router, from, to));
+  }
+  Path buffer;
+  ReuseTally reuse;
+  for (const auto& [from, to] : pairs) {
+    const size_t steps = ExpectSameConnection(net, router, from, to, &buffer);
+    reuse.Record(buffer, steps);
+    on_call(from, to, steps);
+  }
+  return reuse;
 }
 
 // Arcs at both ends (where projections clamp, and the direct path ties
@@ -391,9 +453,7 @@ TEST(RouterEquivalenceTest, BetweenPositionsMatchesReferenceOnCity) {
   const Router router(&net);
   const auto m = static_cast<int64_t>(net.num_edges());
   Rng rng(13579);
-  int64_t calls = 0;
-  int direct = 0;
-  int one_way_backward = 0;
+  std::vector<PositionPair> pairs;
   for (int i = 0; i < 150; ++i) {
     const Edge& e = net.edge(static_cast<EdgeId>(rng.UniformInt(0, m - 1)));
     // Loop edges (both ends one vertex) are left out: a route through
@@ -416,26 +476,31 @@ TEST(RouterEquivalenceTest, BetweenPositionsMatchesReferenceOnCity) {
     }
     const EdgeId target = targets[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))];
-    const std::vector<double> from_arcs = ProbeArcs(e.length_m);
-    const std::vector<double> to_arcs = ProbeArcs(net.edge(target).length_m);
-    for (const double a : from_arcs) {
-      for (const double b : to_arcs) {
-        const size_t steps = ExpectSameConnection(
-            net, router, EdgePosition{e.id, a}, EdgePosition{target, b});
-        direct += target == e.id && steps == 1 ? 1 : 0;
-        ++calls;
-        one_way_backward += target == e.id && b < a &&
-                                    !net.CanTraverse(e.id, false)
-                                ? 1
-                                : 0;
+    for (const double a : ProbeArcs(e.length_m)) {
+      for (const double b : ProbeArcs(net.edge(target).length_m)) {
+        pairs.emplace_back(EdgePosition{e.id, a}, EdgePosition{target, b});
       }
     }
   }
+  int direct = 0;
+  int one_way_backward = 0;
+  const ReuseTally reuse = SweepTwice(
+      net, router, pairs,
+      [&](const EdgePosition& from, const EdgePosition& to, size_t steps) {
+        const bool same_edge = from.edge == to.edge;
+        direct += same_edge && steps == 1 ? 1 : 0;
+        one_way_backward += same_edge && to.arc_length_m < from.arc_length_m &&
+                                    !net.CanTraverse(from.edge, false)
+                                ? 1
+                                : 0;
+      });
   EXPECT_GT(one_way_backward, 0);
+  EXPECT_GT(reuse.after_longer, 0);
   const RouterStats stats = router.stats();
   EXPECT_GT(stats.direct_connections, 0);
   EXPECT_LE(stats.direct_connections, direct);
-  EXPECT_EQ(stats.searches + stats.direct_connections, calls);
+  EXPECT_EQ(stats.searches + stats.direct_connections,
+            static_cast<int64_t>(2 * pairs.size()));
 }
 
 Edge MakeEdge(VertexId from, VertexId to, std::vector<geo::EnPoint> pts,
@@ -451,9 +516,10 @@ Edge MakeEdge(VertexId from, VertexId to, std::vector<geo::EnPoint> pts,
 // Every pair of positions on a hand-built network: a one-way square
 // (backward moves loop round), two-way dead-end spurs (U-turns at the
 // end tie exactly with the direct path at arc L), a one-way edge
-// against its geometry, and winding two-way edges whose endpoints are
+// against its geometry, winding two-way edges whose endpoints are
 // joined by a shorter straight street, so a long move along one must
-// leave and re-enter through the search.
+// leave and re-enter through the search, and a one-way dead end that
+// nothing is reachable from.
 TEST(RouterEquivalenceTest, BetweenPositionsMatchesReferenceOnLayouts) {
   RoadNetwork net(geo::LatLon{65.0121, 25.4682});
   const VertexId v0 = net.AddVertex({0, 0}, true);
@@ -462,6 +528,7 @@ TEST(RouterEquivalenceTest, BetweenPositionsMatchesReferenceOnLayouts) {
   const VertexId v3 = net.AddVertex({0, 100}, true);
   const VertexId v4 = net.AddVertex({230, 0}, false);
   const VertexId v5 = net.AddVertex({100, 260}, false);
+  const VertexId v6 = net.AddVertex({230, 90}, false);
   constexpr TravelDirection kFwd = TravelDirection::kForward;
   constexpr TravelDirection kBoth = TravelDirection::kBoth;
   net.AddEdge(MakeEdge(v0, v1, {{0, 0}, {100, 0}}, kFwd));
@@ -474,6 +541,7 @@ TEST(RouterEquivalenceTest, BetweenPositionsMatchesReferenceOnLayouts) {
                kBoth));
   net.AddEdge(MakeEdge(v3, v5, {{0, 100}, {20, 200}, {100, 260}},
                        TravelDirection::kBackward));
+  net.AddEdge(MakeEdge(v4, v6, {{230, 0}, {230, 90}}, kFwd));
   // Two winding edges: the short street joins the first's ends from
   // `from` to `to` (re-entering backward beats a long forward move) and
   // the second's from `to` to `from` (re-entering forward beats a long
@@ -485,34 +553,37 @@ TEST(RouterEquivalenceTest, BetweenPositionsMatchesReferenceOnLayouts) {
       kBoth));
 
   const Router router(&net);
-  int64_t calls = 0;
-  int direct = 0;
-  bool winding_a_searched = false;
-  bool winding_b_searched = false;
+  std::vector<PositionPair> pairs;
   net.ForEachEdge([&](const Edge& from_edge) {
     net.ForEachEdge([&](const Edge& to_edge) {
       for (const double a : ProbeArcs(from_edge.length_m)) {
         for (const double b : ProbeArcs(to_edge.length_m)) {
-          const size_t steps = ExpectSameConnection(
-              net, router, EdgePosition{from_edge.id, a},
-              EdgePosition{to_edge.id, b});
-          const bool same_edge = from_edge.id == to_edge.id;
-          direct += same_edge && steps == 1 ? 1 : 0;
-          winding_a_searched |=
-              same_edge && from_edge.id == winding_a && steps > 1;
-          winding_b_searched |=
-              same_edge && from_edge.id == winding_b && steps > 1;
-          ++calls;
+          pairs.emplace_back(EdgePosition{from_edge.id, a},
+                             EdgePosition{to_edge.id, b});
         }
       }
     });
   });
+  int direct = 0;
+  bool winding_a_searched = false;
+  bool winding_b_searched = false;
+  const ReuseTally reuse = SweepTwice(
+      net, router, pairs,
+      [&](const EdgePosition& from, const EdgePosition& to, size_t steps) {
+        const bool same_edge = from.edge == to.edge;
+        direct += same_edge && steps == 1 ? 1 : 0;
+        winding_a_searched |= same_edge && from.edge == winding_a && steps > 1;
+        winding_b_searched |= same_edge && from.edge == winding_b && steps > 1;
+      });
   EXPECT_TRUE(winding_a_searched);
   EXPECT_TRUE(winding_b_searched);
+  EXPECT_GT(reuse.after_longer, 0);
+  EXPECT_GT(reuse.after_not_found, 0);
   const RouterStats stats = router.stats();
   EXPECT_GT(stats.direct_connections, 0);
   EXPECT_LE(stats.direct_connections, direct);
-  EXPECT_EQ(stats.searches + stats.direct_connections, calls);
+  EXPECT_EQ(stats.searches + stats.direct_connections,
+            static_cast<int64_t>(2 * pairs.size()));
 }
 
 }  // namespace
