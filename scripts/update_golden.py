@@ -9,8 +9,15 @@ of comparing against them. Use
 this only for an *intentional* behaviour change, and review the diff of
 the golden file like any other code change.
 
+--only narrows the run to one file: `digest` rewrites study_small.json,
+`observability` rewrites study_small_observability.json. A performance
+change that moves only work counters (probe or candidate counts, say)
+must refresh the observability file alone: its study results are
+unchanged by definition, so study_small.json has to keep passing as it
+stands.
+
 Usage:
-  scripts/update_golden.py [--build-dir BUILD]
+  scripts/update_golden.py [--build-dir BUILD] [--only digest|observability]
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# The gtest filter that rewrites each golden file.
+GOLDEN_TESTS = {
+    "digest": "GoldenDigestTest.SmallStudyDigestMatchesGolden",
+    "observability": "GoldenDigestTest.SmallStudyObservabilityMatchesGolden",
+}
+
 
 def run(cmd: list[str], **kwargs) -> None:
     print("+", " ".join(cmd), flush=True)
@@ -36,6 +49,11 @@ def main() -> int:
         "--build-dir",
         default=str(REPO_ROOT / "build"),
         help="CMake build directory (configured on demand)",
+    )
+    parser.add_argument(
+        "--only",
+        choices=sorted(GOLDEN_TESTS),
+        help="rewrite just this golden file (default: both)",
     )
     args = parser.parse_args()
 
@@ -53,13 +71,8 @@ def main() -> int:
         return 1
 
     env = dict(os.environ, TAXITRACE_UPDATE_GOLDEN="1")
-    run(
-        [
-            str(test_binary),
-            "--gtest_filter=GoldenDigestTest.*",
-        ],
-        env=env,
-    )
+    gtest_filter = GOLDEN_TESTS[args.only] if args.only else "GoldenDigestTest.*"
+    run([str(test_binary), f"--gtest_filter={gtest_filter}"], env=env)
 
     golden = REPO_ROOT / "tests" / "golden"
     print(f"regenerated the golden files in {golden}")

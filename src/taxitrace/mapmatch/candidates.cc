@@ -7,6 +7,11 @@
 namespace taxitrace {
 namespace mapmatch {
 
+// The default search reads one index cell per GPS point.
+static_assert(ScoreOptions{}.search_radius_m <= roadnet::SpatialIndex::kReachM,
+              "the default candidate radius must stay within the index's "
+              "one-cell reach");
+
 double DistanceScore(double distance_m, const ScoreOptions& options) {
   return options.distance_mu -
          options.distance_a * std::pow(distance_m, options.distance_exp);

@@ -39,7 +39,7 @@ struct MapPreparationOptions {
 /// the Earth's circumference) is far past any real input. The bound
 /// keeps every int32 cell cast of a map position in range for cells of
 /// 1 m or more, since 1e7 < 2^31: the analysis grid (analysis::Grid)
-/// uses 200 m cells and the spatial index 50 m.
+/// uses 200 m cells and the spatial index 20 m.
 inline constexpr double kMaxMapCoordinateM = 1e7;
 
 /// One row of the junction-pair table (Table 1).

@@ -1,33 +1,61 @@
 #include "taxitrace/roadnet/spatial_index.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
+#include <numbers>
 
+#include "taxitrace/common/check.h"
 #include "taxitrace/common/hash.h"
 
 namespace taxitrace {
 namespace roadnet {
 namespace {
 
-// Growth of the exact cell cover (build) and of the query square: far
-// above the rounding of any coordinate or projection distance, far
-// below any distance the callers resolve.
-constexpr double kCoverSlackM = 1e-6;
+constexpr double kCell = SpatialIndex::kCellSizeM;
 
 // Largest |cell coordinate| the index represents. Keeping the lattice
 // at +-2^30 lets `last + 1` and span products stay inside int32/int64.
 constexpr double kMaxCellCoord = 1073741824.0;
 
-// Cells [*first, *last] of side `cell` that hold a point of [lo, hi].
-// False when a bound is not finite or leaves the representable
-// lattice: converting such a floor to int32 would be undefined.
-bool AxisCells(double lo, double hi, double cell, int32_t* first,
-               int32_t* last) {
-  const double f = std::floor(lo / cell);
-  const double l = std::floor(hi / cell);
+// A cell lists a segment that passes within this distance of the
+// cell's centre. Every point of the cell is within half a diagonal of
+// the centre, so this holds for every segment within kReachM of any
+// point of the cell.
+constexpr double kCentreReachM =
+    SpatialIndex::kReachM + 0.5 * std::numbers::sqrt2 * kCell;
+
+// Growth of the build's listing test against rounding: an absolute
+// floor plus a share of the coordinate magnitude, far above the error
+// of a cell floor or a projection at that magnitude (a few ulps) and
+// far below any distance the callers resolve.
+constexpr double kCoverSlackM = 1e-6;
+constexpr double kRelativeSlack = 1e-12;
+
+// Listing reach of geometry whose coordinates are at most `magnitude`
+// in absolute value.
+double ListingReach(double magnitude) {
+  return kCentreReachM + kCoverSlackM +
+         kRelativeSlack * (magnitude + kCentreReachM);
+}
+
+double Magnitude(const geo::EnPoint& p) {
+  return std::max(std::abs(p.x), std::abs(p.y));
+}
+
+// Listing reach of segment a-b.
+double SegmentReach(const geo::EnPoint& a, const geo::EnPoint& b) {
+  return ListingReach(std::max(Magnitude(a), Magnitude(b)));
+}
+
+// Cells [*first, *last] that hold a point of [lo, hi]. False when a
+// bound is not finite or leaves the representable lattice: converting
+// such a floor to int32 would be undefined.
+bool AxisCells(double lo, double hi, int32_t* first, int32_t* last) {
+  const double f = std::floor(lo / kCell);
+  const double l = std::floor(hi / kCell);
   if (!(std::abs(f) <= kMaxCellCoord && std::abs(l) <= kMaxCellCoord)) {
     return false;
   }
@@ -36,92 +64,150 @@ bool AxisCells(double lo, double hi, double cell, int32_t* first,
   return true;
 }
 
-struct CellKey {
+// The points within `reach` of the segment from `a` to `b`: two discs
+// and the band between them.
+struct ListingRegion {
+  ListingRegion(const geo::EnPoint& from, const geo::EnPoint& to,
+                double reach)
+      : a(from),
+        b(to),
+        d(to - from),
+        len2(geo::Dot(d, d)),
+        reach2(reach * reach),
+        width(std::sqrt(reach2 * len2)),
+        inv_dx(d.x != 0.0 ? 1.0 / d.x : 0.0),
+        inv_dy(d.y != 0.0 ? 1.0 / d.y : 0.0) {}
+
+  // Whether (x, y) lies in the region. No division or root: the end
+  // regions compare the squared distance to an endpoint, the middle the
+  // squared perpendicular one. The three cases are combined without
+  // branches: the tests run near the region's boundary, where a branch
+  // would mispredict.
+  bool Contains(double x, double y) const {
+    const geo::EnPoint w{x - a.x, y - a.y};
+    const geo::EnPoint v = w - d;
+    const double along = geo::Dot(w, d);
+    const double cross = w.x * d.y - w.y * d.x;
+    const bool before = along <= 0.0;
+    const bool after = along >= len2;
+    return (before & (geo::Dot(w, w) <= reach2)) |
+           (after & (geo::Dot(v, v) <= reach2)) |
+           (!before & !after & (cross * cross <= reach2 * len2));
+  }
+
+  // The y-range [*y0, *y1] of the points of the vertical line at `x`
+  // that pass, up to rounding: the union of the line's sections with
+  // the discs around the ends and with the band along the segment.
+  // False when the line misses the region.
+  bool Section(double x, double* y0, double* y1) const {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (const geo::EnPoint& end : {a, b}) {
+      const double h2 = reach2 - (x - end.x) * (x - end.x);
+      if (h2 >= 0.0) {
+        const double h = std::sqrt(h2);
+        lo = std::min(lo, end.y - h);
+        hi = std::max(hi, end.y + h);
+      }
+    }
+    // The band, in u = y - a.y: 0 <= along <= len2 and
+    // |cross| <= width, both linear in u.
+    if (len2 > 0.0) {
+      const double dx = x - a.x;
+      double u0 = -std::numeric_limits<double>::infinity();
+      double u1 = -u0;
+      bool empty = false;
+      // low <= offset + u * slope <= high, with inv = 1 / slope.
+      const auto clip = [&](double offset, double slope, double inv,
+                            double low, double high) {
+        if (slope == 0.0) {
+          empty = empty || offset < low || offset > high;
+          return;
+        }
+        const double ua = (low - offset) * inv;
+        const double ub = (high - offset) * inv;
+        u0 = std::max(u0, std::min(ua, ub));
+        u1 = std::min(u1, std::max(ua, ub));
+      };
+      clip(dx * d.x, d.y, inv_dy, 0.0, len2);
+      clip(dx * d.y, -d.x, -inv_dx, -width, width);
+      if (!empty && u0 <= u1) {
+        lo = std::min(lo, a.y + u0);
+        hi = std::max(hi, a.y + u1);
+      }
+    }
+    *y0 = lo;
+    *y1 = hi;
+    return lo <= hi;
+  }
+
+  geo::EnPoint a;
+  geo::EnPoint b;
+  geo::EnPoint d;
+  double len2;
+  double reach2;
+  double width;   // reach * |d|
+  double inv_dx;  // 0 for a vertical segment, unused then
+  double inv_dy;
+};
+
+// The cells [lo_cy, hi_cy] of column cx that list segment `row`.
+struct ColumnRun {
   int32_t cx;
-  int32_t cy;
-  friend bool operator==(const CellKey&, const CellKey&) = default;
+  int32_t lo_cy;
+  int32_t hi_cy;
+  uint32_t row;
 };
 
-struct CellKeyHash {
-  size_t operator()(const CellKey& k) const {
-    return static_cast<size_t>(HashCell2D(k.cx, k.cy));
+// A listing of one column: the cell's row offset and the segment's row.
+struct ColumnListing {
+  uint32_t y;
+  uint32_t row;
+};
+
+// Stable LSD radix sort of `*items` by `key`, whose values are at most
+// `span`, 11 bits a pass; `*buffer` is scratch.
+template <typename T, typename Key>
+void RadixSort(uint32_t span, Key key, std::vector<T>* items,
+               std::vector<T>* buffer) {
+  constexpr int kBits = 11;
+  constexpr uint32_t kDigitMask = (1u << kBits) - 1;
+  buffer->resize(items->size());
+  for (int shift = 0; shift < 32 && (span >> shift) != 0; shift += kBits) {
+    // Digits above the span's never occur: count only the buckets used.
+    const uint32_t mask =
+        std::bit_ceil(std::min(span >> shift, kDigitMask) + 1) - 1;
+    std::array<uint32_t, kDigitMask + 2> start;
+    std::fill_n(start.begin(), mask + 2, 0u);
+    for (const T& item : *items) ++start[((key(item) >> shift) & mask) + 1];
+    for (uint32_t b = 1; b <= mask + 1; ++b) start[b] += start[b - 1];
+    for (const T& item : *items) {
+      (*buffer)[start[(key(item) >> shift) & mask]++] = item;
+    }
+    items->swap(*buffer);
   }
-};
-
-// Inclusive rectangle of cell coordinates.
-struct CellRect {
-  int32_t lo_cx = 0;
-  int32_t hi_cx = -1;
-  int32_t lo_cy = 0;
-  int32_t hi_cy = -1;
-};
-
-// Cells of side `cell` holding a point of `box` grown by `slack_m` on
-// every side; nullopt when a bound is off the lattice (see AxisCells).
-std::optional<CellRect> CellsCovering(const geo::Bbox& box, double slack_m,
-                                      double cell) {
-  CellRect r;
-  if (!AxisCells(box.min_x - slack_m, box.max_x + slack_m, cell, &r.lo_cx,
-                 &r.hi_cx) ||
-      !AxisCells(box.min_y - slack_m, box.max_y + slack_m, cell, &r.lo_cy,
-                 &r.hi_cy)) {
-    return std::nullopt;
-  }
-  return r;
 }
 
-// Calls `visit(cx, cy)` for every cell of side `cell` that segment a-b,
-// grown by kCoverSlackM, meets: the build's exact supercover.
-template <typename Visit>
-void CoverSegment(const geo::EnPoint& a, const geo::EnPoint& b, double cell,
-                  Visit visit) {
-  geo::Bbox seg = geo::Bbox::Empty();
-  seg.Extend(a);
-  seg.Extend(b);
-  const std::optional<CellRect> cols = CellsCovering(seg, kCoverSlackM, cell);
-  if (!cols) return;  // the caller has checked the whole edge's bounds
-  const double dx = b.x - a.x;
-  for (int32_t cx = cols->lo_cx; cx <= cols->hi_cx; ++cx) {
-    // The part of the segment within the slack of this column spans
-    // x in [x0, x1]; its y-extent there, grown by the slack, gives the
-    // column's rows. A vertical segment spans its whole y-extent.
-    double y0 = seg.min_y;
-    double y1 = seg.max_y;
-    if (dx != 0.0) {
-      const double x0 = std::max(seg.min_x, cx * cell - kCoverSlackM);
-      const double x1 = std::min(seg.max_x, (cx + 1) * cell + kCoverSlackM);
-      const double ya =
-          a.y + std::clamp((x0 - a.x) / dx, 0.0, 1.0) * (b.y - a.y);
-      const double yb =
-          a.y + std::clamp((x1 - a.x) / dx, 0.0, 1.0) * (b.y - a.y);
-      y0 = std::min(ya, yb);
-      y1 = std::max(ya, yb);
-    }
-    int32_t lo_cy = 0;
-    int32_t hi_cy = -1;
-    if (!AxisCells(y0 - kCoverSlackM, y1 + kCoverSlackM, cell, &lo_cy,
-                   &hi_cy)) {
-      continue;
-    }
-    for (int32_t cy = lo_cy; cy <= hi_cy; ++cy) visit(cx, cy);
-  }
-}
+// Rows, listings and cell rows are counted in uint32; this value is
+// never one of them.
+constexpr uint32_t kNoId = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
-SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
+SpatialIndex::SpatialIndex(const RoadNetwork* network)
     : network_(network),
-      cell_size_m_(cell_size_m),
       scratch_(std::make_shared<WorkerLocal<QueryScratch>>()) {
-  // Queries project with the edges' segment lengths; warm the tables on
-  // the constructing thread.
+  // Rows copy the edges' segment lengths; warm the tables on the
+  // constructing thread.
   network_->WarmAdjacency();
 
-  // Build pass: collect each edge's cells into a keyed map first (the
-  // set of cells is sparse and unknown up front), then flatten into the
-  // dense grid below.
-  std::unordered_map<CellKey, std::vector<EdgeId>, CellKeyHash> cells;
-  edge_bounds_.assign(network_->num_edges(), geo::Bbox::Empty());
+  // One row per segment, in (edge, segment) order, with the arc length
+  // before it summed in order exactly as Polyline::Project sums it.
+  size_t segments = 0;
+  network_->ForEachEdge([&](const Edge& e) {
+    segments += std::max<size_t>(e.geometry.size(), 2) - 1;
+  });
+  rows_.reserve(segments);
   network_->ForEachEdge([&](const Edge& e) {
     const std::vector<geo::EnPoint>& pts = e.geometry.points();
     if (pts.empty()) {
@@ -131,73 +217,169 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
       ++empty_geometry_edges_;
       return;
     }
-    geo::Bbox bounds = geo::Bbox::Empty();
-    bool finite = true;  // Bbox::Extend skips NaN, so check it here
+    double magnitude = 0.0;
+    bool finite = true;
     for (const geo::EnPoint& p : pts) {
-      bounds.Extend(p);
+      magnitude = std::max(magnitude, Magnitude(p));
       finite = finite && std::isfinite(p.x) && std::isfinite(p.y);
     }
-    if (!finite || !CellsCovering(bounds, kCoverSlackM, cell_size_m_)) {
+    int32_t first = 0;
+    int32_t last = 0;
+    if (!finite ||
+        !AxisCells(-magnitude - ListingReach(magnitude),
+                   magnitude + ListingReach(magnitude), &first, &last)) {
       // A coordinate that is not finite or lies beyond the cell lattice
       // has no cell to live in; drop and count it like an empty
       // geometry rather than cast it into a cell coordinate.
       ++empty_geometry_edges_;
       return;
     }
-    edge_bounds_[static_cast<size_t>(e.id)] = bounds;
-    std::unordered_set<uint64_t> edge_cells;
-    const auto insert_cell = [&](int32_t cx, int32_t cy) {
-      const uint64_t packed =
-          (static_cast<uint64_t>(static_cast<uint32_t>(cx)) << 32) |
-          static_cast<uint32_t>(cy);
-      if (edge_cells.insert(packed).second) {
-        cells[CellKey{cx, cy}].push_back(e.id);
-      }
-    };
     if (pts.size() == 1) {
       // Single-point (zero-length) geometry: the degenerate segment
-      // from the lone point to itself covers the point's cell(s).
-      CoverSegment(pts[0], pts[0], cell_size_m_, insert_cell);
+      // from the lone point to itself projects as Project does.
+      rows_.push_back(SegmentRow{pts[0], pts[0], 0.0, 0.0, e.id, 0});
       return;
     }
+    const std::span<const double> lengths = network_->SegmentLengths(e.id);
+    double arc = 0.0;
     for (size_t i = 0; i + 1 < pts.size(); ++i) {
-      CoverSegment(pts[i], pts[i + 1], cell_size_m_, insert_cell);
+      rows_.push_back(SegmentRow{pts[i], pts[i + 1], lengths[i], arc, e.id,
+                                 static_cast<uint32_t>(i)});
+      arc += lengths[i];
     }
   });
+  TT_CHECK(rows_.size() < kNoId);
+  // Each row's columns within reach bound its runs: reserving them
+  // spares the build the growth copies, a third of its time.
+  size_t columns = 0;
+  for (const SegmentRow& s : rows_) {
+    const double reach = SegmentReach(s.a, s.b);
+    columns += static_cast<size_t>(
+        std::floor((std::max(s.a.x, s.b.x) + reach) / kCell) -
+        std::floor((std::min(s.a.x, s.b.x) - reach) / kCell) + 1);
+  }
 
-  if (cells.empty()) return;
+  // Listing, one column at a time: the cell centres within the listing
+  // reach of a segment form one convex region, so the cells of a column
+  // that list it are one stretch, found from the section of the
+  // column's centre line with that region.
+  std::vector<ColumnRun> runs;
+  runs.reserve(columns);
+  size_t listings = 0;
+  int32_t min_cx = std::numeric_limits<int32_t>::max();
+  int32_t max_cx = std::numeric_limits<int32_t>::min();
+  for (uint32_t row = 0; row < rows_.size(); ++row) {
+    const SegmentRow& s = rows_[row];
+    const double reach = SegmentReach(s.a, s.b);
+    const ListingRegion region(s.a, s.b, reach);
+    int32_t lo_cx = 0;
+    int32_t hi_cx = -1;
+    // On the lattice: the edge's whole grown extent was checked above.
+    AxisCells(std::min(s.a.x, s.b.x) - reach, std::max(s.a.x, s.b.x) + reach,
+              &lo_cx, &hi_cx);
+    for (int32_t cx = lo_cx; cx <= hi_cx; ++cx) {
+      const double x = (cx + 0.5) * kCell;
+      double y0 = 0.0;
+      double y1 = 0.0;
+      if (!region.Section(x, &y0, &y1)) continue;
+      int32_t lo_cy = static_cast<int32_t>(std::ceil(y0 / kCell - 0.5));
+      int32_t hi_cy = static_cast<int32_t>(std::floor(y1 / kCell - 0.5));
+      // Contains() has the last word: widen the stretch past any
+      // centre the section's rounding left out.
+      while (region.Contains(x, (lo_cy - 0.5) * kCell)) --lo_cy;
+      while (region.Contains(x, (hi_cy + 1.5) * kCell)) ++hi_cy;
+      if (lo_cy > hi_cy) continue;
+      runs.push_back(ColumnRun{cx, lo_cy, hi_cy, row});
+      listings += static_cast<size_t>(hi_cy - lo_cy) + 1;
+      min_cx = std::min(min_cx, cx);
+      max_cx = std::max(max_cx, cx);
+    }
+  }
+  TT_CHECK(listings < kNoId);
+  if (runs.empty()) return;
 
-  // The grid spans the occupied cells' extent (hash-map iteration only
-  // feeds mins/maxes and counts, so the result is iteration-order
-  // independent).
-  int32_t max_cx = cells.begin()->first.cx;
-  int32_t max_cy = cells.begin()->first.cy;
-  min_cx_ = max_cx;
-  min_cy_ = max_cy;
-  for (const auto& [key, edge_list] : cells) {
-    min_cx_ = std::min(min_cx_, key.cx);
-    max_cx = std::max(max_cx, key.cx);
-    min_cy_ = std::min(min_cy_, key.cy);
-    max_cy = std::max(max_cy, key.cy);
+  // Group the runs by column; the sort is stable, so each column's runs
+  // stay in row order.
+  std::vector<ColumnRun> buffer;
+  RadixSort(
+      static_cast<uint32_t>(int64_t{max_cx} - min_cx),
+      [min_cx](const ColumnRun& r) {
+        return static_cast<uint32_t>(int64_t{r.cx} - min_cx);
+      },
+      &runs, &buffer);
+
+  // Each column's listings, stably sorted by cell row, give its cells
+  // in order and each cell's segments in (edge, segment) order: one
+  // stretch of cell_segments_ per cell.
+  std::vector<CellSlot> cells;
+  cells.reserve(listings);  // an upper bound; only the used part is touched
+  std::vector<ColumnListing> column;
+  std::vector<ColumnListing> column_buffer;
+  cell_segments_.resize(listings);
+  uint32_t listed = 0;
+  for (size_t first = 0, last = 0; first < runs.size(); first = last) {
+    const int32_t cx = runs[first].cx;
+    int32_t lo_cy = runs[first].lo_cy;
+    int32_t hi_cy = runs[first].hi_cy;
+    size_t size = 0;
+    for (last = first; last < runs.size() && runs[last].cx == cx; ++last) {
+      lo_cy = std::min(lo_cy, runs[last].lo_cy);
+      hi_cy = std::max(hi_cy, runs[last].hi_cy);
+      size += static_cast<size_t>(runs[last].hi_cy - runs[last].lo_cy) + 1;
+    }
+    column.resize(size);
+    size_t k = 0;
+    for (size_t r = first; r < last; ++r) {
+      for (int32_t cy = runs[r].lo_cy; cy <= runs[r].hi_cy; ++cy) {
+        column[k++] = ColumnListing{static_cast<uint32_t>(int64_t{cy} - lo_cy),
+                                    runs[r].row};
+      }
+    }
+    RadixSort(
+        static_cast<uint32_t>(int64_t{hi_cy} - lo_cy),
+        [](const ColumnListing& l) { return l.y; }, &column, &column_buffer);
+    uint32_t y = kNoId;
+    for (const ColumnListing& l : column) {
+      if (l.y != y) {
+        y = l.y;
+        cells.push_back(CellSlot{
+            cx, static_cast<int32_t>(lo_cy + int64_t{y}), listed, listed});
+      }
+      cell_segments_[listed++] = l.row;
+      ++cells.back().end;
+    }
   }
-  cols_ = max_cx - min_cx_ + 1;
-  rows_ = max_cy - min_cy_ + 1;
-  const auto cell_index = [&](const CellKey& key) {
-    return static_cast<size_t>(key.cy - min_cy_) * static_cast<size_t>(cols_) +
-           static_cast<size_t>(key.cx - min_cx_);
-  };
-  cell_offsets_.assign(
-      static_cast<size_t>(cols_) * static_cast<size_t>(rows_) + 1, 0);
-  for (const auto& [key, edge_list] : cells) {
-    cell_offsets_[cell_index(key) + 1] = static_cast<int32_t>(edge_list.size());
+  occupied_cells_ = cells.size();
+
+  // The directory: open addressing, at most three-quarters full.
+  size_t slots = 1;
+  while (4 * cells.size() > 3 * slots) slots *= 2;
+  directory_.assign(slots, CellSlot{});
+  const size_t mask = slots - 1;
+  min_cx_ = min_cx;
+  max_cx_ = max_cx;
+  min_cy_ = std::numeric_limits<int32_t>::max();
+  max_cy_ = std::numeric_limits<int32_t>::min();
+  for (const CellSlot& cell : cells) {
+    size_t i = HashCell2D(cell.cx, cell.cy) & mask;
+    while (directory_[i].end != 0) i = (i + 1) & mask;
+    directory_[i] = cell;
+    min_cy_ = std::min(min_cy_, cell.cy);
+    max_cy_ = std::max(max_cy_, cell.cy);
   }
-  for (size_t i = 1; i < cell_offsets_.size(); ++i) {
-    cell_offsets_[i] += cell_offsets_[i - 1];
-  }
-  cell_edges_.resize(static_cast<size_t>(cell_offsets_.back()));
-  for (const auto& [key, edge_list] : cells) {
-    std::copy(edge_list.begin(), edge_list.end(),
-              cell_edges_.begin() + cell_offsets_[cell_index(key)]);
+}
+
+std::span<const uint32_t> SpatialIndex::CellSegments(int32_t cx,
+                                                     int32_t cy) const {
+  if (directory_.empty()) return {};
+  const size_t mask = directory_.size() - 1;
+  // At most three-quarters full, so the probe reaches an empty slot.
+  for (size_t i = HashCell2D(cx, cy) & mask;; i = (i + 1) & mask) {
+    const CellSlot& slot = directory_[i];
+    if (slot.end == 0) return {};
+    if (slot.cx == cx && slot.cy == cy) {
+      return {cell_segments_.data() + slot.begin, slot.end - slot.begin};
+    }
   }
 }
 
@@ -211,76 +393,104 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
 void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
                           std::vector<EdgeCandidate>* out) const {
   out->clear();
-  // Gather candidate edges from the cells overlapping the query disc's
-  // bounding square grown by the cover slack. Complete by construction:
-  // every edge point within `radius_m` of `p` lies in one of these
-  // cells, and the build put the edge in every cell it meets. A point
-  // or radius off the cell lattice (NaN, infinite, too far out) has
-  // no cells and so no candidates.
-  const double reach = radius_m + kCoverSlackM;
-  const std::optional<CellRect> rect =
-      CellsCovering(geo::Bbox{p.x, p.y, p.x, p.y}, reach, cell_size_m_);
   QueryScratch& scratch = scratch_->Local();
-  if (!rect) {
-    scratch.tallies.queries.Add(1);
+  QueryTallies& t = scratch.tallies;
+  t.queries.Add(1);
+  // The window: the cells within `pad` of `p`, just the cell under `p`
+  // when the radius is at most kReachM. Complete by construction: an
+  // edge point q within the radius of p is within kReachM of the point
+  // `pad` along the way from p to q (or of p itself), and that point's
+  // cell lists q's segment. A point or radius that is not finite, a
+  // negative radius, or a window off the cell lattice finds nothing.
+  const double pad = std::max(0.0, radius_m - kReachM);
+  int32_t lo_cx = 0;
+  int32_t hi_cx = -1;
+  int32_t lo_cy = 0;
+  int32_t hi_cy = -1;
+  if (!(radius_m >= 0.0) || !AxisCells(p.x - pad, p.x + pad, &lo_cx, &hi_cx) ||
+      !AxisCells(p.y - pad, p.y + pad, &lo_cy, &hi_cy)) {
     return;
   }
-  const auto [lo_cx, hi_cx, lo_cy, hi_cy] = *rect;
-  const int64_t cells_probed =
-      std::max<int64_t>(0, int64_t{hi_cx} - lo_cx + 1) *
-      std::max<int64_t>(0, int64_t{hi_cy} - lo_cy + 1);
-  if (scratch.seen_stamp.size() < edge_bounds_.size()) {
-    scratch.seen_stamp.assign(edge_bounds_.size(), 0);
-    scratch.generation = 0;
-  }
-  if (++scratch.generation == 0) {  // stamp wrap: invalidate everything
-    std::fill(scratch.seen_stamp.begin(), scratch.seen_stamp.end(), 0);
-    scratch.generation = 1;
-  }
-  const uint32_t gen = scratch.generation;
-  std::vector<EdgeId>& gathered = scratch.gathered;
-  gathered.clear();
 
-  // Clip the query window to the grid's occupied extent.
-  const int32_t scan_lo_cx = std::max(lo_cx, min_cx_);
-  const int32_t scan_hi_cx = std::min(hi_cx, min_cx_ + cols_ - 1);
-  const int32_t scan_lo_cy = std::max(lo_cy, min_cy_);
-  const int32_t scan_hi_cy = std::min(hi_cy, min_cy_ + rows_ - 1);
-  for (int32_t cy = scan_lo_cy; cy <= scan_hi_cy; ++cy) {
-    for (int32_t cx = scan_lo_cx; cx <= scan_hi_cx; ++cx) {
-      const size_t i =
-          static_cast<size_t>(cy - min_cy_) * static_cast<size_t>(cols_) +
-          static_cast<size_t>(cx - min_cx_);
-      for (int32_t k = cell_offsets_[i]; k < cell_offsets_[i + 1]; ++k) {
-        const EdgeId id = cell_edges_[static_cast<size_t>(k)];
-        uint32_t& stamp = scratch.seen_stamp[static_cast<size_t>(id)];
-        if (stamp != gen) {
-          stamp = gen;
+  int64_t cells = 1;
+  std::span<const uint32_t> ids;
+  if (lo_cx == hi_cx && lo_cy == hi_cy) {
+    ids = CellSegments(lo_cx, lo_cy);
+  } else {
+    // Several cells list a segment more than once: gather the distinct
+    // rows (generation-stamped, as in the router's SearchScratch) and
+    // sort them back into (edge, segment) order.
+    if (scratch.row_stamp.size() < rows_.size()) {
+      scratch.row_stamp.assign(rows_.size(), 0);
+      scratch.generation = 0;
+    }
+    if (++scratch.generation == 0) {  // stamp wrap: invalidate everything
+      std::fill(scratch.row_stamp.begin(), scratch.row_stamp.end(), 0);
+      scratch.generation = 1;
+    }
+    const uint32_t gen = scratch.generation;
+    std::vector<uint32_t>& gathered = scratch.gathered;
+    gathered.clear();
+    const auto gather = [&](std::span<const uint32_t> cell) {
+      for (const uint32_t id : cell) {
+        if (scratch.row_stamp[id] != gen) {
+          scratch.row_stamp[id] = gen;
           gathered.push_back(id);
         }
       }
+    };
+    // Only the occupied extent holds segments; when the clipped window
+    // has more cells than the directory, walk the directory instead.
+    lo_cx = std::max(lo_cx, min_cx_);
+    hi_cx = std::min(hi_cx, max_cx_);
+    lo_cy = std::max(lo_cy, min_cy_);
+    hi_cy = std::min(hi_cy, max_cy_);
+    const int64_t window = std::max<int64_t>(0, int64_t{hi_cx} - lo_cx + 1) *
+                           std::max<int64_t>(0, int64_t{hi_cy} - lo_cy + 1);
+    if (window <= static_cast<int64_t>(occupied_cells_)) {
+      cells = window;
+      for (int32_t cy = lo_cy; cy <= hi_cy; ++cy) {
+        for (int32_t cx = lo_cx; cx <= hi_cx; ++cx) {
+          gather(CellSegments(cx, cy));
+        }
+      }
+    } else {
+      cells = static_cast<int64_t>(occupied_cells_);
+      for (const CellSlot& slot : directory_) {
+        if (slot.end != 0 && slot.cx >= lo_cx && slot.cx <= hi_cx &&
+            slot.cy >= lo_cy && slot.cy <= hi_cy) {
+          gather({cell_segments_.data() + slot.begin, slot.end - slot.begin});
+        }
+      }
     }
+    std::sort(gathered.begin(), gathered.end());
+    ids = gathered;
   }
 
-  // Pre-projection reject against the edge's geometry bounds. The slack
-  // keeps the reject strictly conservative against floating-point
-  // rounding of the squared distance: an edge is only skipped when its
-  // whole bounding box - and therefore its polyline - is beyond the
-  // radius, so the surviving projections produce exactly the candidates
-  // the unfiltered loop would.
-  const double limit_sq = reach * reach;
-  out->reserve(8);
-  for (EdgeId id : gathered) {
-    const geo::Bbox& b = edge_bounds_[static_cast<size_t>(id)];
-    const double ddx = std::max({b.min_x - p.x, 0.0, p.x - b.max_x});
-    const double ddy = std::max({b.min_y - p.y, 0.0, p.y - b.max_y});
-    if (ddx * ddx + ddy * ddy > limit_sq) continue;
-    const geo::PolylineProjection proj = network_->edge(id).geometry.Project(
-        p, network_->SegmentLengths(id));
-    if (proj.distance <= radius_m) {
-      out->push_back(EdgeCandidate{id, proj});
+  // Each edge's segments are one run of `ids`, in order, so the strict
+  // `<` keeps the lowest-index minimum, and the arc length is the sum
+  // Project forms: the same operands in the same order.
+  int64_t edges = 0;
+  EdgeCandidate best;
+  const auto emit = [&] {
+    ++edges;
+    if (best.projection.distance <= radius_m) out->push_back(best);
+  };
+  for (const uint32_t id : ids) {
+    const SegmentRow& s = rows_[id];
+    const geo::PointProjection proj =
+        geo::ProjectOntoSegment(p, geo::Segment{s.a, s.b});
+    if (s.edge != best.edge) {
+      if (best.edge != kInvalidEdge) emit();
+      best.edge = s.edge;
+    } else if (!(proj.distance < best.projection.distance)) {
+      continue;
     }
+    best.projection = geo::PolylineProjection{
+        proj.point, s.segment, proj.t, s.arc0 + proj.t * s.length,
+        proj.distance};
   }
+  if (best.edge != kInvalidEdge) emit();
   std::sort(out->begin(), out->end(),
             [](const EdgeCandidate& a, const EdgeCandidate& b) {
               if (a.projection.distance != b.projection.distance) {
@@ -291,10 +501,8 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
 
   // This worker's tallies of deterministic per-query work, so their
   // sum over workers is thread-count-invariant.
-  QueryTallies& t = scratch.tallies;
-  t.queries.Add(1);
-  t.cells_probed.Add(cells_probed);
-  t.candidates.Add(static_cast<int64_t>(gathered.size()));
+  t.cells_probed.Add(cells);
+  t.candidates.Add(edges);
   t.hits.Add(static_cast<int64_t>(out->size()));
 }
 
@@ -304,7 +512,7 @@ std::optional<EdgeCandidate> SpatialIndex::Nearest(
   // Each ring refills this worker's reusable list, so a warm Nearest()
   // allocates nothing.
   std::vector<EdgeCandidate>& found = scratch_->Local().ring_hits;
-  double radius = cell_size_m_;
+  double radius = kNearestFirstRingM;
   while (radius < max_radius_m * 2) {
     Nearby(p, std::min(radius, max_radius_m), &found);
     if (!found.empty()) return found.front();
@@ -316,9 +524,9 @@ std::optional<EdgeCandidate> SpatialIndex::Nearest(
 
 size_t SpatialIndex::ApproxMemoryBytes() const {
   size_t bytes = sizeof(SpatialIndex);
-  bytes += edge_bounds_.capacity() * sizeof(geo::Bbox);
-  bytes += cell_offsets_.capacity() * sizeof(int32_t);
-  bytes += cell_edges_.capacity() * sizeof(EdgeId);
+  bytes += rows_.capacity() * sizeof(SegmentRow);
+  bytes += cell_segments_.capacity() * sizeof(uint32_t);
+  bytes += directory_.capacity() * sizeof(CellSlot);
   return bytes;
 }
 

@@ -1,5 +1,5 @@
-// Uniform-grid spatial index over edge geometry, used by map matching and
-// feature attachment to find candidate edges near a GPS point quickly.
+// Spatial index over edge geometry, used by map matching and feature
+// attachment to find candidate edges near a GPS point quickly.
 
 #ifndef TAXITRACE_ROADNET_SPATIAL_INDEX_H_
 #define TAXITRACE_ROADNET_SPATIAL_INDEX_H_
@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "taxitrace/common/executor.h"
@@ -26,33 +27,47 @@ struct EdgeCandidate {
 /// totals are identical at any thread count.
 struct SpatialIndexStats {
   int64_t queries = 0;        ///< Nearby() calls (Nearest() makes several).
-  int64_t cells_probed = 0;   ///< grid-cell lookups performed.
-  int64_t candidates = 0;     ///< distinct edges distance-checked.
+  /// Cells read: one per query of radius up to SpatialIndex::kReachM.
+  int64_t cells_probed = 0;
+  /// Distinct edges projected: an edge counts once per query, however
+  /// many of its segments the cells list.
+  int64_t candidates = 0;
   int64_t hits = 0;           ///< candidates returned within the radius.
   /// Edges dropped at build time: no geometry, or a coordinate that is
   /// not finite or lies beyond the cell lattice.
   int64_t empty_geometry_edges = 0;
 };
 
-/// Uniform grid over the bounding box of a network's edges. Each cell
-/// stores every edge whose geometry meets it (an exact supercover of
-/// each polyline segment, grown by 1e-6 m against rounding), so a
-/// query needs only the cells its search square overlaps. The grid is
-/// one dense row-major array of cells spanning the occupied cell
-/// extent, flattened CSR-style, so a probe is an array load. The index
-/// is immutable after construction and holds a pointer to the network,
-/// which must outlive it.
+/// Grid of kCellSizeM cells, each listing the id of every edge segment
+/// that passes within kReachM of the cell, in (edge, segment) order. A
+/// query of radius up to kReachM reads only the cell under its point
+/// and projects that cell's segments; a larger radius reads the cells
+/// within `radius - kReachM` of the point. Behind the ids sits one row
+/// per segment (endpoints, length and the in-order arc length before
+/// it), so a projection is bit-identical to geo::Polyline::Project.
+/// Cells are keyed through an open-addressing directory of the occupied
+/// cells only, so the memory follows the map's roads, not its bounding
+/// box. The index is immutable after construction and holds a pointer
+/// to the network, which must outlive it.
 class SpatialIndex {
  public:
-  /// Builds the index. `cell_size_m` trades memory for query precision;
-  /// 50 m suits a downtown-scale network.
-  explicit SpatialIndex(const RoadNetwork* network, double cell_size_m = 50.0);
+  /// Side of a grid cell, metres.
+  static constexpr double kCellSizeM = 20.0;
+  /// Each cell lists the segments within this distance of it: the
+  /// largest radius one cell answers. Just above the matcher's default
+  /// 55 m search radius.
+  static constexpr double kReachM = 56.0;
+  /// Radius of Nearest()'s first search ring, metres.
+  static constexpr double kNearestFirstRingM = 50.0;
+
+  /// Builds the index.
+  explicit SpatialIndex(const RoadNetwork* network);
 
   /// All edges with a point within `radius_m` of `p`, one candidate per
   /// edge (its closest projection, computed with the edge's precomputed
-  /// segment lengths), sorted by ascending distance. A
-  /// point or radius that is not finite, or whose search square leaves
-  /// the cell lattice (about +-5e10 m at 50 m cells), finds nothing.
+  /// segment lengths), sorted by ascending distance. A point or radius
+  /// that is not finite, a negative radius, or a point whose search
+  /// window leaves the cell lattice (about +-2e10 m) finds nothing.
   std::vector<EdgeCandidate> Nearby(const geo::EnPoint& p,
                                     double radius_m) const;
 
@@ -77,30 +92,48 @@ class SpatialIndex {
   [[nodiscard]] SpatialIndexStats stats() const;
 
  private:
+  // One indexed edge segment. A one-point geometry has one row from
+  // its point to itself, with zero length.
+  struct SegmentRow {
+    geo::EnPoint a;
+    geo::EnPoint b;
+    double length = 0.0;  // the edge's SegmentLengths entry
+    double arc0 = 0.0;    // in-order sum of the lengths before it
+    EdgeId edge = kInvalidEdge;
+    uint32_t segment = 0;
+  };
+  // Directory slot of cell (cx, cy): its segment ids are
+  // cell_segments_[begin, end). An occupied cell lists at least one
+  // segment, so end == 0 marks an empty slot.
+  struct CellSlot {
+    int32_t cx = 0;
+    int32_t cy = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  // The segment ids cell (cx, cy) lists; empty for an unoccupied cell.
+  [[nodiscard]] std::span<const uint32_t> CellSegments(int32_t cx,
+                                                       int32_t cy) const;
+
   const RoadNetwork* network_;
-  double cell_size_m_;
-  // Cell (cx, cy) owns the edge ids cell_edges_[cell_offsets_[i] ..
-  // cell_offsets_[i + 1]) with i = (cy - min_cy_) * cols_ + (cx - min_cx_).
-  // The extent spans only the occupied cells; empty when no edge has a
-  // cell.
+  std::vector<SegmentRow> rows_;  // (edge, segment) order
+  std::vector<uint32_t> cell_segments_;
+  // Open addressing with linear probing, a power-of-two size; empty
+  // when no edge has a segment.
+  std::vector<CellSlot> directory_;
+  size_t occupied_cells_ = 0;
+  // Extent of the occupied cells, for clipping a multi-cell window.
   int32_t min_cx_ = 0;
+  int32_t max_cx_ = -1;
   int32_t min_cy_ = 0;
-  int32_t cols_ = 0;
-  int32_t rows_ = 0;
-  std::vector<int32_t> cell_offsets_;
-  std::vector<EdgeId> cell_edges_;
-  // Bounding box of each edge's geometry, indexed by edge id. The box
-  // encloses the polyline, so a point farther than `r` from the box is
-  // farther than `r` from the edge — a safe pre-projection reject.
-  std::vector<geo::Bbox> edge_bounds_;
-  // Per-worker query scratch: the gathered-candidate list and a
-  // generation-stamped seen marker per edge id (same trick as the
-  // router's SearchScratch), so a query deduplicates with one array
-  // read per gathered id and allocates nothing in steady state, and
-  // the candidate list Nearest() reuses across its search rings. Purely
-  // an execution detail — the deduplicated set is what the old
-  // per-query sort produced, and the output is fully re-ordered
-  // afterwards.
+  int32_t max_cy_ = -1;
+  // Per-worker query scratch. A multi-cell query meets a segment in
+  // several cells, so it gathers the distinct rows with a
+  // generation-stamped marker per row (same trick as the router's
+  // SearchScratch): one array read per listed id, and a warm query
+  // allocates nothing. `ring_hits` is the candidate list Nearest()
+  // reuses across its search rings.
   //
   // The scratch also keeps the worker's query tallies, the per-worker
   // terms of SpatialIndexStats, on a cache line of their own: no
@@ -114,8 +147,8 @@ class SpatialIndex {
     WorkerTally hits;
   };
   struct QueryScratch {
-    std::vector<EdgeId> gathered;
-    std::vector<uint32_t> seen_stamp;
+    std::vector<uint32_t> row_stamp;
+    std::vector<uint32_t> gathered;
     uint32_t generation = 0;
     std::vector<EdgeCandidate> ring_hits;
     QueryTallies tallies;

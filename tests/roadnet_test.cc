@@ -377,20 +377,37 @@ TEST(SpatialIndexDegenerateTest, EmptyGeometryIsDroppedWithReason) {
 
 // Points and radii the index cannot search have no cell coordinate:
 // casting their floor into an int32 cell would be undefined behaviour
-// (caught by the UBSan build), so they must find nothing instead.
+// (caught by the UBSan build), so they must find nothing instead. Each
+// call still counts as a query, and reads no cell.
 TEST_F(SpatialIndexTest, OffLatticeQueriesFindNothing) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double far = std::ldexp(1.0, 40);  // 2^40 m, off the lattice
   const std::vector<EnPoint> points = {
       {nan, 0},   {0, nan},    {nan, nan},  {inf, 0},      {-inf, 0},
       {0, inf},   {0, -inf},   {1e12, 0},   {0, -1e12},    {1e300, 1e300},
-      {-3e11, 2}, {2, 1e200}};
+      {-3e11, 2}, {2, 1e200},  {far, 0},    {0, -far},     {-far, far}};
+  const std::vector<double> radii = {nan, inf, -inf, -1.0, -1e-9, 1e12};
+  const SpatialIndexStats before = index_.stats();
+  int64_t calls = 0;
   for (const EnPoint& p : points) {
-    EXPECT_TRUE(index_.Nearby(p, 50.0).empty()) << p.x << "," << p.y;
-    EXPECT_FALSE(index_.Nearest(p, 500.0).has_value()) << p.x << "," << p.y;
+    for (const double radius : {10.0, 50.0, 300.0}) {
+      EXPECT_TRUE(index_.Nearby(p, radius).empty())
+          << p.x << "," << p.y << " r=" << radius;
+      ++calls;
+    }
   }
-  for (const double radius : {nan, inf, 1e12}) {
+  for (const double radius : radii) {
     EXPECT_TRUE(index_.Nearby(EnPoint{2, 2}, radius).empty()) << radius;
+    ++calls;
+  }
+  const SpatialIndexStats after = index_.stats();
+  EXPECT_EQ(after.queries - before.queries, calls);
+  EXPECT_EQ(after.cells_probed, before.cells_probed);
+  EXPECT_EQ(after.candidates, before.candidates);
+  EXPECT_EQ(after.hits, before.hits);
+  for (const EnPoint& p : points) {
+    EXPECT_FALSE(index_.Nearest(p, 500.0).has_value()) << p.x << "," << p.y;
   }
   EXPECT_FALSE(index_.Nearest(EnPoint{2, 2}, nan).has_value());
   // The index still answers ordinary queries afterwards.
@@ -449,49 +466,27 @@ std::vector<EdgeCandidate> BruteForceNearby(const RoadNetwork& net,
   return out;
 }
 
-// Compares Nearby() with the brute force over random points around the
-// map, points exactly on 50 m cell lines, on cell corners and on every
-// 20th cell line, and edge start points, at radii in [0, 200] m. The
-// index's `hits` counter must equal the brute-force total.
-void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
-  const SpatialIndex index(&net);
-  const geo::Bbox box = net.Bounds();
-  constexpr double kCell = 50.0;
-  constexpr double kMargin = 300.0;
-  constexpr double kLine = 20 * kCell;
-  const auto snap = [](double v, double step) {
-    return std::round(v / step) * step;
-  };
-  Rng rng(seed);
-  const auto radius = [&](int i) {
-    if (i % 50 == 0) return 0.0;
-    if (i % 50 == 1) return 200.0;
-    return rng.Uniform(0.0, 200.0);
-  };
-  std::vector<std::pair<EnPoint, double>> queries;
-  for (int i = 0; i < 1200; ++i) {
-    EnPoint p{rng.Uniform(box.min_x - kMargin, box.max_x + kMargin),
-              rng.Uniform(box.min_y - kMargin, box.max_y + kMargin)};
-    if (i % 4 == 1) p.x = snap(p.x, kCell);                 // on a cell line
-    if (i % 4 == 2) p = {snap(p.x, kCell), snap(p.y, kCell)};  // cell corner
-    if (i % 4 == 3) p = {snap(p.x, kLine), snap(p.y, kCell)};  // 20th line
-    queries.emplace_back(p, radius(i));
-  }
-  // Edge start points: distance exactly 0, found even at radius 0.
-  int edge_count = 0;
-  net.ForEachEdge([&](const Edge& e) {
-    if (edge_count++ % 7 != 0 || e.geometry.points().empty()) return;
-    queries.emplace_back(e.geometry.points().front(), radius(edge_count));
-  });
+// Radii every oracle point is asked at: inside and on both sides of
+// the one-cell reach, and multi-cell windows of a few and of many cells.
+constexpr double kReach = SpatialIndex::kReachM;
+constexpr double kOracleRadii[] = {10.0,  25.0, kReach - 1e-3, kReach,
+                                   kReach + 1e-3, 60.0, 150.0, 300.0};
 
-  int64_t expected_hits = 0;
+// Checks `index.Nearby(p, r)` field by field against the brute force
+// for every query; returns the brute-force hit total.
+int64_t ExpectNearbyAgreesAt(
+    const SpatialIndex& index, const RoadNetwork& net,
+    const std::vector<std::pair<EnPoint, double>>& queries) {
+  int64_t hits = 0;
   for (const auto& [p, r] : queries) {
     const std::vector<EdgeCandidate> want = BruteForceNearby(net, p, r);
     const std::vector<EdgeCandidate> got = index.Nearby(p, r);
-    expected_hits += static_cast<int64_t>(want.size());
-    ASSERT_EQ(got.size(), want.size())
+    hits += static_cast<int64_t>(want.size());
+    EXPECT_EQ(got.size(), want.size())
         << "at (" << p.x << ", " << p.y << ") r=" << r;
-    for (size_t k = 0; k < want.size(); ++k) {
+    for (size_t k = 0; k < std::min(got.size(), want.size()); ++k) {
+      SCOPED_TRACE(testing::Message() << "at (" << p.x << ", " << p.y
+                                      << ") r=" << r << " k=" << k);
       EXPECT_EQ(got[k].edge, want[k].edge);
       EXPECT_EQ(got[k].projection.point.x, want[k].projection.point.x);
       EXPECT_EQ(got[k].projection.point.y, want[k].projection.point.y);
@@ -503,6 +498,51 @@ void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
       EXPECT_EQ(got[k].projection.distance, want[k].projection.distance);
     }
   }
+  return hits;
+}
+
+// Compares Nearby() with the brute force over random points around the
+// map, points exactly on cell lines, on cell corners and on every 20th
+// cell line, and edge start points. Each point is asked at one random
+// radius in [0, 200] m and at every oracle radius. The index's `hits`
+// and `queries` counters must equal the brute-force totals.
+void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
+  const SpatialIndex index(&net);
+  const geo::Bbox box = net.Bounds();
+  constexpr double kCell = SpatialIndex::kCellSizeM;
+  constexpr double kMargin = 300.0;
+  constexpr double kLine = 20 * kCell;
+  const auto snap = [](double v, double step) {
+    return std::round(v / step) * step;
+  };
+  Rng rng(seed);
+  const auto radius = [&](int i) {
+    if (i % 50 == 0) return 0.0;
+    if (i % 50 == 1) return 200.0;
+    return rng.Uniform(0.0, 200.0);
+  };
+  std::vector<EnPoint> points;
+  for (int i = 0; i < 1200; ++i) {
+    EnPoint p{rng.Uniform(box.min_x - kMargin, box.max_x + kMargin),
+              rng.Uniform(box.min_y - kMargin, box.max_y + kMargin)};
+    if (i % 4 == 1) p.x = snap(p.x, kCell);                 // on a cell line
+    if (i % 4 == 2) p = {snap(p.x, kCell), snap(p.y, kCell)};  // cell corner
+    if (i % 4 == 3) p = {snap(p.x, kLine), snap(p.y, kCell)};  // 20th line
+    points.push_back(p);
+  }
+  // Edge start points: distance exactly 0, found even at radius 0.
+  int edge_count = 0;
+  net.ForEachEdge([&](const Edge& e) {
+    if (edge_count++ % 7 != 0 || e.geometry.points().empty()) return;
+    points.push_back(e.geometry.points().front());
+  });
+  std::vector<std::pair<EnPoint, double>> queries;
+  for (size_t i = 0; i < points.size(); ++i) {
+    queries.emplace_back(points[i], radius(static_cast<int>(i)));
+    for (const double r : kOracleRadii) queries.emplace_back(points[i], r);
+  }
+
+  const int64_t expected_hits = ExpectNearbyAgreesAt(index, net, queries);
   EXPECT_GT(expected_hits, 0);
   EXPECT_EQ(index.stats().hits, expected_hits);
   EXPECT_EQ(index.stats().queries, static_cast<int64_t>(queries.size()));
@@ -513,8 +553,118 @@ TEST(SpatialIndexEquivalenceTest, CityMapMatchesBruteForce) {
   ExpectNearbyMatchesBruteForce(map.network, 41);
 }
 
-// Nearest() searches rings of the index's 50 m cell size, doubled each
-// time and capped at the maximum radius; its answer is the front of
+// A "C" edge whose first and last segments lie exactly 40 m from the
+// origin, a one-point edge and a plain edge. Polyline::Project keeps
+// the first minimum in segment order, so at the origin the C edge must
+// report segment 0 with its own `t` and arc length, bit for bit, also
+// when a multi-cell window meets the last segment in an earlier cell.
+RoadNetwork TieNetwork(EdgeId* c_edge) {
+  RoadNetwork net(kOrigin);
+  const VertexId a = net.AddVertex({-20, 40}, false);
+  const VertexId b = net.AddVertex({-20, -40}, false);
+  Edge c;
+  c.from = a;
+  c.to = b;
+  c.geometry = geo::Polyline({{-20, 40}, {200, 40}, {200, -40}, {-20, -40}});
+  *c_edge = net.AddEdge(std::move(c));
+  const VertexId lone_at = net.AddVertex({-70, 10}, false);
+  Edge lone;
+  lone.from = lone_at;
+  lone.to = lone_at;
+  lone.geometry = geo::Polyline({{-70, 10}});
+  net.AddEdge(std::move(lone));
+  const VertexId d = net.AddVertex({-150, -130}, false);
+  const VertexId e = net.AddVertex({30, -150}, false);
+  Edge plain;
+  plain.from = d;
+  plain.to = e;
+  plain.geometry = geo::Polyline({{-150, -130}, {30, -150}});
+  net.AddEdge(std::move(plain));
+  return net;
+}
+
+TEST(SpatialIndexEquivalenceTest, TiedSegmentsAndOnePointEdgeMatchProject) {
+  EdgeId c_edge = kInvalidEdge;
+  const RoadNetwork net = TieNetwork(&c_edge);
+  const EnPoint origin{0, 0};
+  const std::vector<EnPoint>& pts = net.edge(c_edge).geometry.points();
+  const double first = geo::ProjectOntoSegment(origin, {pts[0], pts[1]}).distance;
+  const double last = geo::ProjectOntoSegment(origin, {pts[2], pts[3]}).distance;
+  ASSERT_EQ(first, last);  // the tie is exact
+
+  const SpatialIndex index(&net);
+  for (const double r : kOracleRadii) {
+    if (r < first) continue;
+    const std::vector<EdgeCandidate> found = index.Nearby(origin, r);
+    const auto c = std::find_if(
+        found.begin(), found.end(),
+        [&](const EdgeCandidate& e) { return e.edge == c_edge; });
+    ASSERT_NE(c, found.end()) << r;
+    EXPECT_EQ(c->projection.segment_index, 0u) << r;
+  }
+
+  // Every oracle radius around the origin, the one-point edge and the
+  // cell lines and corners nearby.
+  std::vector<std::pair<EnPoint, double>> queries;
+  for (const EnPoint& p :
+       {origin, EnPoint{-70, 10}, EnPoint{-60, 0}, EnPoint{-80, 20},
+        EnPoint{20, 0}, EnPoint{0, -20}, EnPoint{-73.5, 14.25},
+        EnPoint{110, 0}, EnPoint{200, 0}, EnPoint{-30, -140}}) {
+    for (const double r : kOracleRadii) queries.emplace_back(p, r);
+  }
+  EXPECT_GT(ExpectNearbyAgreesAt(index, net, queries), 0);
+}
+
+// An edge counts once per query however many of its segments a query
+// projects, and a radius within the reach reads exactly one cell.
+TEST(SpatialIndexEquivalenceTest, CountsCellsAndDistinctEdges) {
+  EdgeId c_edge = kInvalidEdge;
+  const RoadNetwork net = TieNetwork(&c_edge);
+  const SpatialIndex index(&net);
+  (void)index.Nearby(EnPoint{0, 0}, 50.0);
+  SpatialIndexStats stats = index.stats();
+  EXPECT_EQ(stats.cells_probed, 1);
+  EXPECT_EQ(stats.candidates, 1);  // the C edge, two of its segments listed
+  EXPECT_EQ(stats.hits, 1);
+  (void)index.Nearby(EnPoint{0, 0}, 150.0);
+  stats = index.stats();
+  EXPECT_GT(stats.cells_probed, 2);
+  EXPECT_EQ(stats.candidates, 1 + 3);  // every edge, once
+  EXPECT_EQ(stats.hits, 1 + 3);
+}
+
+// Regression: the index kept a dense offset per cell of the map's whole
+// bounding box, so two short roads 28,000 km apart diagonally (both
+// inside kMaxMapCoordinateM, so map preparation accepts them) made it
+// allocate about 1.6e11 offsets and throw std::bad_alloc. The directory
+// now holds only the occupied cells.
+TEST(SpatialIndexMemoryTest, FarApartRoadsNeedOnlyTheirOwnCells) {
+  constexpr double kFar = 9.9e6;
+  const RoadNetwork net =
+      PrepareRoadNetwork({MakeElement(1, {{-kFar, -kFar}, {-kFar + 100, -kFar}}),
+                          MakeElement(2, {{kFar, kFar}, {kFar, kFar + 100}})},
+                         {}, kOrigin)
+          .value();
+  const SpatialIndex index(&net);
+  EXPECT_LT(index.ApproxMemoryBytes(), size_t{1} << 20);
+  EXPECT_EQ(index.stats().empty_geometry_edges, 0);
+
+  std::vector<std::pair<EnPoint, double>> queries;
+  for (const EnPoint& p :
+       {EnPoint{-kFar, -kFar}, EnPoint{-kFar + 50, -kFar + 3},
+        EnPoint{-kFar + 140, -kFar - 40}, EnPoint{kFar, kFar},
+        EnPoint{kFar - 7, kFar + 60}, EnPoint{kFar + 20, kFar + 160},
+        EnPoint{0, 0}}) {
+    for (const double r : kOracleRadii) queries.emplace_back(p, r);
+  }
+  EXPECT_GT(ExpectNearbyAgreesAt(index, net, queries), 0);
+  ASSERT_EQ(index.Nearby(EnPoint{-kFar + 50, -kFar + 3}, 10.0).size(), 1u);
+  ASSERT_EQ(index.Nearby(EnPoint{kFar - 7, kFar + 60}, 10.0).size(), 1u);
+  EXPECT_FALSE(index.Nearest(EnPoint{0, 0}, 1000.0).has_value());
+}
+
+// Nearest() searches rings from SpatialIndex::kNearestFirstRingM,
+// doubled each time and capped at the maximum radius; its answer is the front of
 // Nearby() at the first ring that finds an edge.
 TEST(SpatialIndexNearestTest, CityMapReturnsFrontOfFirstHittingRing) {
   const synth::CityMap map = synth::GenerateCityMap().value();
@@ -528,7 +678,7 @@ TEST(SpatialIndexNearestTest, CityMapReturnsFrontOfFirstHittingRing) {
     const EnPoint p{rng.Uniform(box.min_x - 400.0, box.max_x + 400.0),
                     rng.Uniform(box.min_y - 400.0, box.max_y + 400.0)};
     std::optional<EdgeCandidate> want;
-    for (double ring = 50.0;; ring *= 2.0) {
+    for (double ring = SpatialIndex::kNearestFirstRingM;; ring *= 2.0) {
       const std::vector<EdgeCandidate> found =
           index.Nearby(p, std::min(ring, kMaxRadius));
       if (!found.empty()) {
