@@ -91,5 +91,21 @@ void SanitizeTrip(trace::Trip* trip, const SanitizeOptions& options,
   }
 }
 
+void GateToStudyRegion(const geo::Bbox& network_bounds,
+                       const geo::LocalProjection& projection,
+                       SanitizeOptions* options) {
+  const geo::Bbox box = network_bounds.Inflated(5000.0);
+  const geo::LatLon lo =
+      projection.Inverse(geo::EnPoint{box.min_x, box.min_y});
+  const geo::LatLon hi =
+      projection.Inverse(geo::EnPoint{box.max_x, box.max_y});
+  options->enabled = true;
+  options->has_region = true;
+  options->lat_min_deg = std::min(lo.lat_deg, hi.lat_deg);
+  options->lat_max_deg = std::max(lo.lat_deg, hi.lat_deg);
+  options->lon_min_deg = std::min(lo.lon_deg, hi.lon_deg);
+  options->lon_max_deg = std::max(lo.lon_deg, hi.lon_deg);
+}
+
 }  // namespace clean
 }  // namespace taxitrace

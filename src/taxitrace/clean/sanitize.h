@@ -14,6 +14,8 @@
 #define TAXITRACE_CLEAN_SANITIZE_H_
 
 #include "taxitrace/fault/fault_report.h"
+#include "taxitrace/geo/coordinates.h"
+#include "taxitrace/geo/geometry.h"
 #include "taxitrace/trace/trip.h"
 
 namespace taxitrace {
@@ -26,9 +28,8 @@ struct SanitizeOptions {
 
   /// Geographic gate: when true, points outside the lat/lon box are
   /// dropped (catches swapped coordinates and wild fixes). The box
-  /// should generously contain the study region — core::Pipeline
-  /// inflates the road-network bounds by kilometres, far beyond any
-  /// legitimate GPS scatter.
+  /// should generously contain the study region, as GateToStudyRegion's
+  /// does.
   bool has_region = false;
   double lat_min_deg = 0.0;
   double lat_max_deg = 0.0;
@@ -49,6 +50,14 @@ struct SanitizeOptions {
 /// No-op unless `options.enabled`.
 void SanitizeTrip(trace::Trip* trip, const SanitizeOptions& options,
                   fault::FaultReport* report);
+
+/// Enables `options` with its geographic gate set to `network_bounds`
+/// (metres under `projection`) inflated by 5 km, far beyond GPS scatter
+/// (outliers jump ~450 m), so only wild fixes such as swapped
+/// coordinates fall outside.
+void GateToStudyRegion(const geo::Bbox& network_bounds,
+                       const geo::LocalProjection& projection,
+                       SanitizeOptions* options);
 
 }  // namespace clean
 }  // namespace taxitrace

@@ -12,6 +12,7 @@
 
 #include "taxitrace/analysis/grid.h"
 #include "taxitrace/clean/cleaning_pipeline.h"
+#include "taxitrace/clean/sanitize.h"
 #include "taxitrace/common/executor.h"
 #include "taxitrace/common/reorder_buffer.h"
 #include "taxitrace/common/strings.h"
@@ -80,6 +81,7 @@ Result<StudyResults> Pipeline::Run() const {
     return Status::InvalidArgument(StrFormat(
         "grid_cell_m must be finite and > 0, got %g", config_.grid_cell_m));
   }
+  TAXITRACE_RETURN_IF_ERROR(config_.faults.Validate());
   const bool collect = config_.observability.enabled;
   // The span trace is always kept: StageTimings is derived from it. The
   // registry and the funnel ledger, which each stage appends its rows
@@ -184,27 +186,48 @@ Result<StudyResults> Pipeline::Run() const {
     }
   };
 
-  // 2. Raw traces. A fault-free study runs the fused unit on each
-  // (car, day) shard as it is simulated, so raw points never all exist
-  // at once: batch on the worker that simulated the shard, online
-  // ingestion in each car's session (ShardIngest), which the car's day
-  // buffer feeds. Only a fault plan builds the raw trace store: file
-  // faults corrupt one CSV view of all trips, and the fused unit then
-  // runs per store trip in stage 4, or per window of each car's replayed
-  // stream in stage 3.
+  // 2. Raw traces. Every study runs the fused unit on each (car, day)
+  // shard as it is simulated, so raw points never all exist at once:
+  // batch on the worker that simulated the shard, online ingestion in
+  // each car's session (ShardIngest), which the car's day buffer feeds.
+  // A fault plan first corrupts each shard on that worker; the corrupted
+  // input calls for the sanitiser, gated to the study region.
   obs::StageSpan sim_span(&trace, "simulation");
   const synth::FleetSimulator fleet(&results.map, &results.weather,
                                     config_.fleet, &results.pedestrians);
   const bool stream_ingest = config_.stream_ingestion;
   const bool faulted = config_.faults.Any();
   clean::CleaningOptions cleaning_options = config_.cleaning;
+  const fault::FaultInjector injector(config_.faults);
+  std::mutex faults_mu;
+  fault::FaultTally faults;  // Guarded by faults_mu.
+  std::function<Status(synth::FleetShard&)> corrupt_shard;
+  if (faulted) {
+    clean::GateToStudyRegion(results.map.network.Bounds(), proj,
+                             &cleaning_options.sanitize);
+    corrupt_shard = [&](synth::FleetShard& shard) -> Status {
+      fault::FaultTally tally;
+      TAXITRACE_RETURN_IF_ERROR(
+          injector.CorruptShard(shard.index, &shard.trips, &tally));
+      const std::lock_guard<std::mutex> lock(faults_mu);
+      faults.Add(tally);
+      return Status::OK();
+    };
+  }
 
   // Online ingestion's per-car matched transitions, folded in car order
   // in stage 4, and the sinks that run the fused unit on each window.
   std::mutex fold_mu;
   std::vector<std::vector<MatchedTransition>> car_transitions;
   std::vector<WindowSink> window_sinks;
-  const auto window_sinks_for = [&](size_t num_cars) {
+  std::optional<ShardIngest> shard_ingest;
+
+  int64_t points_delivered = 0;
+  int64_t peak_buffered_shards = 0;
+  if (stream_ingest) {
+    // A fleet without cars gets no sinks; Simulate then reports it.
+    const auto num_cars =
+        static_cast<size_t>(std::max(config_.fleet.num_cars, 0));
     car_transitions.resize(num_cars);
     window_sinks.resize(num_cars);
     std::vector<trace::TripSink*> sinks;
@@ -216,26 +239,10 @@ Result<StudyResults> Pipeline::Run() const {
       window_sinks[c].transitions = &car_transitions[c];
       sinks.push_back(&window_sinks[c]);
     }
-    return sinks;
-  };
-  std::optional<ShardIngest> shard_ingest;
-
-  synth::FleetResult raw;
-  int64_t trips_simulated = 0;
-  int64_t points_simulated = 0;
-  int64_t peak_buffered_shards = 0;
-  if (faulted) {
-    TAXITRACE_ASSIGN_OR_RETURN(raw, fleet.Run(&executor));
-    trips_simulated = static_cast<int64_t>(raw.store.NumTrips());
-    points_simulated = static_cast<int64_t>(raw.store.NumPoints());
-  } else if (stream_ingest) {
-    // A fleet without cars gets no sinks; Simulate then reports it.
-    shard_ingest.emplace(&fleet, config_.ingest,
-                         window_sinks_for(static_cast<size_t>(
-                             std::max(config_.fleet.num_cars, 0))));
-    TAXITRACE_RETURN_IF_ERROR(shard_ingest->Simulate(executor));
-    trips_simulated = shard_ingest->trips_simulated();
-    points_simulated = shard_ingest->points_simulated();
+    shard_ingest.emplace(&fleet, config_.ingest, sinks);
+    TAXITRACE_RETURN_IF_ERROR(shard_ingest->Simulate(executor, corrupt_shard));
+    results.raw_trips = shard_ingest->trips_simulated();
+    points_delivered = shard_ingest->points_simulated();
     peak_buffered_shards = shard_ingest->peak_buffered_shards();
   } else {
     ReorderBuffer<std::vector<TripMatchOutput>> merge(
@@ -243,85 +250,49 @@ Result<StudyResults> Pipeline::Run() const {
           for (TripMatchOutput& trip : shard) fold(trip);
           return Status::OK();
         });
-    TAXITRACE_RETURN_IF_ERROR(fleet.RunShards(
-        &executor, [&](synth::FleetShard shard) -> Status {
-          std::vector<TripMatchOutput> out;
-          out.reserve(shard.trips.size());
-          for (trace::Trip& trip : shard.trips) {
-            out.push_back(CleanAndMatchTrip(std::move(trip), cleaning_options,
-                                            match_context));
-          }
-          return merge.Deposit(shard.index, std::move(out));
-        }));
+    const auto clean_shard = [&](synth::FleetShard shard) -> Status {
+      if (corrupt_shard) TAXITRACE_RETURN_IF_ERROR(corrupt_shard(shard));
+      std::vector<TripMatchOutput> out;
+      out.reserve(shard.trips.size());
+      for (trace::Trip& trip : shard.trips) {
+        out.push_back(
+            CleanAndMatchTrip(std::move(trip), cleaning_options, match_context));
+      }
+      return merge.Deposit(shard.index, std::move(out));
+    };
+    TAXITRACE_RETURN_IF_ERROR(fleet.RunShards(&executor, clean_shard));
     peak_buffered_shards = merge.peak_buffered();
-    trips_simulated = report.raw_trips;
-    points_simulated = report.raw_points;
+    results.raw_trips = report.raw_trips;
+    points_delivered = report.raw_points;
   }
+  // The identity source stages count the raw volume entering the
+  // pipeline, before any fault injection.
+  const int64_t trips_simulated =
+      faulted ? faults.trips_in : results.raw_trips;
+  const int64_t points_simulated =
+      faulted ? faults.points_in : points_delivered;
   if (collect) {
-    // Identity source stages: the raw volume entering the pipeline,
-    // counted before any fault injection.
     funnel_ledger.AddStage("trips.simulated", "trips", trips_simulated,
                            trips_simulated);
     funnel_ledger.AddStage("points.simulated", "points", points_simulated,
                            points_simulated);
+    if (faulted) faults.AddFunnelRows(config_.faults.AnyFileFaults(), funnel);
   }
-
-  // 2.5. Fault injection, skipped entirely on a fault-free plan. The
-  // corrupted input calls for the sanitiser, gated to the study region.
-  fault::FaultReport injected;
-  if (faulted) {
-    obs::StageSpan fault_span(&trace, "fault_injection");
-    TAXITRACE_ASSIGN_OR_RETURN(
-        const fault::RegionGate gate,
-        fault::ApplyFaultPlan(config_.faults, results.map.network.Bounds(),
-                              proj, &raw.store, &injected, funnel));
-    clean::SanitizeOptions& sanitize = cleaning_options.sanitize;
-    sanitize.enabled = true;
-    sanitize.has_region = true;
-    sanitize.lat_min_deg = gate.lat_min_deg;
-    sanitize.lat_max_deg = gate.lat_max_deg;
-    sanitize.lon_min_deg = gate.lon_min_deg;
-    sanitize.lon_max_deg = gate.lon_max_deg;
-    fault_span.AddItems(injected.TotalInjected());
-  }
-  results.raw_trips = faulted ? static_cast<int64_t>(raw.store.NumTrips())
-                              : trips_simulated;
   sim_span.AddItems(trips_simulated);
   sim_span.Finish();
 
-  // 3. Online ingestion: one session per car, one car per work item,
-  // undoing the arrival shuffle under the watermark and running the
-  // fused unit on each window the moment it closes. On the shard source
-  // the sessions already took every simulated trip; what is left is to
-  // end each car's stream. A faulted study replays each car's trips
-  // from the corrupted store. Sessions share no state and their stats
-  // fold in car order, so the results equal the same study's without
-  // ingestion at any worker count whenever the displacement fits the
-  // lossless bound.
+  // 3. Online ingestion: one session per car, undoing the arrival
+  // shuffle under the watermark and running the fused unit on each
+  // window the moment it closes. The sessions already took every
+  // simulated trip; what is left is to end each car's stream, one car
+  // per work item. Sessions share no state and their stats fold in car
+  // order, so the results equal the same study's without ingestion at
+  // any worker count whenever the displacement fits the lossless bound.
   if (stream_ingest) {
     obs::StageSpan ingest_span(&trace, "stream_ingestion");
-    if (faulted) {
-      const std::vector<int> car_ids = raw.store.CarIds();
-      const std::vector<trace::TripSink*> sinks =
-          window_sinks_for(car_ids.size());
-      std::vector<stream::IngestStats> car_stats(car_ids.size());
-      TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
-          0, static_cast<int64_t>(car_ids.size()), [&](int64_t ci) -> Status {
-            const auto c = static_cast<size_t>(ci);
-            TAXITRACE_ASSIGN_OR_RETURN(
-                car_stats[c],
-                stream::ReplayCarStream(raw.store, car_ids[c], config_.ingest,
-                                        sinks[c]));
-            return Status::OK();
-          }));
-      for (const stream::IngestStats& s : car_stats) {
-        results.ingest_stats.Add(s);
-      }
-    } else {
-      TAXITRACE_RETURN_IF_ERROR(shard_ingest->FinishStreams(executor));
-      for (size_t c = 0; c < shard_ingest->num_cars(); ++c) {
-        results.ingest_stats.Add(shard_ingest->car_stats(c));
-      }
+    TAXITRACE_RETURN_IF_ERROR(shard_ingest->FinishStreams(executor));
+    for (size_t c = 0; c < shard_ingest->num_cars(); ++c) {
+      results.ingest_stats.Add(shard_ingest->car_stats(c));
     }
     if (collect) {
       stream::PublishIngestMetrics(results.ingest_stats, &funnel_ledger,
@@ -331,10 +302,8 @@ Result<StudyResults> Pipeline::Run() const {
                          results.ingest_stats.trip_markers_offered);
   }
 
-  // 4. Cleaning: the ingest sources fold their per-car transitions in
-  // car order; a faulted study without ingestion runs the fused unit
-  // over the store's trips and a reorder buffer releases each output to
-  // the fold in store order. A batch study has nothing left to do here.
+  // 4. Cleaning: the ingest source folds its per-car transitions in car
+  // order. A batch study has nothing left to do here.
   obs::StageSpan clean_span(&trace, "cleaning");
   if (stream_ingest) {
     // Car order, each car's windows in release order, is the batch
@@ -345,26 +314,12 @@ Result<StudyResults> Pipeline::Run() const {
     for (std::vector<MatchedTransition>& transitions : car_transitions) {
       for (MatchedTransition& mt : transitions) fold_transition(mt);
     }
-  } else if (faulted) {
-    // Nothing reads the store after this point: each worker takes its
-    // trip out of the vector instead of copying it.
-    std::vector<trace::Trip> trips = std::move(raw.store).TakeTrips();
-    ReorderBuffer<TripMatchOutput> merge([&](TripMatchOutput trip) {
-      fold(trip);
-      return Status::OK();
-    });
-    TAXITRACE_RETURN_IF_ERROR(executor.ParallelFor(
-        0, static_cast<int64_t>(trips.size()), [&](int64_t i) -> Status {
-          return merge.Deposit(
-              i, CleanAndMatchTrip(std::move(trips[static_cast<size_t>(i)]),
-                                   cleaning_options, match_context));
-        }));
   }
   if (collect) {
     clean::PublishCleaningMetrics(report, metrics);
     clean::AddCleaningFunnelRows(report, funnel);
   }
-  report.faults.Add(injected);
+  report.faults.Add(faults.report);
   clean_span.AddItems(report.raw_trips);
   clean_span.Finish();
 
@@ -494,16 +449,14 @@ Result<StudyResults> Pipeline::Run() const {
     count("pipeline.transitions_matched", match_totals.post_filtered);
     count("pipeline.point_speeds", results.total_point_speeds);
     if (faulted) {
-      count("fault.injected_total", injected.TotalInjected());
+      count("fault.injected_total", faults.report.TotalInjected());
       count("fault.dropped_total", report.faults.TotalDropped());
-    } else {
-      // How many shards finished ahead of a slower predecessor (of the
-      // same car, on the ingest source): set by scheduling, not by the
-      // data, hence a gauge. Only the shard sources set it, so its
-      // presence shows that no raw trace store was built.
-      registry.gauge("synth.peak_buffered_shards")
-          ->Set(static_cast<double>(peak_buffered_shards));
     }
+    // How many shards finished ahead of a slower predecessor (of the
+    // same car, on the ingest source): set by scheduling, not by the
+    // data, hence a gauge.
+    registry.gauge("synth.peak_buffered_shards")
+        ->Set(static_cast<double>(peak_buffered_shards));
 
     // Executor load: scheduling-dependent by nature, hence gauges.
     const ExecutorStats ex = executor.stats();

@@ -26,19 +26,16 @@ namespace core {
 
 /// Wall-clock cost of each pipeline stage, milliseconds, plus the
 /// worker count every parallel stage ran with (0 = serial). Derived
-/// from the run's top-level obs::Trace stage spans (`fault_injection`
-/// has no field of its own); kept as a flat struct for the bench call
-/// sites.
+/// from the run's top-level obs::Trace stage spans; kept as a flat
+/// struct for the bench call sites.
 ///
-/// The fused clean + match unit lands in one span per source. On a
-/// fault-free study it runs as the shards are simulated, so its time is
-/// inside `simulation_ms` and `cleaning_ms` is near zero; on a
-/// fault-free online-ingest run that includes each car's shard ingest,
-/// and `stream_ingest_ms` covers only the end of every car's stream
-/// (the shuffle's tail and the last windows). A faulted study runs it
-/// per store trip in `cleaning_ms`, or, with online ingestion, per
-/// replayed window in `stream_ingest_ms`. `selection_matching_ms` is
-/// left with the Table 3 rows, so it is near-empty on every source.
+/// The fused clean + match unit, and a fault plan's shard transform
+/// before it, run as the shards are simulated, so their time is inside
+/// `simulation_ms` and `cleaning_ms` is near zero; on an online-ingest
+/// run that includes each car's shard ingest, and `stream_ingest_ms`
+/// covers only the end of every car's stream (the shuffle's tail and
+/// the last windows). `selection_matching_ms` is left with the Table 3
+/// rows, so it is near-empty on every source.
 struct StageTimings {
   double map_generation_ms = 0.0;
   double simulation_ms = 0.0;

@@ -32,11 +32,14 @@ ShardIngest::ShardIngest(const synth::FleetSimulator* fleet,
   }
 }
 
-Status ShardIngest::Simulate(const Executor& executor) {
+Status ShardIngest::Simulate(
+    const Executor& executor,
+    const std::function<Status(synth::FleetShard&)>& transform) {
   const int64_t days = fleet_->options().num_days;
   return fleet_->RunShards(
       &executor,
       [&](synth::FleetShard shard) -> Status {
+        if (transform) TAXITRACE_RETURN_IF_ERROR(transform(shard));
         Car& car = *cars_[static_cast<size_t>(shard.index / days)];
         return car.days.Deposit(shard.index % days, std::move(shard.trips));
       },

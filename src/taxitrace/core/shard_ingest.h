@@ -1,12 +1,13 @@
-// Online ingestion fed by the fleet simulator's (car, day) shards, so a
-// fault-free online-ingest study never holds the raw campaign: each
-// car's trips pass through its arrival shuffle and ingest session as
-// the car's days are simulated.
+// Online ingestion fed by the fleet simulator's (car, day) shards, so an
+// online-ingest study never holds the raw campaign: each car's trips
+// pass through its arrival shuffle and ingest session as the car's days
+// are simulated.
 
 #ifndef TAXITRACE_CORE_SHARD_INGEST_H_
 #define TAXITRACE_CORE_SHARD_INGEST_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,7 +25,7 @@ namespace core {
 /// One stream::CarIngest per car of a fleet, fed from the fleet's shards
 /// by a per-car ReorderBuffer over the car's days. Each car thus ingests
 /// its trips in (day, trip) order, which is its order in the fleet's
-/// store, so its windows and IngestStats equal ReplayCarStream's over
+/// store, so its windows and IngestStats equal a replay of
 /// FleetSimulator::Run's store at any worker count. What is held is the
 /// days that finished ahead of an earlier day of their car and each
 /// car's shuffle window.
@@ -40,8 +41,12 @@ class ShardIngest {
 
   /// Simulates every shard, claiming them day-major so that all cars
   /// advance together, and ingests each shard's trips once every
-  /// earlier day of its car has been ingested.
-  Status Simulate(const Executor& executor);
+  /// earlier day of its car has been ingested. A non-empty `transform`
+  /// runs on each shard first, on the worker that simulated it, and may
+  /// be called concurrently; its error fails the run.
+  Status Simulate(
+      const Executor& executor,
+      const std::function<Status(synth::FleetShard&)>& transform = {});
 
   /// Ends every car's stream (ArrivalShuffle flush, session finish), one
   /// car per work item. Call once, after Simulate succeeded.
@@ -52,7 +57,7 @@ class ShardIngest {
     return cars_[c]->ingest.stats();
   }
   [[nodiscard]] size_t num_cars() const { return cars_.size(); }
-  /// Raw trips and points the shards delivered.
+  /// Raw trips and points the shards delivered, after any transform.
   [[nodiscard]] int64_t trips_simulated() const;
   [[nodiscard]] int64_t points_simulated() const;
   /// Most days any one car's buffer ever held at once; depends on

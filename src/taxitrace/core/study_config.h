@@ -33,12 +33,12 @@ struct StudyConfig {
   /// Analysis grid cell size (the paper's 200 m).
   double grid_cell_m = 200.0;
 
-  /// Fault-injection plan applied to the raw traces between simulation
-  /// and cleaning. All probabilities default to zero (no injection, no
-  /// extra work); any nonzero probability also enables the cleaning
-  /// sanitiser so the corrupted study still runs end to end, and makes
-  /// the study build the raw trace store: file-level faults corrupt one
-  /// CSV view of all trips.
+  /// Fault-injection plan applied to each simulated (car, day) shard
+  /// before cleaning, on the worker that simulated it
+  /// (fault::FaultInjector::CorruptShard). All probabilities default to
+  /// zero (no injection, no extra work); any nonzero probability also
+  /// enables the cleaning sanitiser so the corrupted study still runs
+  /// end to end. Pipeline::Run rejects a probability outside [0, 1].
   fault::FaultPlan faults;
 
   /// Metrics / tracing / funnel collection. Off by default: a disabled
@@ -46,9 +46,9 @@ struct StudyConfig {
   /// funnel, empty StudyResults::observability).
   obs::ObservabilityOptions observability;
 
-  /// Ignored. Every study without a fault plan already cleans and
-  /// matches each simulated (car, day) shard as it is simulated,
-  /// without building the raw trace store.
+  /// Ignored. Every study already cleans and matches each simulated
+  /// (car, day) shard as it is simulated, without building the raw
+  /// trace store.
   /// The field stays only because the benchmark driver
   /// (perfbench/perfbench.cc) still assigns it; the next change to the
   /// benchmark removes that assignment and this field with it.
@@ -64,9 +64,8 @@ struct StudyConfig {
   /// path at any worker count whenever every arrival displacement fits
   /// the lossless bound (reorder_lag / 2); records beyond it become
   /// counted funnel drops (`points.ingested`), never silent losses.
-  /// With a fault plan, ingestion replays each car's trips from the
-  /// fault-corrupted raw trace store instead, exactly what a
-  /// store-order run would have seen.
+  /// With a fault plan, each car ingests its fault-corrupted shards,
+  /// exactly what the batch path cleans.
   bool stream_ingestion = false;
   stream::IngestOptions ingest;
 

@@ -1,8 +1,8 @@
 #include "taxitrace/fault/fault_injector.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 #include <utility>
 
 #include "taxitrace/common/random.h"
@@ -102,7 +102,10 @@ void FaultInjector::CorruptTrips(std::vector<trace::Trip>* trips,
 }
 
 std::string FaultInjector::CorruptCsv(const std::string& csv,
+                                      int64_t shard_index,
                                       FaultReport* report) const {
+  const uint64_t shard_seed =
+      MixSeed(plan_.seed, static_cast<uint64_t>(shard_index), kRowSalt);
   const std::vector<std::string> lines = Split(csv, '\n');
   std::string out;
   out.reserve(csv.size() + csv.size() / 16);
@@ -111,7 +114,7 @@ std::string FaultInjector::CorruptCsv(const std::string& csv,
     // Row 0 is the header; the final Split piece after a trailing
     // newline is empty. Neither is a corruption target.
     if (i > 0 && !line.empty()) {
-      Rng rng(MixSeed(plan_.seed, i, kRowSalt));
+      Rng rng(MixSeed(shard_seed, i, kRowSalt));
       if (rng.Bernoulli(plan_.truncate_row_prob)) {
         line.resize(line.size() / 2);
         ++report->injected_truncated_rows;
@@ -143,69 +146,57 @@ std::string FaultInjector::CorruptCsv(const std::string& csv,
   return out;
 }
 
-Result<trace::TraceStore> RebuildStoreDroppingDuplicates(
-    std::vector<trace::Trip> trips, FaultReport* report) {
-  trace::TraceStore store;
-  for (trace::Trip& trip : trips) {
-    Status status = store.AddTrip(std::move(trip));
-    if (status.ok()) continue;
-    if (status.code() == StatusCode::kAlreadyExists) {
-      ++report->trips_dropped_duplicate_id;
-      continue;
-    }
-    return status;
+Status FaultInjector::CorruptShard(int64_t shard_index,
+                                   std::vector<trace::Trip>* trips,
+                                   FaultTally* tally) const {
+  tally->trips_in += static_cast<int64_t>(trips->size());
+  for (const trace::Trip& trip : *trips) {
+    tally->points_in += static_cast<int64_t>(trip.points.size());
   }
-  return store;
+  CorruptTrips(trips, &tally->report);
+  if (plan_.AnyFileFaults()) {
+    trace::TraceIoStats io_stats;
+    TAXITRACE_ASSIGN_OR_RETURN(
+        *trips,
+        trace::TripsFromCsvLenient(
+            CorruptCsv(trace::TripsToCsv(*trips), shard_index,
+                       &tally->report),
+            &io_stats));
+    tally->csv_rows += io_stats.rows_total;
+    tally->report.rows_dropped_malformed += io_stats.rows_dropped_malformed;
+    tally->report.rows_dropped_non_utf8 += io_stats.rows_dropped_non_utf8;
+  }
+  tally->trips_deduplicated += static_cast<int64_t>(trips->size());
+  std::unordered_set<int64_t> seen;
+  tally->report.trips_dropped_duplicate_id += static_cast<int64_t>(
+      std::erase_if(*trips, [&seen](const trace::Trip& trip) {
+        return !seen.insert(trip.trip_id).second;
+      }));
+  return Status::OK();
 }
 
-Result<RegionGate> ApplyFaultPlan(const FaultPlan& plan,
-                                  const geo::Bbox& network_bounds,
-                                  const geo::LocalProjection& projection,
-                                  trace::TraceStore* store,
-                                  FaultReport* report,
-                                  obs::FunnelLedger* funnel) {
-  const FaultInjector injector(plan);
-  std::vector<trace::Trip> trips = std::move(*store).TakeTrips();
-  injector.CorruptTrips(&trips, report);
-  if (plan.AnyFileFaults()) {
-    trace::TraceIoStats io_stats;
-    const std::string csv =
-        injector.CorruptCsv(trace::TripsToCsv(trips), report);
-    TAXITRACE_ASSIGN_OR_RETURN(trips,
-                               trace::TripsFromCsvLenient(csv, &io_stats));
-    report->rows_dropped_malformed += io_stats.rows_dropped_malformed;
-    report->rows_dropped_non_utf8 += io_stats.rows_dropped_non_utf8;
-    if (funnel != nullptr) {
-      funnel
-          ->AddStage("rows.csv_lenient_parse", "rows", io_stats.rows_total,
-                     io_stats.rows_total - io_stats.rows_dropped_malformed -
-                         io_stats.rows_dropped_non_utf8)
-          .Drop("malformed", io_stats.rows_dropped_malformed)
-          .Drop("non_utf8", io_stats.rows_dropped_non_utf8);
-    }
-  }
-  const int64_t trips_before_rebuild = static_cast<int64_t>(trips.size());
-  TAXITRACE_ASSIGN_OR_RETURN(
-      *store, RebuildStoreDroppingDuplicates(std::move(trips), report));
-  const int64_t trips_after_rebuild = static_cast<int64_t>(store->NumTrips());
-  if (funnel != nullptr) {
-    funnel
-        ->AddStage("trips.store_rebuild", "trips", trips_before_rebuild,
-                   trips_after_rebuild)
-        .Drop("duplicate_id", trips_before_rebuild - trips_after_rebuild);
-  }
+void FaultTally::Add(const FaultTally& other) {
+  report.Add(other.report);
+  trips_in += other.trips_in;
+  points_in += other.points_in;
+  csv_rows += other.csv_rows;
+  trips_deduplicated += other.trips_deduplicated;
+}
 
-  const geo::Bbox box = network_bounds.Inflated(5000.0);
-  const geo::LatLon lo =
-      projection.Inverse(geo::EnPoint{box.min_x, box.min_y});
-  const geo::LatLon hi =
-      projection.Inverse(geo::EnPoint{box.max_x, box.max_y});
-  RegionGate gate;
-  gate.lat_min_deg = std::min(lo.lat_deg, hi.lat_deg);
-  gate.lat_max_deg = std::max(lo.lat_deg, hi.lat_deg);
-  gate.lon_min_deg = std::min(lo.lon_deg, hi.lon_deg);
-  gate.lon_max_deg = std::max(lo.lon_deg, hi.lon_deg);
-  return gate;
+void FaultTally::AddFunnelRows(bool file_faults,
+                               obs::FunnelLedger* funnel) const {
+  if (file_faults) {
+    funnel
+        ->AddStage("rows.csv_lenient_parse", "rows", csv_rows,
+                   csv_rows - report.rows_dropped_malformed -
+                       report.rows_dropped_non_utf8)
+        .Drop("malformed", report.rows_dropped_malformed)
+        .Drop("non_utf8", report.rows_dropped_non_utf8);
+  }
+  funnel
+      ->AddStage("trips.store_rebuild", "trips", trips_deduplicated,
+                 trips_deduplicated - report.trips_dropped_duplicate_id)
+      .Drop("duplicate_id", report.trips_dropped_duplicate_id);
 }
 
 }  // namespace fault

@@ -1,36 +1,53 @@
 // FaultInjector: deterministic corruption of raw traces.
 //
-// The injector applies a FaultPlan at two boundaries:
+// A study applies its FaultPlan to each simulated (car, day) shard, on
+// the worker that simulated it, before cleaning sees the shard's trips
+// (CorruptShard). The injector works at two boundaries:
 //
 //   * CorruptTrips — point- and trip-level faults on in-memory trips.
 //     Every trip draws from its own Rng seeded with
 //     MixSeed(plan.seed, trip_id, kTripSalt), so the set of faults is a
 //     pure function of (plan, input) regardless of thread count.
 //   * CorruptCsv — file-level faults on serialized trace CSV. Every
-//     data row draws from MixSeed(plan.seed, row_index, kRowSalt).
+//     data row draws from a stream keyed by (shard index, row in shard).
 //
-// The helpers at the bottom are the graceful counterparts on the
-// consuming side: rebuilding a TraceStore while counting (instead of
-// aborting on) duplicate trip ids, and ApplyFaultPlan, the whole plan
-// as one transform of a simulated store.
+// CorruptShard runs both and then drops the trips whose id repeats in
+// the shard, counting them instead of failing. A shard is one car's day
+// and its trip ids are its own (synth::kTripIdStride), so no fault
+// reaches across cars or shards, and shards transform independently, in
+// any order.
 
 #ifndef TAXITRACE_FAULT_FAULT_INJECTOR_H_
 #define TAXITRACE_FAULT_FAULT_INJECTOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "taxitrace/common/result.h"
+#include "taxitrace/common/status.h"
 #include "taxitrace/fault/fault_plan.h"
 #include "taxitrace/fault/fault_report.h"
-#include "taxitrace/geo/coordinates.h"
-#include "taxitrace/geo/geometry.h"
 #include "taxitrace/obs/funnel.h"
-#include "taxitrace/trace/trace_store.h"
 #include "taxitrace/trace/trip.h"
 
 namespace taxitrace {
 namespace fault {
+
+/// What CorruptShard saw and did. Plain integer sums, so the tallies of
+/// a study's shards fold to the same totals in any order.
+struct FaultTally {
+  FaultReport report;  ///< Injections, and the parse and duplicate drops.
+  int64_t trips_in = 0;   ///< Trips handed to the transform.
+  int64_t points_in = 0;  ///< Their points.
+  int64_t csv_rows = 0;   ///< Data rows the lenient parse read.
+  int64_t trips_deduplicated = 0;  ///< Trips entering the duplicate drop.
+
+  void Add(const FaultTally& other);
+
+  /// Appends the `rows.csv_lenient_parse` row (when `file_faults`) and
+  /// the `trips.store_rebuild` row, the duplicate-id drop, to `funnel`.
+  void AddFunnelRows(bool file_faults, obs::FunnelLedger* funnel) const;
+};
 
 /// Applies a FaultPlan to traces. Stateless apart from the plan; all
 /// randomness is derived per trip / per row via MixSeed.
@@ -48,43 +65,24 @@ class FaultInjector {
 
   /// Corrupts serialized trace CSV (as written by trace::TripsToCsv)
   /// with the plan's file-level fault classes, one decision per data
-  /// row. The header row is never touched.
+  /// row, drawn from a stream keyed by (`shard_index`, row). The header
+  /// row is never touched.
   [[nodiscard]] std::string CorruptCsv(const std::string& csv,
+                                       int64_t shard_index,
                                        FaultReport* report) const;
+
+  /// The whole plan as a transform of one shard's trips, in place:
+  /// CorruptTrips, then on file-level faults a round trip through
+  /// trace::TripsToCsv, CorruptCsv and trace::TripsFromCsvLenient, then
+  /// the drop of every trip whose id an earlier trip of the shard holds.
+  /// Adds what it saw and did to `tally`. Fails only if the lenient
+  /// parse does, which an intact header rules out.
+  Status CorruptShard(int64_t shard_index, std::vector<trace::Trip>* trips,
+                      FaultTally* tally) const;
 
  private:
   FaultPlan plan_;
 };
-
-/// Builds a TraceStore from `trips`, dropping trips whose id is already
-/// present (counted in report->trips_dropped_duplicate_id) instead of
-/// failing. Any other store error propagates.
-Result<trace::TraceStore> RebuildStoreDroppingDuplicates(
-    std::vector<trace::Trip> trips, FaultReport* report);
-
-/// The lat/lon box outside which the cleaning sanitiser drops a fix.
-struct RegionGate {
-  double lat_min_deg = 0.0;
-  double lat_max_deg = 0.0;
-  double lon_min_deg = 0.0;
-  double lon_max_deg = 0.0;
-};
-
-/// Applies `plan` to a store in place: corrupts its trips, round-trips
-/// them through a corrupted CSV and the lenient reader on file-level
-/// faults, and rebuilds the store dropping duplicate ids. The trips are
-/// moved out of the store, not copied; on error it is left empty.
-/// Injections and drops add to `report`; a non-null `funnel` gets the
-/// `rows.csv_lenient_parse` and `trips.store_rebuild` rows. Returns the
-/// sanitiser's region gate: `network_bounds` (metres under `projection`)
-/// inflated by 5 km, far beyond GPS scatter (outliers jump ~450 m), so
-/// only wild fixes such as swapped coordinates fall outside.
-Result<RegionGate> ApplyFaultPlan(const FaultPlan& plan,
-                                  const geo::Bbox& network_bounds,
-                                  const geo::LocalProjection& projection,
-                                  trace::TraceStore* store,
-                                  FaultReport* report,
-                                  obs::FunnelLedger* funnel);
 
 }  // namespace fault
 }  // namespace taxitrace

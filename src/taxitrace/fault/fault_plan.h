@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "taxitrace/common/status.h"
+
 namespace taxitrace {
 namespace fault {
 
@@ -48,12 +50,13 @@ struct FaultPlan {
   /// Sets every per-class probability to `rate` (a uniform fault mix).
   static FaultPlan Uniform(double rate);
 
+  /// OK when every probability lies in [0, 1]; InvalidArgument naming
+  /// the first that does not (NaN included) otherwise.
+  [[nodiscard]] Status Validate() const;
+
   /// True when any probability is nonzero (the pipeline skips the
   /// injection step entirely otherwise).
   [[nodiscard]] bool Any() const;
-
-  /// True when any point- or trip-level probability is nonzero.
-  [[nodiscard]] bool AnyTraceFaults() const;
 
   /// True when any file-level probability is nonzero (triggers the CSV
   /// round-trip in the pipeline).

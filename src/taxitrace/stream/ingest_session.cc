@@ -251,17 +251,6 @@ Status CarIngest::FinishStream() {
   return session_.FinishStream();
 }
 
-Result<IngestStats> ReplayCarStream(const trace::TraceStore& store,
-                                    int car_id, const IngestOptions& options,
-                                    trace::TripSink* sink) {
-  CarIngest car(car_id, options, sink);
-  for (const trace::Trip& trip : store.trips()) {
-    if (trip.car_id == car_id) TAXITRACE_RETURN_IF_ERROR(car.AddTrip(trip));
-  }
-  TAXITRACE_RETURN_IF_ERROR(car.FinishStream());
-  return car.stats();
-}
-
 void PublishIngestMetrics(const IngestStats& stats, obs::FunnelLedger* funnel,
                           obs::MetricsRegistry* metrics) {
   funnel

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "taxitrace/common/result.h"
 #include "taxitrace/common/status.h"
 #include "taxitrace/obs/funnel.h"
 #include "taxitrace/obs/metrics.h"
@@ -224,12 +223,6 @@ class CarIngest {
   ArrivalShuffle<StreamRecord> shuffle_;
   int64_t next_seq_ = 0;
 };
-
-/// Replays car `car_id`'s trips in `store`, in store order, through one
-/// CarIngest feeding `sink`. Returns the session's stats.
-Result<IngestStats> ReplayCarStream(const trace::TraceStore& store,
-                                    int car_id, const IngestOptions& options,
-                                    trace::TripSink* sink);
 
 /// Appends the `points.ingested` and `windows.closed` funnel rows to
 /// `funnel` (every offered record is released or a counted late drop)

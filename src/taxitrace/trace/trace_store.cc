@@ -20,11 +20,6 @@ Status TraceStore::AddTrip(Trip trip) {
   return Status::OK();
 }
 
-std::vector<Trip> TraceStore::TakeTrips() && {
-  by_id_.clear();
-  return std::exchange(trips_, {});
-}
-
 size_t TraceStore::NumPoints() const {
   size_t n = 0;
   for (const Trip& t : trips_) n += t.points.size();

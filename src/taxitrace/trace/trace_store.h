@@ -24,9 +24,6 @@ class TraceStore {
   /// All trips in insertion order.
   [[nodiscard]] const std::vector<Trip>& trips() const { return trips_; }
 
-  /// Moves all trips out in insertion order, leaving the store empty.
-  [[nodiscard]] std::vector<Trip> TakeTrips() &&;
-
   /// Number of stored trips.
   [[nodiscard]] size_t NumTrips() const { return trips_.size(); }
 

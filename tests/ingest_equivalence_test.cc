@@ -25,6 +25,7 @@
 #include "taxitrace/stream/stream_source.h"
 #include "taxitrace/synth/city_map_generator.h"
 #include "taxitrace/synth/fleet_simulator.h"
+#include "taxitrace/trace/trace_store.h"
 #include "taxitrace/trace/trip_sink.h"
 
 namespace taxitrace {
@@ -167,9 +168,10 @@ TEST(IngestEquivalenceTest, CanonicalOrderHasZeroLatency) {
   EXPECT_EQ(BatchDigest(), core::StudyDigestJson(run));
 }
 
-// Ingestion consumes the materialised, fault-corrupted store — exactly
-// what batch cleaning would have seen — so a faulted study must stream
-// to the same results too, at any worker count.
+// Each car ingests its fault-corrupted shards, which the transform
+// corrupts before either source sees them — exactly what batch cleaning
+// sees — so a faulted study must stream to the same results too, at any
+// worker count.
 const core::StudyResults& FaultedReference() {
   static const core::StudyResults reference = RunStudy(
       0, /*stream_ingest=*/false, fault::FaultPlan::Uniform(0.02));
@@ -490,11 +492,25 @@ TEST(IngestSessionTest, WatermarkAdvanceClosesStaleWindows) {
 // The shard source against the store it no longer builds. The small
 // study's fleet is ingested two ways: through ShardIngest, which feeds
 // each car's session day by day as the shards are simulated (the
-// fault-free pipeline's source), and through ReplayCarStream over
+// pipeline's source), and through ReplayCarStream over
 // FleetSimulator::Run's store. Both must release the same windows with
 // the same IngestStats, latency histogram included, at any worker
 // count, lossless (lag 64, shuffle 32) and lossy (lag 4, shuffle 32,
 // which drops late records).
+
+// The reference: car `car_id`'s trips in `store`, in store order,
+// through one CarIngest feeding `sink`. Returns the session's stats.
+Result<stream::IngestStats> ReplayCarStream(const trace::TraceStore& store,
+                                            int car_id,
+                                            const stream::IngestOptions& options,
+                                            trace::TripSink* sink) {
+  stream::CarIngest car(car_id, options, sink);
+  for (const trace::Trip& trip : store.trips()) {
+    if (trip.car_id == car_id) TAXITRACE_RETURN_IF_ERROR(car.AddTrip(trip));
+  }
+  TAXITRACE_RETURN_IF_ERROR(car.FinishStream());
+  return car.stats();
+}
 
 void ExpectSameIngestStats(const stream::IngestStats& a,
                            const stream::IngestStats& b) {
@@ -558,7 +574,7 @@ TEST(IngestEquivalenceTest, ShardFedIngestMatchesStoreReplay) {
     for (size_t c = 0; c < cars; ++c) {
       const int car = static_cast<int>(c) + 1;
       want_stats.push_back(
-          stream::ReplayCarStream(store, car, options, &want[c]).value());
+          ReplayCarStream(store, car, options, &want[c]).value());
       dropped_late += want_stats.back().points_dropped_late;
     }
     EXPECT_EQ(dropped_late > 0, lag == 4) << "lag " << lag;

@@ -256,13 +256,13 @@ TEST(ParallelDeterminismTest, MetricsOnEightWorkersMatchSerial) {
   ExpectIdenticalObservability(ObservedSerialReference(), run);
 }
 
-// Shard legs: a default-config study never builds the raw trace store.
-// Each simulation worker cleans and matches its own shards and a
-// reorder buffer folds them in (car, day, trip) order, so the results,
-// the funnel and every counter equal the serial reference at any worker
-// count. Only that path publishes the buffer's high-water mark, so the
-// gauge's presence shows no store was built; the mark depends on
-// scheduling and is published as a gauge, never a counter.
+// Shard legs: a study never builds the raw trace store. Each
+// simulation worker cleans and matches its own shards and a reorder
+// buffer folds them in (car, day, trip) order, so the results, the
+// funnel and every counter equal the serial reference at any worker
+// count. Every study publishes the buffer's high-water mark (the
+// faulted legs below check it too); the mark depends on scheduling and
+// is published as a gauge, never a counter.
 TEST(ParallelDeterminismTest, StreamedMetricsOnMatchBatchAtAnyWorkerCount) {
   for (const int workers : {0, 1, 2, 8}) {
     core::StudyConfig config = core::StudyConfig::SmallStudy();
@@ -319,23 +319,65 @@ TEST(ParallelDeterminismTest, IngestPublishesShardBufferAtAnyWorkerCount) {
   }
 }
 
-// With fault injection on, the funnel gains the store-rebuild (and,
-// with file faults, the CSV parse) stages — and still reconciles
-// exactly, in == out + dropped, at every stage.
+// With fault injection on, the funnel gains the per-shard duplicate
+// drop (`trips.store_rebuild`) and, with file faults, the CSV parse
+// stages — and still reconciles exactly, in == out + dropped, at every
+// stage, batch and online ingest alike. Faults are a transform of each
+// shard, so a faulted study takes the shard sources too and publishes
+// their buffer's high-water mark (1 on a serial run).
 TEST(ParallelDeterminismTest, FaultedFunnelReconcilesAcrossWorkers) {
+  const auto peak_buffered_shards = [](const core::StudyResults& run) {
+    double peak = -1.0;
+    for (const obs::GaugeSample& g : run.observability.gauges) {
+      if (g.name == "synth.peak_buffered_shards") peak = g.value;
+    }
+    return peak;
+  };
+  const auto expect_reconciles = [](const core::StudyResults& run) {
+    const Status reconciles = run.observability.funnel.CheckReconciles();
+    EXPECT_TRUE(reconciles.ok()) << reconciles.ToString();
+    EXPECT_NE(run.observability.funnel.Find("trips.store_rebuild"),
+              nullptr);
+    EXPECT_NE(run.observability.funnel.Find("rows.csv_lenient_parse"),
+              nullptr);
+  };
   const core::StudyResults serial =
       RunWithThreads(0, fault::FaultPlan::Uniform(0.02), true);
   ExpectIdenticalResults(FaultedSerialReference(), serial);
-  const Status reconciles =
-      serial.observability.funnel.CheckReconciles();
-  EXPECT_TRUE(reconciles.ok()) << reconciles.ToString();
-  EXPECT_NE(serial.observability.funnel.Find("trips.store_rebuild"),
-            nullptr);
+  expect_reconciles(serial);
+  EXPECT_EQ(peak_buffered_shards(serial), 1.0);
 
   const core::StudyResults parallel =
       RunWithThreads(8, fault::FaultPlan::Uniform(0.02), true);
   ExpectIdenticalResults(FaultedSerialReference(), parallel);
   ExpectIdenticalObservability(serial, parallel);
+  EXPECT_GE(peak_buffered_shards(parallel), 1.0);
+
+  // Online ingest (lossless: lag 64, shuffle 32) of the same corrupted
+  // shards: the batch results, and one funnel at 0 and 8 workers.
+  std::optional<core::StudyResults> serial_ingest;
+  for (const int workers : {0, 8}) {
+    SCOPED_TRACE(testing::Message() << "ingest, " << workers << " workers");
+    core::StudyConfig config = core::StudyConfig::SmallStudy();
+    config.num_threads = workers;
+    config.faults = fault::FaultPlan::Uniform(0.02);
+    config.stream_ingestion = true;
+    config.ingest.reorder_lag = 64;
+    config.ingest.arrival_shuffle_window = 32;
+    config.observability.enabled = true;
+    auto run = core::Pipeline(config).Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectIdenticalResults(FaultedSerialReference(), *run);
+    expect_reconciles(*run);
+    EXPECT_NE(run->observability.funnel.Find("points.ingested"), nullptr);
+    if (workers == 0) {
+      EXPECT_EQ(peak_buffered_shards(*run), 1.0);
+      serial_ingest.emplace(std::move(run).value());
+    } else {
+      EXPECT_GE(peak_buffered_shards(*run), 1.0);
+      ExpectIdenticalObservability(*serial_ingest, *run);
+    }
+  }
 }
 
 // Route-cache legs. The gap-fill memo only skips repeat searches, so a

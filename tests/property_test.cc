@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "taxitrace/clean/cleaning_pipeline.h"
+#include "taxitrace/common/check.h"
 #include "taxitrace/common/histogram.h"
 #include "taxitrace/common/random.h"
 #include "taxitrace/fault/fault_injector.h"
@@ -1163,11 +1164,16 @@ trace::TraceStore AdversarialStore() {
   for (int i = 0; i < kTraceSweepSize; ++i) {
     trips.push_back(RandomMessyTrace(i));
   }
-  fault::FaultInjector injector(fault::FaultPlan::Uniform(0.05));
-  fault::FaultReport report;
-  injector.CorruptTrips(&trips, &report);
-  return fault::RebuildStoreDroppingDuplicates(std::move(trips), &report)
-      .value();
+  // Trace-level classes only; file faults would round-trip the CSV.
+  fault::FaultPlan plan = fault::FaultPlan::Uniform(0.05);
+  plan.truncate_row_prob = 0.0;
+  plan.wrong_columns_prob = 0.0;
+  plan.junk_bytes_prob = 0.0;
+  fault::FaultTally tally;
+  TT_CHECK_OK(fault::FaultInjector(plan).CorruptShard(0, &trips, &tally));
+  trace::TraceStore store;
+  for (trace::Trip& trip : trips) TT_CHECK_OK(store.AddTrip(std::move(trip)));
+  return store;
 }
 
 // The injector writes non-finite coordinates, and NaN breaks tuple

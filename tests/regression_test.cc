@@ -228,8 +228,8 @@ TEST(GoldenDigestTest, SmallStudyObservabilityMatchesGolden) {
   };
   std::vector<Mode> modes;
   modes.push_back({"batch", StudyConfig::SmallStudy()});
-  // A study without faults or ingestion always takes the shard path,
-  // so "batch" and "streamed" run one config; both keys stay pinned.
+  // Every study without ingestion takes the batch shard path, so
+  // "batch" and "streamed" run one config; both keys stay pinned.
   modes.push_back({"streamed", StudyConfig::SmallStudy()});
   modes.push_back({"faults_uniform_0.02", StudyConfig::SmallStudy()});
   modes.back().config.faults = fault::FaultPlan::Uniform(0.02);

@@ -1,8 +1,8 @@
-// The batch shard path's contract: a study without a fault plan or
-// online ingestion cleans and matches each simulated shard on its
-// worker and folds the finished trips in (car, day, trip) order, never
-// building the raw trace store, and produces StudyResults
-// byte-identical to a store-order run. The reference is online
+// The batch shard path's contract: a study without online ingestion
+// cleans and matches each simulated shard on its worker and folds the
+// finished trips in (car, day, trip) order, never building the raw
+// trace store, and produces StudyResults byte-identical to a
+// store-order run. The reference is online
 // ingestion in canonical arrival order (arrival_shuffle_window = 0),
 // which loses nothing (IngestEquivalenceTest.CanonicalOrderHasZeroLatency).
 // It is shard-sourced too, but through other code: per-car day buffers
@@ -11,8 +11,9 @@
 // trips in store order is held by
 // IngestEquivalenceTest.ShardFedIngestMatchesStoreReplay, which
 // compares its windows with a replay of FleetSimulator::Run's store.
-// Faulted studies build the store and clean it in store order; they are
-// held to a faulted canonical-ingest run, which replays that store.
+// Faulted studies take the same paths, each shard fault-corrupted on its
+// worker first; they are held to a faulted canonical-ingest run, whose
+// cars ingest the same corrupted shards.
 // Checked at 0/1/2/8 workers on what both runs produce: the golden
 // digest, which hashes the full downstream output, the cleaning report
 // and the funnel stages and counters they share; doubles compared
@@ -135,9 +136,9 @@ TEST(StreamingEquivalenceTest, EightWorkersStreamingMatchesInMemory) {
   EXPECT_EQ(StoreOrderDigest(), core::StudyDigestJson(run));
 }
 
-// A faulted study builds the store and runs the fused unit per store
-// trip, moving each trip out of it; a faulted canonical-ingest run
-// replays the same corrupted store window by window. Both must fold to
+// A faulted batch study runs the fused unit on each corrupted shard's
+// trips; a faulted canonical-ingest run feeds the same corrupted shards
+// to each car's session and runs it window by window. Both must fold to
 // the same results at any worker count.
 const core::StudyResults& FaultedReference() {
   static const core::StudyResults reference =
