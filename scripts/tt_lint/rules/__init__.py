@@ -91,6 +91,7 @@ def all_rules():
         idiom.ResultOkStatus(),
         idiom.IncludePath(),
         idiom.IgnoredStatus(),
+        idiom.OneSpatialIndex(),
         determinism.UnorderedIteration(),
         determinism.AmbientEntropy(),
         determinism.PointerKeyedOrder(),

@@ -300,3 +300,44 @@ class IgnoredStatus(FileRule):
                 f"return value of Status-returning {t.value}() is "
                 "ignored", t.col)
 
+
+
+class OneSpatialIndex(FileRule):
+    name = "one-spatial-index"
+    short = ("roadnet::SpatialIndex constructed under src/ outside "
+             "core/pipeline.cc; a study builds one index")
+
+    _OWNERS = (
+        "src/taxitrace/core/pipeline.cc",
+        "src/taxitrace/roadnet/spatial_index.h",
+        "src/taxitrace/roadnet/spatial_index.cc",
+    )
+    _FACTORIES = frozenset({"make_unique", "make_shared"})
+
+    def check_file(self, sf: SourceFile, ctx: RepoContext):
+        if not sf.rel.startswith("src/") or sf.rel in self._OWNERS:
+            return
+        toks = sf.tokens
+        n = len(toks)
+        for i, t in enumerate(toks):
+            if t.kind != ID or t.value != "SpatialIndex" or i + 1 >= n:
+                continue
+            nxt = toks[i + 1].value
+            # `SpatialIndex(...)` or `SpatialIndex{...}`: a temporary or
+            # a `new`; `SpatialIndex name(`, `{`, `=` or `;`: a variable
+            # or member by value; `make_unique<...SpatialIndex>(`.
+            builds = nxt in ("(", "{")
+            if (toks[i + 1].kind == ID and i + 2 < n
+                    and toks[i + 2].value in ("(", "{", "=", ";")):
+                builds = True
+            if nxt == ">" and i + 2 < n and toks[i + 2].value == "(":
+                builds = any(toks[k].kind == ID
+                             and toks[k].value in self._FACTORIES
+                             for k in range(max(0, i - 5), i))
+            if builds:
+                yield self.finding(
+                    sf, t.line,
+                    "roadnet::SpatialIndex constructed outside "
+                    "core/pipeline.cc; a study builds one index there "
+                    "and passes it down (a one-off lookup scans "
+                    "RoadNetwork::ForEachEdgeWithin)", t.col)

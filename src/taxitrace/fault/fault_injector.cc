@@ -153,7 +153,9 @@ Status FaultInjector::CorruptShard(int64_t shard_index,
   for (const trace::Trip& trip : *trips) {
     tally->points_in += static_cast<int64_t>(trip.points.size());
   }
-  CorruptTrips(trips, &tally->report);
+  // The file round trip comes first: its lenient parse cuts trips where
+  // the trip id changes, so it would rejoin a spliced half to its donor
+  // and merge a duplicate with its original.
   if (plan_.AnyFileFaults()) {
     trace::TraceIoStats io_stats;
     TAXITRACE_ASSIGN_OR_RETURN(
@@ -166,6 +168,7 @@ Status FaultInjector::CorruptShard(int64_t shard_index,
     tally->report.rows_dropped_malformed += io_stats.rows_dropped_malformed;
     tally->report.rows_dropped_non_utf8 += io_stats.rows_dropped_non_utf8;
   }
+  CorruptTrips(trips, &tally->report);
   tally->trips_deduplicated += static_cast<int64_t>(trips->size());
   std::unordered_set<int64_t> seen;
   tally->report.trips_dropped_duplicate_id += static_cast<int64_t>(

@@ -11,11 +11,11 @@
 //   * CorruptCsv — file-level faults on serialized trace CSV. Every
 //     data row draws from a stream keyed by (shard index, row in shard).
 //
-// CorruptShard runs both and then drops the trips whose id repeats in
-// the shard, counting them instead of failing. A shard is one car's day
-// and its trip ids are its own (synth::kTripIdStride), so no fault
-// reaches across cars or shards, and shards transform independently, in
-// any order.
+// CorruptShard runs both, the file faults first, and then drops the
+// trips whose id repeats in the shard, counting them instead of
+// failing. A shard is one car's day and its trip ids are its own
+// (synth::kTripIdStride), so no fault reaches across cars or shards,
+// and shards transform independently, in any order.
 
 #ifndef TAXITRACE_FAULT_FAULT_INJECTOR_H_
 #define TAXITRACE_FAULT_FAULT_INJECTOR_H_
@@ -71,10 +71,13 @@ class FaultInjector {
                                        int64_t shard_index,
                                        FaultReport* report) const;
 
-  /// The whole plan as a transform of one shard's trips, in place:
-  /// CorruptTrips, then on file-level faults a round trip through
-  /// trace::TripsToCsv, CorruptCsv and trace::TripsFromCsvLenient, then
+  /// The whole plan as a transform of one shard's trips, in place: on
+  /// file-level faults a round trip through trace::TripsToCsv,
+  /// CorruptCsv and trace::TripsFromCsvLenient, then CorruptTrips, then
   /// the drop of every trip whose id an earlier trip of the shard holds.
+  /// The parse splits trips where the trip id changes, so running it
+  /// last would rejoin interleaved points to their donor trip and
+  /// merge a duplicate that follows its original.
   /// Adds what it saw and did to `tally`. Fails only if the lenient
   /// parse does, which an intact header rules out.
   Status CorruptShard(int64_t shard_index, std::vector<trace::Trip>* trips,

@@ -7,10 +7,10 @@
 namespace taxitrace {
 namespace mapmatch {
 
-// The default search reads one index cell per GPS point.
-static_assert(ScoreOptions{}.search_radius_m <= roadnet::SpatialIndex::kReachM,
-              "the default candidate radius must stay within the index's "
-              "one-cell reach");
+// The search reads one index cell per GPS point.
+static_assert(kSearchRadiusM <= roadnet::SpatialIndex::kReachM,
+              "the candidate radius must stay within the index's one-cell "
+              "reach");
 
 double DistanceScore(double distance_m, const ScoreOptions& options) {
   return options.distance_mu -
@@ -56,7 +56,7 @@ void FindCandidates(const roadnet::SpatialIndex& index,
                     bool has_heading, const ScoreOptions& options,
                     std::vector<roadnet::EdgeCandidate>* nearby,
                     std::vector<MatchCandidate>* out) {
-  index.Nearby(point, options.search_radius_m, nearby);
+  index.Nearby(point, kSearchRadiusM, nearby);
   const roadnet::RoadNetwork& network = index.network();
   out->clear();
   out->reserve(nearby->size());

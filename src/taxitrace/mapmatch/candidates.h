@@ -11,10 +11,12 @@
 namespace taxitrace {
 namespace mapmatch {
 
+/// Candidate search radius around a GPS fix, metres: within the
+/// spatial index's one-cell reach (a static_assert keeps it there).
+inline constexpr double kSearchRadiusM = 55.0;
+
 /// Scoring parameters. Defaults follow the VLDB'05 incremental matcher.
 struct ScoreOptions {
-  /// Candidate search radius around a GPS fix, metres.
-  double search_radius_m = 55.0;
   /// Distance score: mu_d - a * d^n.
   double distance_mu = 10.0;
   double distance_a = 0.17;

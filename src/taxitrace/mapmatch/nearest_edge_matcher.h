@@ -14,18 +14,18 @@ namespace mapmatch {
 class NearestEdgeMatcher {
  public:
   NearestEdgeMatcher(const roadnet::RoadNetwork* network,
-                     const roadnet::SpatialIndex* index,
-                     double max_snap_distance_m = 80.0);
+                     const roadnet::SpatialIndex* index);
 
-  /// Snaps each point to its nearest edge. The returned geometry is the
-  /// polyline through the snapped points (it may jump between
-  /// disconnected edges — that is the point of the baseline).
+  /// Snaps each point to its nearest edge within the index's reach
+  /// (roadnet::SpatialIndex::kReachM); a point with none is counted in
+  /// `points_skipped`. The returned geometry is the polyline through
+  /// the snapped points (it may jump between disconnected edges — that
+  /// is the point of the baseline).
   Result<MatchedRoute> Match(const trace::Trip& trip) const;
 
  private:
   const roadnet::RoadNetwork* network_;
   const roadnet::SpatialIndex* index_;
-  double max_snap_distance_m_;
 };
 
 }  // namespace mapmatch

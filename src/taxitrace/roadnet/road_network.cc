@@ -161,16 +161,13 @@ FeatureId RoadNetwork::AddFeature(FeatureType type,
 
   EdgeId best_edge = kInvalidEdge;
   double best_dist = attach_radius_m;
-  ForEachEdge([&](const Edge& e) {
-    if (!e.geometry.Bounds().Inflated(attach_radius_m).Contains(position)) {
-      return;
-    }
-    const double d = e.geometry.Project(position).distance;
-    if (d <= best_dist) {
-      best_dist = d;
-      best_edge = e.id;
-    }
-  });
+  ForEachEdgeWithin(position, attach_radius_m,
+                    [&](const Edge& e, const geo::PolylineProjection& proj) {
+                      if (proj.distance <= best_dist) {
+                        best_dist = proj.distance;
+                        best_edge = e.id;
+                      }
+                    });
   if (best_edge != kInvalidEdge) {
     edges_[static_cast<size_t>(best_edge)].feature_ids.push_back(id);
   }

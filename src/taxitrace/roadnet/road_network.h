@@ -126,6 +126,22 @@ class RoadNetwork {
     for (const Edge& e : edges_) fn(e);
   }
 
+  /// Visits every edge with a point within `radius_m` of `p`, in id
+  /// order, as fn(edge, projection) with the edge's closest point
+  /// (geo::Polyline::Project). A scan of all edges that skips those
+  /// whose bounds, grown by the radius, miss `p`: for one-off lookups
+  /// such as attaching features. Per-point search belongs to
+  /// SpatialIndex, whose projections are the same bits.
+  template <typename Fn>
+  void ForEachEdgeWithin(const geo::EnPoint& p, double radius_m,
+                         Fn&& fn) const {
+    for (const Edge& e : edges_) {
+      if (!e.geometry.Bounds().Inflated(radius_m).Contains(p)) continue;
+      const geo::PolylineProjection proj = e.geometry.Project(p);
+      if (proj.distance <= radius_m) fn(e, proj);
+    }
+  }
+
   [[nodiscard]] const std::vector<MapFeature>& features() const {
     return features_;
   }

@@ -64,6 +64,9 @@ bool AxisCells(double lo, double hi, int32_t* first, int32_t* last) {
   return true;
 }
 
+// The cell coordinate `*c` that holds `v`, on the same terms.
+bool AxisCell(double v, int32_t* c) { return AxisCells(v, v, c, c); }
+
 // The points within `reach` of the segment from `a` to `b`: two discs
 // and the band between them.
 struct ListingRegion {
@@ -196,7 +199,7 @@ constexpr uint32_t kNoId = std::numeric_limits<uint32_t>::max();
 
 SpatialIndex::SpatialIndex(const RoadNetwork* network)
     : network_(network),
-      scratch_(std::make_shared<WorkerLocal<QueryScratch>>()) {
+      tallies_(std::make_shared<WorkerLocal<QueryTallies>>()) {
   // Rows copy the edges' segment lengths; warm the tables on the
   // constructing thread.
   network_->WarmAdjacency();
@@ -212,8 +215,8 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network)
     const std::vector<geo::EnPoint>& pts = e.geometry.points();
     if (pts.empty()) {
       // An edge with no geometry has no position to index; dropping it
-      // here would make Nearby/Nearest silently blind to it, so the
-      // drop is counted and surfaced through stats().
+      // here would make Nearby silently blind to it, so the drop is
+      // counted and surfaced through stats().
       ++empty_geometry_edges_;
       return;
     }
@@ -349,23 +352,16 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network)
       ++cells.back().end;
     }
   }
-  occupied_cells_ = cells.size();
 
   // The directory: open addressing, at most three-quarters full.
   size_t slots = 1;
   while (4 * cells.size() > 3 * slots) slots *= 2;
   directory_.assign(slots, CellSlot{});
   const size_t mask = slots - 1;
-  min_cx_ = min_cx;
-  max_cx_ = max_cx;
-  min_cy_ = std::numeric_limits<int32_t>::max();
-  max_cy_ = std::numeric_limits<int32_t>::min();
   for (const CellSlot& cell : cells) {
     size_t i = HashCell2D(cell.cx, cell.cy) & mask;
     while (directory_[i].end != 0) i = (i + 1) & mask;
     directory_[i] = cell;
-    min_cy_ = std::min(min_cy_, cell.cy);
-    max_cy_ = std::max(max_cy_, cell.cy);
   }
 }
 
@@ -393,79 +389,18 @@ std::vector<EdgeCandidate> SpatialIndex::Nearby(const geo::EnPoint& p,
 void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
                           std::vector<EdgeCandidate>* out) const {
   out->clear();
-  QueryScratch& scratch = scratch_->Local();
-  QueryTallies& t = scratch.tallies;
+  QueryTallies& t = tallies_->Local();
   t.queries.Add(1);
-  // The window: the cells within `pad` of `p`, just the cell under `p`
-  // when the radius is at most kReachM. Complete by construction: an
-  // edge point q within the radius of p is within kReachM of the point
-  // `pad` along the way from p to q (or of p itself), and that point's
-  // cell lists q's segment. A point or radius that is not finite, a
-  // negative radius, or a window off the cell lattice finds nothing.
-  const double pad = std::max(0.0, radius_m - kReachM);
-  int32_t lo_cx = 0;
-  int32_t hi_cx = -1;
-  int32_t lo_cy = 0;
-  int32_t hi_cy = -1;
-  if (!(radius_m >= 0.0) || !AxisCells(p.x - pad, p.x + pad, &lo_cx, &hi_cx) ||
-      !AxisCells(p.y - pad, p.y + pad, &lo_cy, &hi_cy)) {
+  // The cell under `p` lists every segment within kReachM of any of its
+  // points. A radius above that, a negative one, or a point or radius
+  // that is not finite or off the cell lattice finds nothing.
+  int32_t cx = 0;
+  int32_t cy = 0;
+  if (!(radius_m >= 0.0 && radius_m <= kReachM) ||
+      !AxisCell(p.x, &cx) || !AxisCell(p.y, &cy)) {
     return;
   }
-
-  int64_t cells = 1;
-  std::span<const uint32_t> ids;
-  if (lo_cx == hi_cx && lo_cy == hi_cy) {
-    ids = CellSegments(lo_cx, lo_cy);
-  } else {
-    // Several cells list a segment more than once: gather the distinct
-    // rows (generation-stamped, as in the router's SearchScratch) and
-    // sort them back into (edge, segment) order.
-    if (scratch.row_stamp.size() < rows_.size()) {
-      scratch.row_stamp.assign(rows_.size(), 0);
-      scratch.generation = 0;
-    }
-    if (++scratch.generation == 0) {  // stamp wrap: invalidate everything
-      std::fill(scratch.row_stamp.begin(), scratch.row_stamp.end(), 0);
-      scratch.generation = 1;
-    }
-    const uint32_t gen = scratch.generation;
-    std::vector<uint32_t>& gathered = scratch.gathered;
-    gathered.clear();
-    const auto gather = [&](std::span<const uint32_t> cell) {
-      for (const uint32_t id : cell) {
-        if (scratch.row_stamp[id] != gen) {
-          scratch.row_stamp[id] = gen;
-          gathered.push_back(id);
-        }
-      }
-    };
-    // Only the occupied extent holds segments; when the clipped window
-    // has more cells than the directory, walk the directory instead.
-    lo_cx = std::max(lo_cx, min_cx_);
-    hi_cx = std::min(hi_cx, max_cx_);
-    lo_cy = std::max(lo_cy, min_cy_);
-    hi_cy = std::min(hi_cy, max_cy_);
-    const int64_t window = std::max<int64_t>(0, int64_t{hi_cx} - lo_cx + 1) *
-                           std::max<int64_t>(0, int64_t{hi_cy} - lo_cy + 1);
-    if (window <= static_cast<int64_t>(occupied_cells_)) {
-      cells = window;
-      for (int32_t cy = lo_cy; cy <= hi_cy; ++cy) {
-        for (int32_t cx = lo_cx; cx <= hi_cx; ++cx) {
-          gather(CellSegments(cx, cy));
-        }
-      }
-    } else {
-      cells = static_cast<int64_t>(occupied_cells_);
-      for (const CellSlot& slot : directory_) {
-        if (slot.end != 0 && slot.cx >= lo_cx && slot.cx <= hi_cx &&
-            slot.cy >= lo_cy && slot.cy <= hi_cy) {
-          gather({cell_segments_.data() + slot.begin, slot.end - slot.begin});
-        }
-      }
-    }
-    std::sort(gathered.begin(), gathered.end());
-    ids = gathered;
-  }
+  const std::span<const uint32_t> ids = CellSegments(cx, cy);
 
   // Each edge's segments are one run of `ids`, in order, so the strict
   // `<` keeps the lowest-index minimum, and the arc length is the sum
@@ -501,25 +436,9 @@ void SpatialIndex::Nearby(const geo::EnPoint& p, double radius_m,
 
   // This worker's tallies of deterministic per-query work, so their
   // sum over workers is thread-count-invariant.
-  t.cells_probed.Add(cells);
+  t.cells_probed.Add(1);
   t.candidates.Add(edges);
   t.hits.Add(static_cast<int64_t>(out->size()));
-}
-
-std::optional<EdgeCandidate> SpatialIndex::Nearest(
-    const geo::EnPoint& p, double max_radius_m) const {
-  // Expand the search ring until a hit is found or the cap is reached.
-  // Each ring refills this worker's reusable list, so a warm Nearest()
-  // allocates nothing.
-  std::vector<EdgeCandidate>& found = scratch_->Local().ring_hits;
-  double radius = kNearestFirstRingM;
-  while (radius < max_radius_m * 2) {
-    Nearby(p, std::min(radius, max_radius_m), &found);
-    if (!found.empty()) return found.front();
-    if (radius >= max_radius_m) break;
-    radius *= 2;
-  }
-  return std::nullopt;
 }
 
 size_t SpatialIndex::ApproxMemoryBytes() const {
@@ -532,8 +451,7 @@ size_t SpatialIndex::ApproxMemoryBytes() const {
 
 SpatialIndexStats SpatialIndex::stats() const {
   SpatialIndexStats s;
-  scratch_->ForEach([&s](const QueryScratch& scratch) {
-    const QueryTallies& t = scratch.tallies;
+  tallies_->ForEach([&s](const QueryTallies& t) {
     s.queries += t.queries.value();
     s.cells_probed += t.cells_probed.value();
     s.candidates += t.candidates.value();

@@ -105,14 +105,13 @@ DriverModel::DriverModel(const CityMap* map, const WeatherModel* weather,
   // influence circle the edge passes through and where along the edge
   // they act.
   edge_events_.resize(map_->network.num_edges());
-  const roadnet::SpatialIndex index(&map_->network);
   for (const roadnet::MapFeature& f : map_->network.features()) {
-    const std::vector<roadnet::EdgeCandidate> nearby =
-        index.Nearby(f.position, options_.feature_influence_radius_m);
-    for (const roadnet::EdgeCandidate& cand : nearby) {
-      edge_events_[static_cast<size_t>(cand.edge)].push_back(
-          EdgeEvent{f.type, cand.projection.arc_length});
-    }
+    map_->network.ForEachEdgeWithin(
+        f.position, options_.feature_influence_radius_m,
+        [&](const roadnet::Edge& e, const geo::PolylineProjection& proj) {
+          edge_events_[static_cast<size_t>(e.id)].push_back(
+              EdgeEvent{f.type, proj.arc_length});
+        });
   }
 }
 

@@ -11,7 +11,6 @@
 
 #include "taxitrace/common/random.h"
 #include "taxitrace/roadnet/router.h"
-#include "taxitrace/roadnet/spatial_index.h"
 #include "taxitrace/synth/city_map_generator.h"
 #include "taxitrace/synth/pedestrian_model.h"
 #include "taxitrace/synth/weather_model.h"

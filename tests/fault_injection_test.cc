@@ -343,6 +343,50 @@ TEST(FaultInjectionTest, InterleaveStaysInsideItsShard) {
   }
 }
 
+// Interleaves and duplicates with a file fault on: the CSV round trip
+// runs first, so its split at each trip-id change can neither rejoin a
+// spliced half to its donor nor merge a duplicate into its original.
+// The sanitiser drops the foreign points, and the duplicate-id drop
+// removes every injected duplicate, also one that directly follows its
+// original.
+TEST(FaultInjectionTest, TripFaultsSurviveTheFileRoundTrip) {
+  FaultPlan plan;
+  plan.interleave_trip_prob = 0.3;
+  plan.duplicate_trip_prob = 0.3;
+  plan.junk_bytes_prob = 0.05;
+  const FaultInjector injector(plan);
+  std::vector<trace::Trip> trips = MakeFleet();
+  FaultTally tally;
+  ASSERT_TRUE(injector.CorruptShard(0, &trips, &tally).ok());
+  trace::TraceStore store;
+  for (trace::Trip& trip : trips) {
+    ASSERT_TRUE(store.AddTrip(std::move(trip)).ok());
+  }
+  clean::CleaningReport cleaning;
+  ASSERT_TRUE(clean::CleanTrips(store, SanitizingOptions(), &cleaning).ok());
+  FaultReport& report = tally.report;
+  report.Add(cleaning.faults);
+
+  EXPECT_GT(report.rows_dropped_non_utf8, 0);
+  EXPECT_GT(report.injected_interleaved_trips, 0);
+  EXPECT_GE(report.points_dropped_foreign, report.injected_interleaved_trips);
+  EXPECT_GT(report.injected_duplicated_trips, 0);
+  EXPECT_EQ(report.trips_dropped_duplicate_id,
+            report.injected_duplicated_trips);
+
+  // A duplicate right after its original: the shard's only trip.
+  plan.interleave_trip_prob = 0.0;
+  plan.duplicate_trip_prob = 1.0;
+  std::vector<trace::Trip> one = {MakeFleet().front()};
+  FaultTally one_tally;
+  ASSERT_TRUE(FaultInjector(plan).CorruptShard(0, &one, &one_tally).ok());
+  EXPECT_EQ(one_tally.report.injected_duplicated_trips, 1);
+  EXPECT_EQ(one_tally.report.trips_dropped_duplicate_id, 1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.front().points.size(), 40u - static_cast<size_t>(
+      one_tally.report.rows_dropped_non_utf8));
+}
+
 // Every class end to end: a SmallStudy with one fault class enabled
 // must finish with a clean Status and surface the class in
 // StudyResults. The per-class relations still hold because a

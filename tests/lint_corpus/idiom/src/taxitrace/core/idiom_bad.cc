@@ -38,4 +38,9 @@ void BadRngRefillPtr(std::vector<double>& edge_weights, Rng* noise_rng) {
   for (auto& w : edge_weights) w = noise_rng->Uniform(0.6, 1.5);  // expect(linear-reset)
 }
 
+void BadSecondIndex(const roadnet::RoadNetwork& net) {
+  const roadnet::SpatialIndex index(&net);  // expect(one-spatial-index)
+  auto owned = std::make_unique<roadnet::SpatialIndex>(&net);  // expect(one-spatial-index)
+}
+
 }  // namespace taxitrace

@@ -29,4 +29,11 @@ double GoodReadOnlySweep(const std::vector<double>& multipliers) {
   return total;
 }
 
+size_t GoodBorrowedIndex(const roadnet::SpatialIndex& index,
+                         const roadnet::SpatialIndex* also,
+                         const geo::EnPoint& p) {
+  return index.Nearby(p, roadnet::SpatialIndex::kReachM).size() +
+         also->Nearby(p, 10.0).size();
+}
+
 }  // namespace taxitrace

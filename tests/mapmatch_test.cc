@@ -337,6 +337,39 @@ TEST_F(MatcherTest, NearestEdgeBaselineWorksButIsWeaker) {
   EXPECT_GT(base_jaccard_sum / runs, 0.3);  // the baseline is not useless
 }
 
+// The baseline snaps each point to the front of Nearby(p, kReachM), and
+// a point farther than the reach from every road is skipped and
+// counted.
+TEST_F(MatcherTest, NearestEdgeBaselineSnapsToNearbyFront) {
+  const NearestEdgeMatcher baseline(&TestMap().network, &TestIndex());
+  const geo::LocalProjection& proj = TestMap().network.projection();
+  const EnPoint off_road{9000, 9000};
+  ASSERT_TRUE(
+      TestIndex().Nearby(off_road, roadnet::SpatialIndex::kReachM).empty());
+  auto [trip, truth] = SimulatedTrip(41);
+  const size_t far_index = trip.points.size() / 2;
+  trace::RoutePoint far = trip.points[far_index];
+  far.position = proj.Inverse(off_road);
+  trip.points.insert(
+      trip.points.begin() + static_cast<ptrdiff_t>(far_index), far);
+
+  const Result<MatchedRoute> route = baseline.Match(trip);
+  ASSERT_TRUE(route.ok());
+  EXPECT_GE(route->points_skipped, 1);
+  EXPECT_EQ(route->points.size() + static_cast<size_t>(route->points_skipped),
+            trip.points.size());
+  for (const MatchedPoint& m : route->points) {
+    EXPECT_NE(m.point_index, far_index);
+    const std::vector<roadnet::EdgeCandidate> nearby = TestIndex().Nearby(
+        proj.Forward(trip.points[m.point_index].position),
+        roadnet::SpatialIndex::kReachM);
+    ASSERT_FALSE(nearby.empty()) << m.point_index;
+    EXPECT_EQ(m.position.edge, nearby.front().edge);
+    EXPECT_EQ(m.position.arc_length_m, nearby.front().projection.arc_length);
+    EXPECT_EQ(m.distance_m, nearby.front().projection.distance);
+  }
+}
+
 TEST(NearestEdgeMatcherTest, RejectsTinyTrips) {
   const NearestEdgeMatcher baseline(&TestMap().network, &TestIndex());
   trace::Trip trip;

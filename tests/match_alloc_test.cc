@@ -135,10 +135,9 @@ TEST(MatchAllocationTest, WarmMatchAllocatesUnderOncePerMatchedPoint) {
       << " matched points of " << trip.points.size();
 }
 
-// Candidate search runs once per GPS point. A warm Nearby() allocates
-// nothing: the one-cell query at the matcher's radius, and a multi-cell
-// query, whose per-edge merge slots are the worker's reused scratch.
-// The city map's index itself stays small.
+// Candidate search runs once per GPS point. A warm Nearby() at the
+// matcher's radius allocates nothing. The city map's index itself
+// stays small.
 TEST(SpatialIndexAllocationTest, WarmNearbyAllocatesNothing) {
   const synth::CityMap map = synth::GenerateCityMap().value();
   const roadnet::SpatialIndex index(&map.network);
@@ -154,18 +153,15 @@ TEST(SpatialIndexAllocationTest, WarmNearbyAllocatesNothing) {
         {on.x + rng.Uniform(-30.0, 30.0), on.y + rng.Uniform(-30.0, 30.0)});
   });
   std::vector<roadnet::EdgeCandidate> found;
-  for (const double radius : {55.0, 150.0}) {
-    SCOPED_TRACE(radius);
-    for (const geo::EnPoint& p : points) index.Nearby(p, radius, &found);
-    int64_t hits = 0;
-    const int64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (const geo::EnPoint& p : points) {
-      index.Nearby(p, radius, &found);
-      hits += static_cast<int64_t>(found.size());
-    }
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
-    EXPECT_GT(hits, static_cast<int64_t>(points.size()));
+  for (const geo::EnPoint& p : points) index.Nearby(p, 55.0, &found);
+  int64_t hits = 0;
+  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const geo::EnPoint& p : points) {
+    index.Nearby(p, 55.0, &found);
+    hits += static_cast<int64_t>(found.size());
   }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
+  EXPECT_GT(hits, static_cast<int64_t>(points.size()));
 }
 
 }  // namespace

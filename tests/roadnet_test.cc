@@ -293,17 +293,6 @@ TEST_F(SpatialIndexTest, NearbyEmptyWhenFar) {
   EXPECT_TRUE(index_.Nearby(EnPoint{500, 500}, 30.0).empty());
 }
 
-TEST_F(SpatialIndexTest, NearestExpandsSearch) {
-  const auto hit = index_.Nearest(EnPoint{300, 40}, 500.0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_NEAR(hit->projection.distance,
-              geo::Distance(EnPoint{300, 40}, EnPoint{100, 0}), 1e-6);
-}
-
-TEST_F(SpatialIndexTest, NearestRespectsCap) {
-  EXPECT_FALSE(index_.Nearest(EnPoint{5000, 5000}, 100.0).has_value());
-}
-
 TEST_F(SpatialIndexTest, CountsProbeWork) {
   (void)index_.Nearby(EnPoint{2, 2}, 10.0);
   (void)index_.Nearby(EnPoint{500, 500}, 30.0);
@@ -317,7 +306,7 @@ TEST_F(SpatialIndexTest, CountsProbeWork) {
 
 // Regression: the index build walked geometry segments (i, i+1), so an
 // edge whose polyline had fewer than two points was never inserted into
-// any cell and could not be found by Nearby/Nearest at all. A
+// any cell and could not be found by Nearby at all. A
 // single-point geometry is now indexed at its lone point; an empty
 // geometry has no location to index and is dropped with a counted
 // reason instead of silently.
@@ -346,9 +335,10 @@ TEST(SpatialIndexDegenerateTest, SinglePointGeometryIsFindable) {
   EXPECT_NEAR(found[0].projection.distance, 5.0, 1e-9);
   EXPECT_EQ(index.stats().empty_geometry_edges, 0);
 
-  const auto nearest = index.Nearest(EnPoint{520, 500}, 100.0);
-  ASSERT_TRUE(nearest.has_value());
-  EXPECT_EQ(nearest->edge, lone_id);
+  const std::vector<EdgeCandidate> reach =
+      index.Nearby(EnPoint{520, 500}, SpatialIndex::kReachM);
+  ASSERT_FALSE(reach.empty());
+  EXPECT_EQ(reach.front().edge, lone_id);
 }
 
 TEST(SpatialIndexDegenerateTest, EmptyGeometryIsDroppedWithReason) {
@@ -377,8 +367,9 @@ TEST(SpatialIndexDegenerateTest, EmptyGeometryIsDroppedWithReason) {
 
 // Points and radii the index cannot search have no cell coordinate:
 // casting their floor into an int32 cell would be undefined behaviour
-// (caught by the UBSan build), so they must find nothing instead. Each
-// call still counts as a query, and reads no cell.
+// (caught by the UBSan build), so they must find nothing instead. A
+// radius above the reach finds nothing either, even at a junction.
+// Each call still counts as a query, and reads no cell.
 TEST_F(SpatialIndexTest, OffLatticeQueriesFindNothing) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -387,7 +378,9 @@ TEST_F(SpatialIndexTest, OffLatticeQueriesFindNothing) {
       {nan, 0},   {0, nan},    {nan, nan},  {inf, 0},      {-inf, 0},
       {0, inf},   {0, -inf},   {1e12, 0},   {0, -1e12},    {1e300, 1e300},
       {-3e11, 2}, {2, 1e200},  {far, 0},    {0, -far},     {-far, far}};
-  const std::vector<double> radii = {nan, inf, -inf, -1.0, -1e-9, 1e12};
+  const std::vector<double> radii = {
+      nan,  inf,  -inf, -1.0, -1e-9, 1e12, SpatialIndex::kReachM + 1e-3,
+      60.0, 300.0};
   const SpatialIndexStats before = index_.stats();
   int64_t calls = 0;
   for (const EnPoint& p : points) {
@@ -406,10 +399,6 @@ TEST_F(SpatialIndexTest, OffLatticeQueriesFindNothing) {
   EXPECT_EQ(after.cells_probed, before.cells_probed);
   EXPECT_EQ(after.candidates, before.candidates);
   EXPECT_EQ(after.hits, before.hits);
-  for (const EnPoint& p : points) {
-    EXPECT_FALSE(index_.Nearest(p, 500.0).has_value()) << p.x << "," << p.y;
-  }
-  EXPECT_FALSE(index_.Nearest(EnPoint{2, 2}, nan).has_value());
   // The index still answers ordinary queries afterwards.
   EXPECT_EQ(index_.Nearby(EnPoint{2, 2}, 10.0).size(), 4u);
   EXPECT_EQ(index_.stats().hits, 4);
@@ -446,11 +435,13 @@ TEST(SpatialIndexDegenerateTest, OffLatticeGeometryIsDroppedWithReason) {
 // --- Spatial index vs brute force -------------------------------------------------
 
 // The definition Nearby() implements: project onto every edge, keep the
-// projections within the radius, order by (distance, edge id).
+// projections within the radius, order by (distance, edge id). A radius
+// above the reach finds nothing.
 std::vector<EdgeCandidate> BruteForceNearby(const RoadNetwork& net,
                                             const EnPoint& p,
                                             double radius_m) {
   std::vector<EdgeCandidate> out;
+  if (radius_m > SpatialIndex::kReachM) return out;
   net.ForEachEdge([&](const Edge& e) {
     if (e.geometry.points().empty()) return;
     const geo::PolylineProjection proj = e.geometry.Project(p);
@@ -466,8 +457,7 @@ std::vector<EdgeCandidate> BruteForceNearby(const RoadNetwork& net,
   return out;
 }
 
-// Radii every oracle point is asked at: inside and on both sides of
-// the one-cell reach, and multi-cell windows of a few and of many cells.
+// Radii every oracle point is asked at: inside, at and beyond the reach.
 constexpr double kReach = SpatialIndex::kReachM;
 constexpr double kOracleRadii[] = {10.0,  25.0, kReach - 1e-3, kReach,
                                    kReach + 1e-3, 60.0, 150.0, 300.0};
@@ -504,7 +494,7 @@ int64_t ExpectNearbyAgreesAt(
 // Compares Nearby() with the brute force over random points around the
 // map, points exactly on cell lines, on cell corners and on every 20th
 // cell line, and edge start points. Each point is asked at one random
-// radius in [0, 200] m and at every oracle radius. The index's `hits`
+// radius in [0, kReachM] and at every oracle radius. The index's `hits`
 // and `queries` counters must equal the brute-force totals.
 void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
   const SpatialIndex index(&net);
@@ -518,8 +508,8 @@ void ExpectNearbyMatchesBruteForce(const RoadNetwork& net, uint64_t seed) {
   Rng rng(seed);
   const auto radius = [&](int i) {
     if (i % 50 == 0) return 0.0;
-    if (i % 50 == 1) return 200.0;
-    return rng.Uniform(0.0, 200.0);
+    if (i % 50 == 1) return SpatialIndex::kReachM;
+    return rng.Uniform(0.0, SpatialIndex::kReachM);
   };
   std::vector<EnPoint> points;
   for (int i = 0; i < 1200; ++i) {
@@ -553,11 +543,54 @@ TEST(SpatialIndexEquivalenceTest, CityMapMatchesBruteForce) {
   ExpectNearbyMatchesBruteForce(map.network, 41);
 }
 
+// RoadNetwork::ForEachEdgeWithin, the scan that attaches features and
+// places the driver model's feature events, visits the edges the index
+// finds, in id order, with the same distance and arc length bit for
+// bit. Asked at every feature and at random points around the map.
+TEST(SpatialIndexEquivalenceTest, EdgeScanMatchesIndex) {
+  const synth::CityMap map = synth::GenerateCityMap().value();
+  const RoadNetwork& net = map.network;
+  const SpatialIndex index(&net);
+  std::vector<EnPoint> points;
+  for (const MapFeature& f : net.features()) points.push_back(f.position);
+  const geo::Bbox box = net.Bounds();
+  Rng rng(53);
+  for (int i = 0; i < 400; ++i) {
+    points.push_back({rng.Uniform(box.min_x - 100.0, box.max_x + 100.0),
+                      rng.Uniform(box.min_y - 100.0, box.max_y + 100.0)});
+  }
+  int64_t hits = 0;
+  for (const EnPoint& p : points) {
+    for (const double r : {10.0, 25.0, kReach}) {
+      SCOPED_TRACE(testing::Message()
+                   << "at (" << p.x << ", " << p.y << ") r=" << r);
+      std::vector<EdgeCandidate> want = index.Nearby(p, r);
+      std::sort(want.begin(), want.end(),
+                [](const EdgeCandidate& a, const EdgeCandidate& b) {
+                  return a.edge < b.edge;
+                });
+      std::vector<EdgeCandidate> got;
+      net.ForEachEdgeWithin(
+          p, r, [&](const Edge& e, const geo::PolylineProjection& proj) {
+            got.push_back(EdgeCandidate{e.id, proj});
+          });
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].edge, want[k].edge);
+        EXPECT_EQ(got[k].projection.distance, want[k].projection.distance);
+        EXPECT_EQ(got[k].projection.arc_length,
+                  want[k].projection.arc_length);
+      }
+      hits += static_cast<int64_t>(got.size());
+    }
+  }
+  EXPECT_GT(hits, static_cast<int64_t>(net.features().size()));
+}
+
 // A "C" edge whose first and last segments lie exactly 40 m from the
 // origin, a one-point edge and a plain edge. Polyline::Project keeps
 // the first minimum in segment order, so at the origin the C edge must
-// report segment 0 with its own `t` and arc length, bit for bit, also
-// when a multi-cell window meets the last segment in an earlier cell.
+// report segment 0 with its own `t` and arc length, bit for bit.
 RoadNetwork TieNetwork(EdgeId* c_edge) {
   RoadNetwork net(kOrigin);
   const VertexId a = net.AddVertex({-20, 40}, false);
@@ -594,7 +627,7 @@ TEST(SpatialIndexEquivalenceTest, TiedSegmentsAndOnePointEdgeMatchProject) {
 
   const SpatialIndex index(&net);
   for (const double r : kOracleRadii) {
-    if (r < first) continue;
+    if (r < first || r > kReach) continue;
     const std::vector<EdgeCandidate> found = index.Nearby(origin, r);
     const auto c = std::find_if(
         found.begin(), found.end(),
@@ -616,21 +649,16 @@ TEST(SpatialIndexEquivalenceTest, TiedSegmentsAndOnePointEdgeMatchProject) {
 }
 
 // An edge counts once per query however many of its segments a query
-// projects, and a radius within the reach reads exactly one cell.
+// projects, and a query reads exactly one cell.
 TEST(SpatialIndexEquivalenceTest, CountsCellsAndDistinctEdges) {
   EdgeId c_edge = kInvalidEdge;
   const RoadNetwork net = TieNetwork(&c_edge);
   const SpatialIndex index(&net);
   (void)index.Nearby(EnPoint{0, 0}, 50.0);
-  SpatialIndexStats stats = index.stats();
+  const SpatialIndexStats stats = index.stats();
   EXPECT_EQ(stats.cells_probed, 1);
   EXPECT_EQ(stats.candidates, 1);  // the C edge, two of its segments listed
   EXPECT_EQ(stats.hits, 1);
-  (void)index.Nearby(EnPoint{0, 0}, 150.0);
-  stats = index.stats();
-  EXPECT_GT(stats.cells_probed, 2);
-  EXPECT_EQ(stats.candidates, 1 + 3);  // every edge, once
-  EXPECT_EQ(stats.hits, 1 + 3);
 }
 
 // Regression: the index kept a dense offset per cell of the map's whole
@@ -660,57 +688,7 @@ TEST(SpatialIndexMemoryTest, FarApartRoadsNeedOnlyTheirOwnCells) {
   EXPECT_GT(ExpectNearbyAgreesAt(index, net, queries), 0);
   ASSERT_EQ(index.Nearby(EnPoint{-kFar + 50, -kFar + 3}, 10.0).size(), 1u);
   ASSERT_EQ(index.Nearby(EnPoint{kFar - 7, kFar + 60}, 10.0).size(), 1u);
-  EXPECT_FALSE(index.Nearest(EnPoint{0, 0}, 1000.0).has_value());
-}
-
-// Nearest() searches rings from SpatialIndex::kNearestFirstRingM,
-// doubled each time and capped at the maximum radius; its answer is the front of
-// Nearby() at the first ring that finds an edge.
-TEST(SpatialIndexNearestTest, CityMapReturnsFrontOfFirstHittingRing) {
-  const synth::CityMap map = synth::GenerateCityMap().value();
-  const SpatialIndex index(&map.network);
-  constexpr double kMaxRadius = 300.0;
-  const geo::Bbox box = map.network.Bounds();
-  Rng rng(47);
-  int hits = 0;
-  int misses = 0;
-  for (int i = 0; i < 400; ++i) {
-    const EnPoint p{rng.Uniform(box.min_x - 400.0, box.max_x + 400.0),
-                    rng.Uniform(box.min_y - 400.0, box.max_y + 400.0)};
-    std::optional<EdgeCandidate> want;
-    for (double ring = SpatialIndex::kNearestFirstRingM;; ring *= 2.0) {
-      const std::vector<EdgeCandidate> found =
-          index.Nearby(p, std::min(ring, kMaxRadius));
-      if (!found.empty()) {
-        want = found.front();
-        break;
-      }
-      if (ring >= kMaxRadius) break;
-    }
-    const std::optional<EdgeCandidate> got = index.Nearest(p, kMaxRadius);
-    ASSERT_EQ(got.has_value(), want.has_value())
-        << "at (" << p.x << ", " << p.y << ")";
-    if (!got) {
-      ++misses;
-      continue;
-    }
-    ++hits;
-    EXPECT_EQ(got->edge, want->edge);
-    EXPECT_EQ(got->projection.distance, want->projection.distance);
-    EXPECT_EQ(got->projection.arc_length, want->projection.arc_length);
-  }
-  // The margin leaves points in both outcomes.
-  EXPECT_GT(hits, 0);
-  EXPECT_GT(misses, 0);
-
-  // Beyond the maximum radius of every edge, and a point no ring can
-  // search.
-  const EnPoint far{box.max_x + 2 * kMaxRadius, box.max_y + 2 * kMaxRadius};
-  EXPECT_TRUE(index.Nearby(far, kMaxRadius).empty());
-  EXPECT_FALSE(index.Nearest(far, kMaxRadius).has_value());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(index.Nearest(EnPoint{nan, box.min_y}, kMaxRadius).has_value());
-  EXPECT_FALSE(index.Nearest(EnPoint{nan, nan}, kMaxRadius).has_value());
+  EXPECT_TRUE(index.Nearby(EnPoint{0, 0}, SpatialIndex::kReachM).empty());
 }
 
 // --- Per-worker tallies ------------------------------------------------------
@@ -730,9 +708,10 @@ class WorkerTallyTest : public ::testing::Test {
     ASSERT_GT(edges_.size(), 100u);
   }
 
-  // Query i of the fixed set, by i % 4: Nearby, Nearest, a pair on one
-  // edge (the direct connection when the edge allows the direction),
-  // or a pair across the map (a search).
+  // Query i of the fixed set, by i % 4: Nearby beyond the reach (a
+  // counted query that reads no cell), Nearby at the reach, a pair on
+  // one edge (the direct connection when the edge allows the
+  // direction), or a pair across the map (a search).
   Status RunQuery(const SpatialIndex& index, const Router& router,
                   int64_t i) const {
     const geo::Bbox box = map_.network.Bounds();
@@ -747,7 +726,7 @@ class WorkerTallyTest : public ::testing::Test {
         index.Nearby(p, 60.0);
         break;
       case 1:
-        index.Nearest(p, 300.0);
+        index.Nearby(p, SpatialIndex::kReachM);
         break;
       case 2: {
         const EdgeId e = edge(i);
@@ -805,7 +784,7 @@ TEST_F(WorkerTallyTest, TotalsAtAnyWorkerCountEqualSerial) {
   const SpatialIndexStats want_index = serial_index.stats();
   const RouterStats want_router = serial_router.stats();
   // Every kind of work shows up, so each sum below is a real check.
-  EXPECT_GT(want_index.queries, kQueries / 2);  // Nearest makes several
+  EXPECT_EQ(want_index.queries, kQueries / 2);
   EXPECT_GT(want_index.cells_probed, 0);
   EXPECT_GT(want_index.candidates, 0);
   EXPECT_GT(want_index.hits, 0);
